@@ -27,6 +27,10 @@ STOP_ALL_DECIDED = "all_decided"
 STOP_TRIAL_EFFICACY = "trial_rule_efficacy"
 STOP_TRIAL_FUTILITY = "trial_rule_futility"
 STOP_REACHED_MAX = "reached_max"
+_STOP_REASONS = {
+    "stop_efficacy": STOP_TRIAL_EFFICACY,
+    "stop_futility": STOP_TRIAL_FUTILITY,
+}
 
 
 @dataclass
@@ -155,40 +159,58 @@ def cohort_sizes(spec) -> list[int]:
 
 
 def run_trial(validated: ValidatedSpec, seed: int) -> TrialResult:
-    """Simulate one trial replicate under the validated design."""
+    """Simulate one trial replicate under the validated design.
+
+    Per-arm state lives in arrays indexed by arm position, control first.
+    Target ``t`` is the coefficient of arm ``t``, so the same index serves
+    the targets. Tail probabilities are NaN for arms a look does not
+    evaluate; arrays become arm-name dicts only in the returned records.
+    """
     spec = validated.spec
     model = spec.model
     arms = model.arm_names
-    interventions = model.interventions
+    n_arms = len(arms)
     targets = list(spec.which_targets)
-    # row position of each target coefficient in the delta matrices
-    delta_row = {t: i for i, t in enumerate(targets)}
-    direction = {t: spec.alternative[i] for i, t in enumerate(targets)}
-    target_arm = {t: arms[t] for t in targets}
+    direction = dict(zip(targets, spec.alternative))
+    delta_eff = _arm_deltas(spec.delta_eff, targets, n_arms)
+    delta_fut = _arm_deltas(spec.delta_fut, targets, n_arms)
+    delta_rar = _arm_deltas(spec.delta_rar, targets, n_arms)
+    no_tails = np.full(n_arms, np.nan)
 
-    active = {arm: True for arm in arms}
-    n_per_arm = {arm: 0 for arm in arms}
-    allocation = dict(spec.prob0)
-    decisions = {arm: ArmDecision() for arm in interventions}
-    est_mean: dict[str, float | None] = {target_arm[t]: None for t in targets}
-    est_sd: dict[str, float | None] = {target_arm[t]: None for t in targets}
+    prob0 = np.array([spec.prob0[a] for a in arms])
+    active = np.ones(n_arms, dtype=bool)
+    n_per_arm = np.zeros(n_arms, dtype=int)
+    allocation = prob0
+    # one entry per arm; the control's stays undecided
+    decisions = [ArmDecision() for _ in arms]
+    est_mean = np.full(n_arms, np.nan)
+    est_sd = np.full(n_arms, np.nan)
 
     cohorts: list[Cohort] = []
     history: list[LookRecord] | None = [] if spec.extended >= 1 else None
     non_converged = 0
-    last_converged_fit = None
     stop_reason = STOP_REACHED_MAX
     sizes = cohort_sizes(spec)
-    n_looks = len(sizes)
-    looks_performed = 0
 
     for j, m in enumerate(sizes):
-        is_final = j == n_looks - 1
-        looks_performed = j + 1
+        is_final = j == len(sizes) - 1
+
+        def context(tails):
+            """Rule inputs at this look, with the active arms' tails in arm order."""
+            return RuleContext(
+                active=tuple(active.tolist()),
+                posterior=tuple(tails[active & ~np.isnan(tails)].tolist()),
+                n=tuple(n_per_arm.tolist()),
+                ref=(True,) + (False,) * (n_arms - 1),
+                prob=tuple(allocation[active].tolist()),
+                m=m,
+                n_max=spec.n_max,
+                look_index=j,
+                is_final=is_final,
+            )
 
         # --- recruit and simulate the new cohort
-        weights = {arm: allocation[arm] for arm in arms if active[arm]}
-        used_allocation = {arm: weights.get(arm, 0.0) for arm in arms}
+        weights = {arms[i]: allocation[i] for i in np.flatnonzero(active)}
         labels = datagen.allocate_arms(
             m, weights, spec.allocation, substream(seed, "look", j, "alloc")
         )
@@ -202,8 +224,7 @@ def run_trial(validated: ValidatedSpec, seed: int) -> TrialResult:
             substream(seed, "look", j, "response"),
         )
         cohorts.append(Cohort(arm=labels, covariates=covs, response=y))
-        for arm in arms:
-            n_per_arm[arm] += int(np.sum(labels == arm))
+        n_per_arm += [np.count_nonzero(labels == arm) for arm in arms]
 
         # --- fit on all accumulated data
         data = Cohort.concat(cohorts)
@@ -213,150 +234,90 @@ def run_trial(validated: ValidatedSpec, seed: int) -> TrialResult:
         )
 
         verdict = "continue"
-        eff_post: dict[str, float | None] = {a: None for a in interventions}
-        fut_post: dict[str, float | None] = {a: None for a in interventions}
-        rar_post: dict[str, float | None] = {a: None for a in interventions}
+        p_eff = p_fut = p_rar = look_mean = look_sd = no_tails
 
         if fit.converged:
-            last_converged_fit = fit
-            active_targets = [t for t in targets if active[target_arm[t]]]
+            look_mean = fit.marginal_mean[:n_arms]
+            look_sd = fit.marginal_sd[:n_arms]
 
-            def tails(delta_matrix):
-                probs = {}
-                for t in active_targets:
-                    delta = delta_matrix[delta_row[t]][j]
-                    if delta is not None:
-                        probs[t] = glm.marginal_posterior_prob(
-                            fit, t, delta, direction[t]
-                        )
+            def tail_probs(deltas):
+                probs = np.full(n_arms, np.nan)
+                for t in np.flatnonzero(active & ~np.isnan(deltas)).tolist():
+                    probs[t] = glm.marginal_posterior_prob(
+                        fit, t, float(deltas[t]), direction[t]
+                    )
                 return probs
 
-            p_eff = tails(spec.delta_eff)
-            p_fut = tails(spec.delta_fut)
-            p_rar = tails(spec.delta_rar) if spec.rar_rule is not None else {}
-            eff_post.update({target_arm[t]: p for t, p in p_eff.items()})
-            fut_post.update({target_arm[t]: p for t, p in p_fut.items()})
-            rar_post.update({target_arm[t]: p for t, p in p_rar.items()})
+            def arm_flags(rule, tails, rule_spec):
+                flags = np.zeros(n_arms, dtype=bool)
+                evaluated = ~np.isnan(tails)
+                if evaluated.any():
+                    flags[evaluated] = rule(context(tails), rule_spec)
+                return flags
 
-            def ctx_for(prob_by_target):
-                eval_targets = sorted(prob_by_target)
-                return eval_targets, RuleContext(
-                    active=tuple(active[a] for a in arms),
-                    posterior=tuple(prob_by_target[t] for t in eval_targets),
-                    n=tuple(n_per_arm[a] for a in arms),
-                    ref=(True,) + (False,) * len(interventions),
-                    prob=tuple(allocation[a] for a in arms if active[a]),
-                    m=m,
-                    n_max=spec.n_max,
+            p_eff = tail_probs(delta_eff[:, j])
+            p_fut = tail_probs(delta_fut[:, j])
+            if spec.rar_rule is not None:
+                p_rar = tail_probs(delta_rar[:, j])
+
+            hit_eff = arm_flags(rules.efficacy_arm, p_eff, spec.eff_arm_rule)
+            hit_fut = arm_flags(rules.futility_arm, p_fut, spec.fut_arm_rule)
+            decided = hit_eff | hit_fut
+            for t in np.flatnonzero(decided).tolist():
+                decisions[t] = ArmDecision(
+                    efficacy_met=bool(hit_eff[t]),
+                    futility_met=bool(hit_fut[t]),
+                    timing="last" if is_final else "early",
                     look_index=j,
-                    is_final=is_final,
                 )
+            # decided arms keep the estimate of their decision look, the
+            # others that of the last converged fit
+            est_mean[active] = look_mean[active]
+            est_sd[active] = look_sd[active]
+            active &= ~decided
 
-            eff_flags: dict[int, bool] = {}
-            fut_flags: dict[int, bool] = {}
-            if p_eff:
-                eval_targets, ctx = ctx_for(p_eff)
-                flags = rules.efficacy_arm(ctx, spec.eff_arm_rule)
-                eff_flags = dict(zip(eval_targets, flags))
-            if p_fut:
-                eval_targets, ctx = ctx_for(p_fut)
-                flags = rules.futility_arm(ctx, spec.fut_arm_rule)
-                fut_flags = dict(zip(eval_targets, flags))
-
-            for t in active_targets:
-                hit_eff = bool(eff_flags.get(t, False))
-                hit_fut = bool(fut_flags.get(t, False))
-                if hit_eff or hit_fut:
-                    arm = target_arm[t]
-                    decisions[arm].efficacy_met = hit_eff
-                    decisions[arm].futility_met = hit_fut
-                    decisions[arm].timing = "last" if is_final else "early"
-                    decisions[arm].look_index = j
-                    active[arm] = False
-                    est_mean[arm] = float(fit.marginal_mean[t])
-                    est_sd[arm] = float(fit.marginal_sd[t])
-
-            _, trial_ctx = ctx_for({})
             verdict = rules.trial_stop(
-                decisions.values(), trial_ctx, spec.eff_trial_rule,
+                decisions[1:], context(no_tails), spec.eff_trial_rule,
                 spec.fut_trial_rule,
             )
         else:
             non_converged += 1
-
-        stopping = not is_final and (
-            verdict != "continue" or not any(active[a] for a in interventions)
-        )
-
-        # --- allocation for the next cohort
-        if not stopping and not is_final:
-            live_targets = [t for t in targets if active[target_arm[t]]]
-            if spec.rar_rule is None:
-                allocation = _rescale({a: spec.prob0[a] for a in arms}, active)
-            elif fit.converged and all(t in p_rar for t in live_targets):
-                ctx = RuleContext(
-                    active=tuple(active[a] for a in arms),
-                    posterior=tuple(p_rar[t] for t in live_targets),
-                    n=tuple(n_per_arm[a] for a in arms),
-                    ref=(True,) + (False,) * len(interventions),
-                    prob=tuple(allocation[a] for a in arms if active[a]),
-                    m=m,
-                    n_max=spec.n_max,
-                    look_index=j,
-                    is_final=is_final,
-                )
-                rar_w = rules.rar_weights(ctx, spec.rar_rule)
-                probs = rules.normalize_allocation(rar_w)
-                allocation = {a: 0.0 for a in arms}
-                allocation[arms[0]] = float(probs[0])
-                for prob, arm in zip(
-                    probs[1:], (a for a in interventions if active[a])
-                ):
-                    allocation[arm] = float(prob)
-            else:
-                # non-converged fit or margin disabled at this look: keep the
-                # current allocation, restricted to the arms still recruiting
-                allocation = _rescale(allocation, active)
 
         if history is not None:
             history.append(
                 LookRecord(
                     look_index=j,
                     is_final=is_final,
-                    n_total=sum(n_per_arm.values()),
-                    n_per_arm=dict(n_per_arm),
-                    active=dict(active),
-                    allocation=used_allocation,
-                    eff_posterior=eff_post,
-                    fut_posterior=fut_post,
-                    rar_posterior=rar_post,
-                    estimate_mean={
-                        target_arm[t]: (float(fit.marginal_mean[t]) if fit.converged else None)
-                        for t in targets
-                    },
-                    estimate_sd={
-                        target_arm[t]: (float(fit.marginal_sd[t]) if fit.converged else None)
-                        for t in targets
-                    },
+                    n_total=int(n_per_arm.sum()),
+                    n_per_arm=dict(zip(arms, n_per_arm.tolist())),
+                    active=dict(zip(arms, active.tolist())),
+                    allocation=dict(zip(arms, allocation.tolist())),
+                    eff_posterior=_by_arm(arms, p_eff, range(1, n_arms)),
+                    fut_posterior=_by_arm(arms, p_fut, range(1, n_arms)),
+                    rar_posterior=_by_arm(arms, p_rar, range(1, n_arms)),
+                    estimate_mean=_by_arm(arms, look_mean, targets),
+                    estimate_sd=_by_arm(arms, look_sd, targets),
                     fit_converged=fit.converged,
                 )
             )
 
-        if stopping:
-            if verdict == "stop_efficacy":
-                stop_reason = STOP_TRIAL_EFFICACY
-            elif verdict == "stop_futility":
-                stop_reason = STOP_TRIAL_FUTILITY
-            else:
-                stop_reason = STOP_ALL_DECIDED
+        if not is_final and (verdict != "continue" or not active[1:].any()):
+            stop_reason = _STOP_REASONS.get(verdict, STOP_ALL_DECIDED)
             break
 
-    # estimates for undecided targets come from the last converged fit
-    for t in targets:
-        arm = target_arm[t]
-        if est_mean[arm] is None and last_converged_fit is not None:
-            est_mean[arm] = float(last_converged_fit.marginal_mean[t])
-            est_sd[arm] = float(last_converged_fit.marginal_sd[t])
+        # --- allocation for the next cohort
+        if not is_final:
+            if spec.rar_rule is None:
+                allocation = _rescale(prob0, active)
+            elif not np.isnan(p_rar[active][1:]).any():
+                # every recruiting intervention has a tail at this look
+                rar_w = rules.rar_weights(context(p_rar), spec.rar_rule)
+                allocation = np.zeros(n_arms)
+                allocation[active] = rules.normalize_allocation(rar_w)
+            else:
+                # non-converged fit or margin disabled at this look: keep the
+                # current allocation, restricted to the arms still recruiting
+                allocation = _rescale(allocation, active)
 
     dataset = None
     if spec.extended >= 2:
@@ -369,27 +330,41 @@ def run_trial(validated: ValidatedSpec, seed: int) -> TrialResult:
 
     return TrialResult(
         seed=seed,
-        arms=interventions,
-        decisions=decisions,
-        sample_sizes=dict(n_per_arm),
-        total_size=sum(n_per_arm.values()),
+        arms=model.interventions,
+        decisions=dict(zip(model.interventions, decisions[1:])),
+        sample_sizes=dict(zip(arms, n_per_arm.tolist())),
+        total_size=int(n_per_arm.sum()),
         stop_reason=stop_reason,
-        looks_performed=looks_performed,
-        estimate_mean=est_mean,
-        estimate_sd=est_sd,
+        looks_performed=j + 1,
+        estimate_mean=_by_arm(arms, est_mean, targets),
+        estimate_sd=_by_arm(arms, est_sd, targets),
         non_converged_fits=non_converged,
         history=history,
         dataset=dataset,
     )
 
 
-def _rescale(weights: dict[str, float], active: dict[str, bool]) -> dict[str, float]:
+def _arm_deltas(matrix, targets, n_arms: int) -> np.ndarray:
+    """Per-target delta rows placed at their arms' rows; NaN where disabled."""
+    deltas = np.full((n_arms, len(matrix[0])), np.nan)
+    deltas[targets] = np.array(matrix, dtype=float)
+    return deltas
+
+
+def _by_arm(arms, values, index) -> dict[str, float | None]:
+    """Arm-name dict of ``values`` at the arm positions in ``index``."""
+    return {
+        arms[i]: None if np.isnan(values[i]) else float(values[i])
+        for i in index
+    }
+
+
+def _rescale(weights: np.ndarray, active: np.ndarray) -> np.ndarray:
     """Restrict weights to active arms and renormalise; dropped arms get 0."""
-    live = [a for a in weights if active[a]]
-    total = sum(abs(weights[a]) for a in live)
+    live = np.where(active, np.abs(weights), 0.0)
+    # left-to-right sum: numpy's pairwise sum can round differently
+    total = sum(live.tolist())
     if total == 0.0:
         # every remaining arm carried zero weight; fall back to equal shares
-        return {a: (1.0 / len(live) if active[a] else 0.0) for a in weights}
-    return {
-        a: (abs(weights[a]) / total if active[a] else 0.0) for a in weights
-    }
+        return active / np.count_nonzero(active)
+    return live / total

@@ -171,16 +171,34 @@ def _header_doc(batch: BatchResult) -> dict:
 
 
 def save_shard(batch: BatchResult, path) -> None:
-    with open(path, "wb") as fh:
-        header = _dump(_header_doc(batch))
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        fh.write(struct.pack("<Q", len(batch.seeds)))
-        for i in range(len(batch.seeds)):
-            rec = _record_bytes(batch, i)
-            fh.write(struct.pack("<I", len(rec)))
-            fh.write(rec)
+    records = (_record_bytes(batch, i) for i in range(len(batch.seeds)))
+    _write_shard(path, _header_doc(batch), records)
+
+
+def _write_shard(path, header: dict, raw_records) -> None:
+    """Write a shard atomically: a temp file beside ``path``, then a rename.
+
+    ``path`` is replaced only once every record is on disk, so a crash or
+    an error mid-write never leaves a partial shard, and ``path`` may be
+    one of the shards the records are streamed from.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            blob = _dump(header)
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            fh.write(struct.pack("<Q", header["n_records"]))
+            for raw in raw_records:
+                fh.write(struct.pack("<I", len(raw)))
+                fh.write(raw)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def save_shard_json(batch: BatchResult, path) -> None:
@@ -244,16 +262,30 @@ def _iter_records(path):
             yield _read_exact(fh, length, path)
 
 
+def _decode_record(raw: bytes, path) -> dict:
+    """Parse one record; one that is not JSON or has no seed is corrupt."""
+    try:
+        doc = json.loads(raw)
+    except ValueError as exc:
+        raise ShardError(f"corrupt shard {path}: bad record ({exc})") from None
+    if not isinstance(doc, dict) or not isinstance(doc.get("seed"), int):
+        raise ShardError(f"corrupt shard {path}: record without an integer seed")
+    return doc
+
+
 def load_shard(path) -> BatchResult:
+    """Read a binary shard, or a ``save_shard_json`` export, into a batch."""
     if _looks_like_json(path):
-        return _load_shard_json(path)
-    header = read_shard_header(path)
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        header, records = doc["header"], doc["records"]
+        if header.get("format_version") != FORMAT_VERSION:
+            raise ShardError(f"shard {path}: unsupported format version")
+    else:
+        header = read_shard_header(path)
+        records = (_decode_record(raw, path) for raw in _iter_records(path))
     seeds, results, nulls = [], [], [] if header["has_null"] else None
-    for raw in _iter_records(path):
-        try:
-            doc = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ShardError(f"corrupt shard {path}: bad record ({exc.msg})") from None
+    for doc in records:
         seeds.append(doc["seed"])
         results.append(TrialResult.from_dict(doc["result"]))
         if nulls is not None:
@@ -273,31 +305,6 @@ def load_shard(path) -> BatchResult:
 def _looks_like_json(path) -> bool:
     with open(path, "rb") as fh:
         return fh.read(len(MAGIC)) != MAGIC and str(path).endswith(".json")
-
-
-def _load_shard_json(path) -> BatchResult:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    header = doc["header"]
-    if header.get("format_version") != FORMAT_VERSION:
-        raise ShardError(f"shard {path}: unsupported format version")
-    nulls = [] if header["has_null"] else None
-    results, seeds = [], []
-    for rec in doc["records"]:
-        seeds.append(rec["seed"])
-        results.append(TrialResult.from_dict(rec["result"]))
-        if nulls is not None:
-            nulls.append(TrialResult.from_dict(rec["null_result"]))
-    return BatchResult(
-        fingerprint=header["fingerprint"],
-        seeds=tuple(seeds),
-        extended=header["extended"],
-        spec_document=header["spec_document"],
-        results=results,
-        results_null=nulls,
-        engine_version=header["engine_version"],
-        created_at=header["created_at"],
-    )
 
 
 # --------------------------------------------------------------------------
@@ -375,28 +382,18 @@ def combine_shard_files(paths, out_path) -> dict:
     headers = [read_shard_header(p) for p in paths]
     _check_compatible(headers)
     _check_disjoint(
-        [[json.loads(raw)["seed"] for raw in _iter_records(p)] for p in paths]
+        [[_decode_record(raw, p)["seed"] for raw in _iter_records(p)] for p in paths]
     )
 
     def keyed(path):
         for raw in _iter_records(path):
-            yield json.loads(raw)["seed"], raw
+            yield _decode_record(raw, path)["seed"], raw
 
     merged = heapq.merge(*(keyed(p) for p in paths), key=lambda t: t[0])
-    total = sum(h["n_records"] for h in headers)
     header = dict(headers[0])
-    header["n_records"] = total
+    header["n_records"] = sum(h["n_records"] for h in headers)
     header["seed_min"] = min(h["seed_min"] for h in headers)
     header["seed_max"] = max(h["seed_max"] for h in headers)
     header["created_at"] = datetime.now(timezone.utc).isoformat()
-
-    with open(out_path, "wb") as fh:
-        blob = _dump(header)
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(struct.pack("<Q", total))
-        for _, raw in merged:
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
+    _write_shard(out_path, header, (raw for _, raw in merged))
     return header

@@ -2,9 +2,11 @@
 
 import csv
 import json
+import struct
 
 import pytest
 
+from mamsim import montecarlo
 from mamsim.cli import main
 
 from trial_designs import gaussian_two_stage_design
@@ -92,3 +94,52 @@ def test_invalid_spec_reports_error(tmp_path, capsys):
 def test_missing_shard_reports_error(tmp_path, capsys):
     assert main(["summary", str(tmp_path / "absent.shard")]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_combine_onto_an_input_matches_monolithic_run(spec_path, tmp_path, capsys):
+    a, b, whole = (tmp_path / n for n in ("a.shard", "b.shard", "whole.shard"))
+    for seeds, out in (("1..3", a), ("4..6", b), ("1..6", whole)):
+        assert main(["run", str(spec_path), "--seeds", seeds, "--workers", "1", "--out", str(out)]) == 0
+    assert main(["combine", str(a), str(b), "--out", str(a)]) == 0
+    assert "6 replicates" in capsys.readouterr().out
+    assert montecarlo.read_shard_sections(a)[1] == montecarlo.read_shard_sections(whole)[1]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "a.shard", "b.shard", "design.json", "whole.shard"
+    ]
+
+
+def _shard_with_record(path, source, raw):
+    """Copy ``source``'s header onto a one-record shard holding ``raw``."""
+    header = montecarlo.read_shard_header(source)
+    header["n_records"] = 1
+    blob = json.dumps(header).encode()
+    path.write_bytes(
+        montecarlo.MAGIC + struct.pack("<I", len(blob)) + blob
+        + struct.pack("<Q", 1) + struct.pack("<I", len(raw)) + raw
+    )
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [(b"{not json", "bad record"), (b'{"result": {}}', "without an integer seed")],
+)
+def test_corrupt_record_reported_by_every_verb(spec_path, tmp_path, capsys, raw, message):
+    good, bad = tmp_path / "good.shard", tmp_path / "bad.shard"
+    assert main(["run", str(spec_path), "--seeds", "1..2", "--workers", "1", "--out", str(good)]) == 0
+    _shard_with_record(bad, good, raw)
+    capsys.readouterr()
+    out = tmp_path / "out.shard"
+    for argv in (["summary", str(bad)], ["combine", str(good), str(bad), "--out", str(out)]):
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_combine_refuses_json_export(spec_path, tmp_path, capsys):
+    shard, export = tmp_path / "s.shard", tmp_path / "s.json"
+    assert main(["run", str(spec_path), "--seeds", "1..2", "--workers", "1", "--out", str(shard)]) == 0
+    montecarlo.save_shard_json(montecarlo.load_shard(shard), export)
+    capsys.readouterr()
+    assert main(["summary", str(export)]) == 0
+    assert main(["combine", str(export), "--out", str(tmp_path / "c.shard")]) == 2
+    assert "bad magic bytes" in capsys.readouterr().err

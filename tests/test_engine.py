@@ -253,3 +253,30 @@ def test_result_round_trips_through_dict():
     assert json.dumps(again.to_dict(), sort_keys=True) == json.dumps(
         result.to_dict(), sort_keys=True
     )
+
+
+def test_rar_allocation_ignores_target_listing_order():
+    # RAR weights belong to the arms in arm order whatever order the
+    # targets are listed in; the rows of every margin are identical here
+    # so both documents describe the same trial
+    listed = validated(binary_six_arm_design("alternative", extended=1))
+    reversed_ = validated(
+        binary_six_arm_design("alternative", extended=1, targets=[5, 4, 3, 2, 1])
+    )
+    for seed in range(1, 11):
+        a = run_trial(listed, seed).to_dict()
+        b = run_trial(reversed_, seed).to_dict()
+        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_rescale_restricts_to_active_arms():
+    active = np.array([True, False, True, True])
+    np.testing.assert_array_equal(
+        engine._rescale(np.array([1.0, 5.0, 1.0, 2.0]), active),
+        [0.25, 0.0, 0.25, 0.5],
+    )
+    # only zero weights left: equal shares over the active arms
+    np.testing.assert_array_equal(
+        engine._rescale(np.array([0.0, 1.0, 0.0, 0.0]), active),
+        [1 / 3, 0.0, 1 / 3, 1 / 3],
+    )
