@@ -10,6 +10,7 @@ replicates are bit-reproducible regardless of execution order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -24,14 +25,21 @@ class DataGenError(ValueError):
     """Invalid simulation inputs (weights, generators, nuisance values)."""
 
 
-def _label_int(label) -> int:
-    digest = hashlib.blake2s(repr(label).encode("utf-8"), digest_size=4).digest()
+@functools.lru_cache(maxsize=None)
+def _label_int(label_repr: str) -> int:
+    """32-bit blake2s key of a label's ``repr``.
+
+    The cache is keyed on the repr, not on the label: labels that compare
+    equal but print differently (``0.0`` and ``-0.0``, ``(1,)`` and
+    ``(np.int64(1),)``) must keep keys of their own.
+    """
+    digest = hashlib.blake2s(label_repr.encode("utf-8"), digest_size=4).digest()
     return int.from_bytes(digest, "little")
 
 
 def substream(seed: int, *labels) -> np.random.Generator:
     """Philox stream for one (seed, label path) combination."""
-    key = tuple(_label_int(l) for l in labels)
+    key = tuple(_label_int(repr(l)) for l in labels)
     seq = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
     return np.random.Generator(np.random.Philox(seq))
 

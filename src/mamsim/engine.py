@@ -8,6 +8,9 @@ recruitment (their data stay in the fit), update allocation probabilities
 (response-adaptive or rescaled fixed weights), and finish with the final
 analysis at the maximum sample size unless the trial stopped early.
 
+Each cohort's design rows are built once, when the cohort is simulated;
+every fit stacks the row blocks and responses of the cohorts so far.
+
 The function is pure in (validated spec, seed): rerunning it reproduces the
 same result bit for bit.
 """
@@ -187,6 +190,7 @@ def run_trial(validated: ValidatedSpec, seed: int) -> TrialResult:
     est_sd = np.full(n_arms, np.nan)
 
     cohorts: list[Cohort] = []
+    x_blocks: list[np.ndarray] = []  # design rows of each cohort
     history: list[LookRecord] | None = [] if spec.extended >= 1 else None
     non_converged = 0
     stop_reason = STOP_REACHED_MAX
@@ -214,9 +218,11 @@ def run_trial(validated: ValidatedSpec, seed: int) -> TrialResult:
         labels = datagen.allocate_arms(
             m, weights, spec.allocation, substream(seed, "look", j, "alloc")
         )
-        covs = datagen.simulate_covariates(
-            model.covariates, m, substream(seed, "look", j, "covariates")
-        )
+        covs = {}
+        if model.covariates:
+            covs = datagen.simulate_covariates(
+                model.covariates, m, substream(seed, "look", j, "covariates")
+            )
         x_cohort = glm.design_values(labels, covs, model)
         eta = x_cohort @ np.asarray(spec.beta_true)
         y = datagen.simulate_response(
@@ -224,13 +230,13 @@ def run_trial(validated: ValidatedSpec, seed: int) -> TrialResult:
             substream(seed, "look", j, "response"),
         )
         cohorts.append(Cohort(arm=labels, covariates=covs, response=y))
+        x_blocks.append(x_cohort)
         n_per_arm += [np.count_nonzero(labels == arm) for arm in arms]
 
         # --- fit on all accumulated data
-        data = Cohort.concat(cohorts)
-        design, y_all = glm.build_design_matrix(data, model)
         fit = glm.fit_laplace(
-            design, y_all, model.family, model.link, model.nuisance
+            np.concatenate(x_blocks), np.concatenate([c.response for c in cohorts]),
+            model.family, model.link, model.nuisance,
         )
 
         verdict = "continue"

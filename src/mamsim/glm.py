@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 from scipy.integrate import simpson
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import expit, ndtr
 from scipy import stats
 
@@ -193,6 +193,14 @@ def _family_terms(family, eta, y, nuisance):
     raise FitError(f"unknown family {family!r}")
 
 
+def _cholesky(a):
+    """Lower Cholesky factor of ``a`` and LAPACK's ``info`` (> 0: not
+    positive definite).  A non-finite matrix raises ``ValueError``."""
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return dpotrf(a, lower=1, clean=0)
+
+
 def fit_laplace(
     X,
     y,
@@ -208,7 +216,14 @@ def fit_laplace(
     halvings per iteration whenever the log posterior would not improve.
     Convergence is declared when the largest score component falls below
     1e-8 or the relative mode change falls below 1e-10.  On failure the
-    best iterate is returned with ``converged=False``.
+    best iterate is returned with ``converged=False``; so is a final
+    Hessian that is not positive definite, with a pseudo-inverse
+    covariance.  A non-finite Hessian or score raises ``ValueError``.
+
+    The likelihood is evaluated once per iterate: the terms of the accepted
+    line-search candidate give the next score and Hessian, and those of the
+    mode give the covariance.  Factor and solves call LAPACK's ``potrf`` and
+    ``potrs`` directly.
     """
     x = X.values if isinstance(X, DesignMatrix) else np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -224,12 +239,18 @@ def fit_laplace(
     if pm.shape[0] != p or tau.shape[0] != p:
         raise FitError("prior dimensions do not match the design matrix")
 
-    def log_posterior(beta):
-        ll, _, _ = _family_terms(family, x @ beta, y, nuisance)
-        return ll - 0.5 * float(tau @ (beta - pm) ** 2)
+    def posterior_terms(beta):
+        """Log posterior, d ll / d eta and w at ``beta``."""
+        ll, d1, w = _family_terms(family, x @ beta, y, nuisance)
+        return ll - 0.5 * float(tau @ (beta - pm) ** 2), d1, w
+
+    def neg_hessian(w):
+        hess = (x.T * w) @ x
+        hess.flat[:: p + 1] += tau
+        return hess
 
     beta = np.zeros(p)
-    lp = log_posterior(beta)
+    lp, d1, w = posterior_terms(beta)
     if not np.isfinite(lp):
         raise FitError("log posterior is not finite at the starting point")
 
@@ -237,48 +258,42 @@ def fit_laplace(
     iterations = 0
     for it in range(max_iterations):
         iterations = it + 1
-        ll, d1, w = _family_terms(family, x @ beta, y, nuisance)
         score = x.T @ d1 - tau * (beta - pm)
-        if np.max(np.abs(score)) < SCORE_TOL:
+        score_max = np.abs(score).max()
+        if score_max < SCORE_TOL:
             converged = True
             break
-        hess = (x.T * w) @ x
-        hess[np.diag_indices_from(hess)] += tau
-        try:
-            chol = scipy.linalg.cho_factor(hess, lower=True)
-        except scipy.linalg.LinAlgError:
+        chol, info = _cholesky(neg_hessian(w))
+        if info > 0:
             break
-        step = scipy.linalg.cho_solve(chol, score)
+        if not np.isfinite(score_max):
+            raise ValueError("array must not contain infs or NaNs")
+        step = dpotrs(chol, score, lower=1)[0]
 
-        lp = ll - 0.5 * float(tau @ (beta - pm) ** 2)
         scale = 1.0
-        accepted = None
         for _ in range(MAX_HALVINGS + 1):
             cand = beta + scale * step
-            lp_cand = log_posterior(cand)
+            lp_cand, d1_cand, w_cand = posterior_terms(cand)
             if np.isfinite(lp_cand) and lp_cand >= lp - 1e-12 * (1.0 + abs(lp)):
-                accepted = cand
                 break
             scale *= 0.5
-        if accepted is None:
+        else:
             break
-        change = np.max(np.abs(accepted - beta)) / max(1.0, np.max(np.abs(beta)))
-        beta = accepted
+        change = np.abs(cand - beta).max() / max(1.0, np.abs(beta).max())
+        beta, lp, d1, w = cand, lp_cand, d1_cand, w_cand
         if change < MODE_CHANGE_TOL:
             converged = True
             break
 
-    _, _, w = _family_terms(family, x @ beta, y, nuisance)
-    hess = (x.T * w) @ x
-    hess[np.diag_indices_from(hess)] += tau
-    log_det = np.nan
-    try:
-        chol = scipy.linalg.cho_factor(hess, lower=True)
-        cov = scipy.linalg.cho_solve(chol, np.eye(p))
-        log_det = 2.0 * float(np.log(np.diag(chol[0])).sum())
-    except scipy.linalg.LinAlgError:
+    hess = neg_hessian(w)
+    chol, info = _cholesky(hess)
+    if info > 0:
         converged = False
         cov = np.linalg.pinv(hess)
+        log_det = np.nan
+    else:
+        cov = dpotrs(chol, np.eye(p), lower=1)[0]
+        log_det = 2.0 * float(np.log(np.diag(chol)).sum())
     cov = 0.5 * (cov + cov.T)
     sd = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     return PosteriorFit(

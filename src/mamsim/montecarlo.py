@@ -25,6 +25,7 @@ import heapq
 import json
 import os
 import struct
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -90,8 +91,9 @@ def run_batch(
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ShardError("no seeds to run")
-    if len(set(seeds)) != len(seeds):
-        dupes = sorted({s for s in seeds if seeds.count(s) > 1})
+    counts = Counter(seeds)
+    if len(counts) != len(seeds):
+        dupes = sorted(s for s, c in counts.items() if c > 1)
         raise ShardError(f"duplicate seeds: {_preview(dupes)}")
     if workers < 1:
         raise ShardError("worker count must be >= 1")
@@ -153,6 +155,12 @@ def _record_bytes(batch: BatchResult, i: int) -> bytes:
 
 def _dump(doc) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+_HEADER_KEYS = frozenset({
+    "format_version", "engine_version", "fingerprint", "spec_document",
+    "seed_min", "seed_max", "n_records", "extended", "has_null", "created_at",
+})
 
 
 def _header_doc(batch: BatchResult) -> dict:
@@ -229,10 +237,22 @@ def _read_header(fh, path) -> dict:
         header = json.loads(_read_exact(fh, header_len, path))
     except json.JSONDecodeError as exc:
         raise ShardError(f"corrupt shard {path}: bad header ({exc.msg})") from None
+    return _check_header(header, path)
+
+
+def _check_header(header, path) -> dict:
+    """A header must be a ``_header_doc`` of this format version."""
+    if not isinstance(header, dict):
+        raise ShardError(f"corrupt shard {path}: header is not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise ShardError(
             f"shard {path} has format version {header.get('format_version')}, "
             f"expected {FORMAT_VERSION}"
+        )
+    missing = _HEADER_KEYS - header.keys()
+    if missing:
+        raise ShardError(
+            f"corrupt shard {path}: header without {', '.join(sorted(missing))}"
         )
     return header
 
@@ -262,28 +282,47 @@ def _iter_records(path):
             yield _read_exact(fh, length, path)
 
 
-def _decode_record(raw: bytes, path) -> dict:
-    """Parse one record; one that is not JSON or has no seed is corrupt."""
+def _decode_record(raw: bytes, path, has_null: bool) -> dict:
+    """Parse one record and check it with :func:`_check_record`."""
     try:
         doc = json.loads(raw)
     except ValueError as exc:
         raise ShardError(f"corrupt shard {path}: bad record ({exc})") from None
+    return _check_record(doc, path, has_null)
+
+
+def _check_record(doc, path, has_null: bool) -> dict:
+    """A record needs an integer seed, a result, and a null result when the
+    header says ``has_null``; anything less is corrupt."""
     if not isinstance(doc, dict) or not isinstance(doc.get("seed"), int):
         raise ShardError(f"corrupt shard {path}: record without an integer seed")
+    if "result" not in doc or (has_null and "null_result" not in doc):
+        raise ShardError(f"corrupt shard {path}: record {doc['seed']} without a result")
     return doc
+
+
+def _read_json_export(path) -> tuple[dict, list]:
+    """Header and records of a ``save_shard_json`` export."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ShardError(f"corrupt shard {path}: not JSON ({exc})") from None
+    if not (isinstance(doc, dict) and isinstance(doc.get("records"), list)):
+        raise ShardError(f"corrupt shard {path}: JSON export without header and records")
+    return _check_header(doc.get("header"), path), doc["records"]
 
 
 def load_shard(path) -> BatchResult:
     """Read a binary shard, or a ``save_shard_json`` export, into a batch."""
     if _looks_like_json(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        header, records = doc["header"], doc["records"]
-        if header.get("format_version") != FORMAT_VERSION:
-            raise ShardError(f"shard {path}: unsupported format version")
+        header, docs = _read_json_export(path)
+        records = (_check_record(doc, path, header["has_null"]) for doc in docs)
     else:
         header = read_shard_header(path)
-        records = (_decode_record(raw, path) for raw in _iter_records(path))
+        records = (
+            _decode_record(raw, path, header["has_null"]) for raw in _iter_records(path)
+        )
     seeds, results, nulls = [], [], [] if header["has_null"] else None
     for doc in records:
         seeds.append(doc["seed"])
@@ -381,15 +420,17 @@ def combine_shard_files(paths, out_path) -> dict:
         raise ShardError("no shards to combine")
     headers = [read_shard_header(p) for p in paths]
     _check_compatible(headers)
-    _check_disjoint(
-        [[_decode_record(raw, p)["seed"] for raw in _iter_records(p)] for p in paths]
-    )
 
-    def keyed(path):
+    def keyed(path, header):
         for raw in _iter_records(path):
-            yield _decode_record(raw, path)["seed"], raw
+            yield _decode_record(raw, path, header["has_null"])["seed"], raw
 
-    merged = heapq.merge(*(keyed(p) for p in paths), key=lambda t: t[0])
+    _check_disjoint(
+        [[seed for seed, _ in keyed(p, h)] for p, h in zip(paths, headers)]
+    )
+    merged = heapq.merge(
+        *(keyed(p, h) for p, h in zip(paths, headers)), key=lambda t: t[0]
+    )
     header = dict(headers[0])
     header["n_records"] = sum(h["n_records"] for h in headers)
     header["seed_min"] = min(h["seed_min"] for h in headers)

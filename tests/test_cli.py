@@ -108,10 +108,11 @@ def test_combine_onto_an_input_matches_monolithic_run(spec_path, tmp_path, capsy
     ]
 
 
-def _shard_with_record(path, source, raw):
+def _shard_with_record(path, source, raw, **header_changes):
     """Copy ``source``'s header onto a one-record shard holding ``raw``."""
     header = montecarlo.read_shard_header(source)
     header["n_records"] = 1
+    header.update(header_changes)
     blob = json.dumps(header).encode()
     path.write_bytes(
         montecarlo.MAGIC + struct.pack("<I", len(blob)) + blob
@@ -121,7 +122,11 @@ def _shard_with_record(path, source, raw):
 
 @pytest.mark.parametrize(
     "raw, message",
-    [(b"{not json", "bad record"), (b'{"result": {}}', "without an integer seed")],
+    [
+        (b"{not json", "bad record"),
+        (b'{"result": {}}', "without an integer seed"),
+        (b'{"seed": 1}', "record 1 without a result"),
+    ],
 )
 def test_corrupt_record_reported_by_every_verb(spec_path, tmp_path, capsys, raw, message):
     good, bad = tmp_path / "good.shard", tmp_path / "bad.shard"
@@ -143,3 +148,49 @@ def test_combine_refuses_json_export(spec_path, tmp_path, capsys):
     assert main(["summary", str(export)]) == 0
     assert main(["combine", str(export), "--out", str(tmp_path / "c.shard")]) == 2
     assert "bad magic bytes" in capsys.readouterr().err
+
+
+def test_record_without_null_result_is_corrupt(spec_path, tmp_path, capsys):
+    good, bad = tmp_path / "good.shard", tmp_path / "bad.shard"
+    assert main(["run", str(spec_path), "--seeds", "1..2", "--workers", "1", "--out", str(good)]) == 0
+    raw = next(montecarlo._iter_records(good))
+    _shard_with_record(bad, good, raw, has_null=True)
+    capsys.readouterr()
+    out = tmp_path / "out.shard"
+    for argv in (["summary", str(bad)], ["combine", str(good), str(bad), "--out", str(out)]):
+        assert main(argv) == 2
+        assert "record 1 without a result" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "removed, message",
+    [
+        (None, "not JSON"),
+        (("header",), "header is not a JSON object"),
+        (("records",), "without header and records"),
+        (("header", "fingerprint"), "header without fingerprint"),
+        (("records", 0, "result"), "record 1 without a result"),
+    ],
+    ids=["not-json", "no-header", "no-records", "no-fingerprint", "no-result"],
+)
+def test_corrupt_json_export_reported(spec_path, tmp_path, capsys, removed, message):
+    """``removed`` is the key path deleted from a good export; None writes
+    text that is not JSON."""
+    shard, export = tmp_path / "s.shard", tmp_path / "s.json"
+    assert main(["run", str(spec_path), "--seeds", "1..2", "--workers", "1", "--out", str(shard)]) == 0
+    montecarlo.save_shard_json(montecarlo.load_shard(shard), export)
+    if removed is None:
+        export.write_text("{broken")
+    else:
+        doc = json.loads(export.read_text())
+        parent = doc
+        for key in removed[:-1]:
+            parent = parent[key]
+        del parent[removed[-1]]
+        export.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["summary", str(export)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: corrupt shard")
+    assert message in err

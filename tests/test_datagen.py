@@ -1,5 +1,6 @@
 """Allocation, covariate, and response simulation behaviour."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -22,6 +23,29 @@ class TestSubstreams:
         c = substream(12, "look", 0, "response").normal(size=5)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @staticmethod
+    def direct_draws(seed, *labels):
+        """First draws of the stream keyed by uncached repr digests."""
+        key = tuple(
+            int.from_bytes(hashlib.blake2s(repr(l).encode(), digest_size=4).digest(), "little")
+            for l in labels
+        )
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=key)
+        return np.random.Generator(np.random.Philox(seq)).random(4)
+
+    @pytest.mark.parametrize(
+        "label, twin",
+        [(3, np.int64(3)), (np.int32(3), np.int64(3)), (0.0, -0.0), ((1,), (np.int64(1),))],
+    )
+    def test_cached_keys_follow_the_label_repr(self, label, twin):
+        draws = {}
+        for value in (label, twin, label, twin):
+            got = substream(21, "look", value, "alloc").random(4)
+            assert np.array_equal(got, self.direct_draws(21, "look", value, "alloc"))
+            draws.setdefault(repr(value), got)
+        assert len(draws) == 2
+        assert not np.array_equal(*draws.values())
 
 
 class TestAllocateArms:

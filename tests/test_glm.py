@@ -1,5 +1,6 @@
 """Laplace fit correctness against closed forms and the quadrature oracle."""
 
+import hashlib
 import math
 from types import SimpleNamespace
 
@@ -139,6 +140,65 @@ class TestFitBehaviour:
     def test_invalid_nuisance(self):
         with pytest.raises(FitError, match="dispersion"):
             fit_laplace(np.ones((4, 1)), np.zeros(4), "nbinomial", "log", {"dispersion": 0.0})
+
+
+class TestCholeskyFailure:
+    """A Hessian that is not positive definite, or not finite."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(21)
+        self.x = np.column_stack([np.ones(80), rng.binomial(1, 0.5, 80)])
+        self.y = rng.binomial(1, 0.4, 80).astype(float)
+        self.real_cholesky = glm._cholesky
+
+    def fit(self):
+        return fit_laplace(self.x, self.y, "binomial", "logit", {})
+
+    def fail_on_calls(self, monkeypatch, failing):
+        """Make the listed (1-based) factorisations report info > 0."""
+        calls = []
+
+        def patched(a):
+            calls.append(a.copy())
+            chol, info = self.real_cholesky(a)
+            return (chol, 1) if len(calls) in failing else (chol, info)
+
+        monkeypatch.setattr(glm, "_cholesky", patched)
+        return calls
+
+    def test_failure_inside_the_loop_stops_iterating(self, monkeypatch):
+        self.fail_on_calls(monkeypatch, {1})
+        fit = self.fit()
+        assert fit.iterations == 1
+        assert not fit.converged
+        assert np.array_equal(fit.mode, np.zeros(2))
+
+    def test_failure_at_the_final_hessian_gives_pinv_covariance(self, monkeypatch):
+        reference = self.fit()
+        assert reference.converged
+        calls = self.fail_on_calls(monkeypatch, set())
+        self.fit()
+        n_calls = len(calls)
+        calls = self.fail_on_calls(monkeypatch, {n_calls})
+        fit = self.fit()
+        assert len(calls) == n_calls
+        assert not fit.converged
+        assert np.array_equal(fit.mode, reference.mode)
+        assert np.isnan(fit.log_det_precision)
+        pinv = np.linalg.pinv(calls[-1])
+        np.testing.assert_array_equal(fit.covariance, 0.5 * (pinv + pinv.T))
+
+    def test_non_finite_hessian_raises_value_error(self, monkeypatch):
+        real = glm._family_terms
+
+        def nan_weights(family, eta, y, nuisance):
+            ll, d1, w = real(family, eta, y, nuisance)
+            return ll, d1, np.full_like(w, np.nan)
+
+        monkeypatch.setattr(glm, "_family_terms", nan_weights)
+        with pytest.raises(ValueError, match="infs or NaNs") as info:
+            self.fit()
+        assert not isinstance(info.value, FitError)
 
 
 class TestHessianAgainstFiniteDifferences:
@@ -289,3 +349,69 @@ class TestQuadratureOracle:
                 np.ones((5, 4)), np.zeros(5), "gaussian", "identity", {"sd": 1},
                 default_prior(4), 0, 0.0, "greater",
             )
+
+
+def _fit_case(family, n, beta_true, seed, nuisance=None, prior=None, max_iterations=100):
+    """Seeded dataset: intercept, arm indicators, then one normal covariate."""
+    rng = np.random.default_rng(seed)
+    n_arms = len(beta_true) - 1
+    arm = rng.integers(0, n_arms, n)
+    x = np.zeros((n, len(beta_true)))
+    x[:, 0] = 1.0
+    for j in range(1, n_arms):
+        x[:, j] = arm == j
+    x[:, -1] = rng.normal(0.0, 0.5, n)
+    link = {"gaussian": "identity", "binomial": "logit"}.get(family, "log")
+    mu = glm.inverse_link(link, x @ np.asarray(beta_true))
+    if family == "gaussian":
+        y = rng.normal(mu, nuisance["sd"])
+    elif family == "binomial":
+        y = rng.binomial(1, mu)
+    elif family == "poisson":
+        y = rng.poisson(mu)
+    else:
+        phi = nuisance["dispersion"]
+        y = rng.poisson(rng.gamma(phi, mu / phi))
+    return (x, y.astype(float), family, link, nuisance or {}, prior), max_iterations
+
+
+FIT_CASES = {
+    "gaussian": _fit_case("gaussian", 120, [0.3, 0.5, -0.2, 0.4], 101, {"sd": 1.5}),
+    "binomial": _fit_case("binomial", 216, [-0.4, 0.3, 0.6, -0.2, 0.1, 0.5], 102),
+    # large counts: the first Newton steps overshoot and need halving
+    "poisson": _fit_case("poisson", 150, [3.0, 0.2, -0.3, 0.4], 103),
+    "nbinomial": _fit_case("nbinomial", 260, [1.4, -0.3, 0.2, 0.3], 104, {"dispersion": 2.0}),
+    "binomial_informative_prior": _fit_case(
+        "binomial", 90, [0.2, 0.8, -0.5, 0.3], 105,
+        prior=PriorSpec(np.array([0.1, 0.5, -0.2, 0.0]), np.array([0.5, 2.0, 1.0, 0.25])),
+    ),
+    "poisson_iteration_cap": _fit_case("poisson", 150, [3.0, 0.2, -0.3, 0.4], 103, max_iterations=3),
+}
+
+# Recorded once, with the fit that factored through scipy.linalg's
+# cho_factor/cho_solve, and never edited: a change to fit_laplace that keeps
+# every float keeps these hashes.  The poisson cases take step halvings.
+FIT_GOLDEN = {
+    "binomial": "4b63aed51421565706725a220ce8d4047165636a9ec688299605ae5a30c6a28c",
+    "binomial_informative_prior": "99934917a18d3db58544bb9900da776e182924431c0958a3a24bc4d129f3b146",
+    "gaussian": "73606471293f6aaa84929c67b13d20da3f18002fe3a3ee188709019a93b0ecca",
+    "nbinomial": "611a8ce7b92261e8861259a02af2d184e0943b5581673bfb40c280bff72cb4d7",
+    "poisson": "e9230fd484959d2c990fd52ec489d89517bdd9ce529b1db3865711fb14a7e4e2",
+    "poisson_iteration_cap": "f118a328d801e8debaa31b7b1ea2839c49e2789edd7dc5f9545882d49167053f",
+}
+
+
+def _fit_digest(fit):
+    h = hashlib.sha256()
+    for array in (fit.mode, fit.covariance, fit.marginal_sd):
+        h.update(np.ascontiguousarray(array, dtype=float).tobytes())
+    h.update(repr((fit.iterations, fit.converged)).encode())
+    h.update(np.float64(fit.log_det_precision).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(FIT_CASES))
+def test_fit_matches_golden_hash(name):
+    args, max_iterations = FIT_CASES[name]
+    fit = fit_laplace(*args, max_iterations=max_iterations)
+    assert _fit_digest(fit) == FIT_GOLDEN[name]

@@ -54,6 +54,23 @@ def test_duplicate_seeds_rejected(small_spec):
         run_batch(small_spec, seeds=[3, 3], workers=1)
 
 
+@pytest.mark.parametrize(
+    "seeds, message",
+    [
+        ([5, 3, 3, 9, 5, 7, 5], "duplicate seeds: 3, 5"),
+        (
+            list(range(30, 0, -1)) * 2,
+            "duplicate seeds: " + ", ".join(map(str, range(1, 21))) + ", ... (30 total)",
+        ),
+    ],
+    ids=["few", "preview"],
+)
+def test_duplicate_seeds_message(small_spec, seeds, message):
+    with pytest.raises(ShardError) as info:
+        run_batch(small_spec, seeds=seeds, workers=1)
+    assert str(info.value) == message
+
+
 def test_shard_round_trip(small_spec, small_batch, tmp_path):
     path = tmp_path / "batch.shard"
     save_shard(small_batch, path)
