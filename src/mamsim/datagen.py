@@ -89,17 +89,23 @@ def allocate_arms(
     by largest-remainder apportionment of m * abs(w)/sum(abs(w)) and then
     shuffles the label sequence uniformly at random.
     """
+    names = np.array(list(weights), dtype=object)
+    return names[allocate_codes(m, list(weights.values()), method, rng)]
+
+
+def allocate_codes(m: int, weights, method: str, rng: np.random.Generator) -> np.ndarray:
+    """Positions in ``weights`` of the arms of m subjects, as ``allocate_arms``
+    draws them: the same generator draws give the same arms."""
     if m < 1:
         raise DataGenError(f"cohort size must be >= 1, got {m}")
-    names = np.array(list(weights), dtype=object)
-    w = np.abs(np.array(list(weights.values()), dtype=float))
+    w = np.abs(np.array(weights, dtype=float))
     total = w.sum()
     if total == 0.0:
         raise DataGenError("allocation weights are all zero")
     prob = w / total
 
     if method == "simple":
-        return rng.choice(names, size=m, p=prob)
+        return rng.choice(len(w), size=m, p=prob)
     if method == "balanced":
         quota = m * prob
         counts = np.floor(quota).astype(int)
@@ -108,8 +114,7 @@ def allocate_arms(
             # ties broken toward lower arm index via stable sort
             order = np.argsort(-(quota - counts), kind="stable")
             counts[order[:leftover]] += 1
-        labels = np.repeat(names, counts)
-        return rng.permutation(labels)
+        return rng.permutation(np.repeat(np.arange(len(w)), counts))
     raise DataGenError(f"unknown allocation method {method!r}")
 
 

@@ -1,18 +1,27 @@
-"""Single-replicate trial execution.
+"""Trial execution in lockstep blocks of replicates.
 
-``run_trial`` walks one simulated trial through its schedule: recruit the
-burn-in cohort under the initial allocation, then at each look simulate the
-new cohort, refit the model on all accumulated data, evaluate the arm and
-trial stopping rules against the look's margins, drop decided arms from
-recruitment (their data stay in the fit), update allocation probabilities
-(response-adaptive or rescaled fixed weights), and finish with the final
-analysis at the maximum sample size unless the trial stopped early.
+``run_block`` walks a block of simulated trials through the schedule
+together, look by look.  Each replicate recruits the burn-in cohort under
+the initial allocation; then, at each look, every replicate still running
+simulates its new cohort, the block refits the model on each replicate's
+accumulated data in one batched Newton solve
+(:func:`mamsim.glm.fit_laplace_batch`), and each replicate evaluates the
+arm and trial stopping rules against the look's margins, drops decided
+arms from recruitment (their data stay in the fit), and updates its
+allocation probabilities (response-adaptive or rescaled fixed weights).  A
+replicate leaves the block when it stops; the others go on to the final
+analysis at the maximum sample size.
 
-Each cohort's design rows are built once, when the cohort is simulated;
-every fit stacks the row blocks and responses of the cohorts so far.
+Arm-only models are fitted on per-arm sufficient statistics (subjects and
+response sums per arm, kept up to date with ``np.bincount`` of each
+cohort's arm codes); models with covariates on per-subject rows.
 
-The function is pure in (validated spec, seed): rerunning it reproduces the
-same result bit for bit.
+Per-seed contract: a replicate draws only from its own Philox substreams,
+keyed by (seed, look, purpose), and every batched step acts on each
+replicate's own row or slice.  A replicate's result is therefore a pure
+function of (validated spec, seed), bit for bit: it does not depend on the
+size, membership or order of its block, nor on how many workers share the
+seeds.  ``run_trial`` is a block of one.
 """
 
 from __future__ import annotations
@@ -34,6 +43,13 @@ _STOP_REASONS = {
     "stop_efficacy": STOP_TRIAL_EFFICACY,
     "stop_futility": STOP_TRIAL_FUTILITY,
 }
+# Replicates per lockstep block.  Throughput is flat from about 128 to 1024
+# replicates per block, while each replicate adds a few kB of block state, so
+# the cap bounds the memory of large chunks of seeds.
+BLOCK_SIZE = 256
+# Models with covariates stack every replicate's n_max x p design rows at
+# each look; their blocks are cut so that those rows fit in this many bytes.
+BLOCK_BYTES = 1 << 19
 
 
 @dataclass
@@ -162,115 +178,206 @@ def cohort_sizes(spec) -> list[int]:
 
 
 def run_trial(validated: ValidatedSpec, seed: int) -> TrialResult:
-    """Simulate one trial replicate under the validated design.
+    """Simulate one trial replicate: a lockstep block of one."""
+    return run_block(validated, [seed])[0]
 
-    Per-arm state lives in arrays indexed by arm position, control first.
-    Target ``t`` is the coefficient of arm ``t``, so the same index serves
-    the targets. Tail probabilities are NaN for arms a look does not
-    evaluate; arrays become arm-name dicts only in the returned records.
+
+def run_block(validated: ValidatedSpec, seeds) -> list[TrialResult]:
+    """Simulate one trial replicate per seed, in lockstep blocks of at most
+    ``BLOCK_SIZE`` replicates (fewer for models with covariates, see
+    ``BLOCK_BYTES``); results come back in the order of ``seeds``."""
+    design = _Design(validated.spec)
+    seeds = list(seeds)
+    size = design.block_size()
+    results: list[TrialResult] = []
+    for start in range(0, len(seeds), size):
+        trials = [_Trial(design, seed) for seed in seeds[start : start + size]]
+        live = trials
+        for j, m in enumerate(design.sizes):
+            for trial in live:
+                trial.recruit(j, m)
+            for trial, *look in zip(live, *design.analyse(live, j)):
+                trial.decide(j, m, *look)
+            live = [trial for trial in live if not trial.stopped]
+            if not live:
+                break
+        results += [trial.result() for trial in trials]
+    return results
+
+
+class _Design:
+    """What every replicate of a design shares: arm-indexed margins (NaN
+    where a look has none), allocation, schedule and the batched analysis.
+
+    Target ``t`` is the coefficient of arm ``t``, so the arm index serves the
+    targets too.
     """
-    spec = validated.spec
-    model = spec.model
-    arms = model.arm_names
-    n_arms = len(arms)
-    targets = list(spec.which_targets)
-    direction = dict(zip(targets, spec.alternative))
-    delta_eff = _arm_deltas(spec.delta_eff, targets, n_arms)
-    delta_fut = _arm_deltas(spec.delta_fut, targets, n_arms)
-    delta_rar = _arm_deltas(spec.delta_rar, targets, n_arms)
-    no_tails = np.full(n_arms, np.nan)
 
-    prob0 = np.array([spec.prob0[a] for a in arms])
-    active = np.ones(n_arms, dtype=bool)
-    n_per_arm = np.zeros(n_arms, dtype=int)
-    allocation = prob0
-    # one entry per arm; the control's stays undecided
-    decisions = [ArmDecision() for _ in arms]
-    est_mean = np.full(n_arms, np.nan)
-    est_sd = np.full(n_arms, np.nan)
+    def __init__(self, spec) -> None:
+        model = spec.model
+        self.spec, self.model = spec, model
+        self.arms = model.arm_names
+        n_arms = len(self.arms)
+        self.names = np.array(self.arms, dtype=object)
+        self.targets = list(spec.which_targets)
+        self.greater = np.zeros(n_arms, dtype=bool)
+        self.greater[self.targets] = [a == "greater" for a in spec.alternative]
+        self.delta_eff = _arm_deltas(spec.delta_eff, self.targets, n_arms)
+        self.delta_fut = _arm_deltas(spec.delta_fut, self.targets, n_arms)
+        self.delta_rar = _arm_deltas(spec.delta_rar, self.targets, n_arms)
+        self.no_tails = np.full(n_arms, np.nan)
+        self.ref = (True,) + (False,) * (n_arms - 1)
+        self.prob0 = np.array([spec.prob0[a] for a in self.arms])
+        self.sizes = cohort_sizes(spec)
+        self.recruited = np.cumsum(self.sizes).tolist()
+        self.beta_true = np.asarray(spec.beta_true, dtype=float)
+        # an arm's linear predictor in an arm-only model: beta_0 + beta_arm,
+        # the value of its indicator row times beta_true
+        self.arm_eta = self.beta_true[:n_arms].copy()
+        self.arm_eta[1:] += self.beta_true[0]
+        self.gaussian = model.family == "gaussian"
 
-    cohorts: list[Cohort] = []
-    x_blocks: list[np.ndarray] = []  # design rows of each cohort
-    history: list[LookRecord] | None = [] if spec.extended >= 1 else None
-    non_converged = 0
-    stop_reason = STOP_REACHED_MAX
-    sizes = cohort_sizes(spec)
+    def block_size(self) -> int:
+        """Replicates per block: ``BLOCK_SIZE``, or fewer so that a covariate
+        model's stacked design rows stay within ``BLOCK_BYTES``."""
+        if not self.model.covariates:
+            return BLOCK_SIZE
+        row_bytes = self.spec.n_max * len(self.beta_true) * 8
+        return max(1, min(BLOCK_SIZE, BLOCK_BYTES // row_bytes))
 
-    for j, m in enumerate(sizes):
-        is_final = j == len(sizes) - 1
-
-        def context(tails):
-            """Rule inputs at this look, with the active arms' tails in arm order."""
-            return RuleContext(
-                active=tuple(active.tolist()),
-                posterior=tuple(tails[active & ~np.isnan(tails)].tolist()),
-                n=tuple(n_per_arm.tolist()),
-                ref=(True,) + (False,) * (n_arms - 1),
-                prob=tuple(allocation[active].tolist()),
-                m=m,
-                n_max=spec.n_max,
-                look_index=j,
-                is_final=is_final,
+    def fit_data(self, live, j):
+        """The live replicates' data at look ``j``, all of the same size."""
+        if self.model.covariates:
+            n = self.recruited[j]
+            return glm.SubjectRows(
+                np.stack([t.x[:n] for t in live]), np.stack([t.y[:n] for t in live])
             )
-
-        # --- recruit and simulate the new cohort
-        weights = {arms[i]: allocation[i] for i in np.flatnonzero(active)}
-        labels = datagen.allocate_arms(
-            m, weights, spec.allocation, substream(seed, "look", j, "alloc")
+        return glm.ArmTotals(
+            np.stack([t.n_per_arm for t in live]),
+            np.stack([t.total for t in live]),
+            np.stack([t.square for t in live]) if self.gaussian else None,
         )
+
+    def analyse(self, live, j):
+        """One batched fit of the live replicates at look ``j``: per replicate
+        the converged flag, arm estimates and sds, and the efficacy,
+        futility and RAR tail probabilities of its active arms."""
+        model = self.model
+        fit = glm.fit_laplace_batch(self.fit_data(live, j), model.family, model.nuisance)
+        n_arms = len(self.arms)
+        mean, sd = fit.mode[:, :n_arms], fit.marginal_sd[:, :n_arms]
+        evaluated = np.stack([t.active for t in live]) & fit.converged[:, None]
+
+        def tails(deltas):
+            delta = deltas[:, j]
+            probs = glm.tail_probabilities(mean, sd, delta, self.greater)
+            return np.where(evaluated & ~np.isnan(delta), probs, np.nan)
+
+        p_rar = np.full(mean.shape, np.nan)
+        if self.spec.rar_rule is not None:
+            p_rar = tails(self.delta_rar)
+        return (
+            fit.converged.tolist(), mean, sd,
+            tails(self.delta_eff), tails(self.delta_fut), p_rar,
+        )
+
+
+class _Trial:
+    """One replicate's state, per arm in arrays indexed by arm position,
+    control first; arrays become arm-name dicts only in the records."""
+
+    def __init__(self, design: _Design, seed: int) -> None:
+        spec = design.spec
+        n_arms = len(design.arms)
+        self.design, self.seed = design, seed
+        self.active = np.ones(n_arms, dtype=bool)
+        self.n_per_arm = np.zeros(n_arms, dtype=int)
+        self.total = np.zeros(n_arms)  # response sums per arm
+        self.square = np.zeros(n_arms)  # squared-response sums (gaussian)
+        self.allocation = design.prob0
+        # one entry per arm; the control's stays undecided
+        self.decisions = [ArmDecision() for _ in range(n_arms)]
+        self.est_mean = np.full(n_arms, np.nan)
+        self.est_sd = np.full(n_arms, np.nan)
+        self.history: list[LookRecord] | None = [] if spec.extended >= 1 else None
+        self.cohorts: list[Cohort] | None = [] if spec.extended >= 2 else None
+        if design.model.covariates:  # per-subject design rows and responses
+            self.x = np.empty((spec.n_max, len(design.beta_true)))
+            self.y = np.empty(spec.n_max)
+        self.non_converged = 0
+        self.stop_reason = STOP_REACHED_MAX
+        self.looks = 0
+        self.stopped = False
+
+    def recruit(self, j: int, m: int) -> None:
+        """Simulate look ``j``'s cohort of ``m`` subjects."""
+        d, seed = self.design, self.seed
+        model = d.model
+        recruiting = np.flatnonzero(self.active)
+        codes = recruiting[datagen.allocate_codes(
+            m, self.allocation[recruiting], d.spec.allocation,
+            substream(seed, "look", j, "alloc"),
+        )]
         covs = {}
         if model.covariates:
             covs = datagen.simulate_covariates(
                 model.covariates, m, substream(seed, "look", j, "covariates")
             )
-        x_cohort = glm.design_values(labels, covs, model)
-        eta = x_cohort @ np.asarray(spec.beta_true)
+            x_cohort = glm.design_values(d.names[codes], covs, model)
+            eta = x_cohort @ d.beta_true
+        else:
+            eta = d.arm_eta[codes]
         y = datagen.simulate_response(
             eta, model.family, model.link, model.nuisance,
             substream(seed, "look", j, "response"),
         )
-        cohorts.append(Cohort(arm=labels, covariates=covs, response=y))
-        x_blocks.append(x_cohort)
-        n_per_arm += [np.count_nonzero(labels == arm) for arm in arms]
+        if model.covariates:
+            start = d.recruited[j] - m
+            self.x[start : start + m] = x_cohort
+            self.y[start : start + m] = y
+        n_arms = len(d.arms)
+        self.n_per_arm += np.bincount(codes, minlength=n_arms)
+        self.total += np.bincount(codes, weights=y, minlength=n_arms)
+        if d.gaussian:
+            self.square += np.bincount(codes, weights=y * y, minlength=n_arms)
+        if self.cohorts is not None:
+            self.cohorts.append(Cohort(arm=d.names[codes], covariates=covs, response=y))
 
-        # --- fit on all accumulated data
-        fit = glm.fit_laplace(
-            np.concatenate(x_blocks), np.concatenate([c.response for c in cohorts]),
-            model.family, model.link, model.nuisance,
+    def context(self, tails, j: int, m: int) -> RuleContext:
+        """Rule inputs at look ``j``, with the active arms' tails in arm order."""
+        d, active = self.design, self.active
+        return RuleContext(
+            active=tuple(active.tolist()),
+            posterior=tuple(tails[active & ~np.isnan(tails)].tolist()),
+            n=tuple(self.n_per_arm.tolist()),
+            ref=d.ref,
+            prob=tuple(self.allocation[active].tolist()),
+            m=m,
+            n_max=d.spec.n_max,
+            look_index=j,
+            is_final=j == len(d.sizes) - 1,
         )
 
+    def decide(self, j, m, converged, look_mean, look_sd, p_eff, p_fut, p_rar) -> None:
+        """Apply look ``j``'s rules to this replicate's fit and tails."""
+        d, spec, active = self.design, self.design.spec, self.active
+        arms, n_arms = d.arms, len(d.arms)
+        is_final = j == len(d.sizes) - 1
         verdict = "continue"
-        p_eff = p_fut = p_rar = look_mean = look_sd = no_tails
-
-        if fit.converged:
-            look_mean = fit.marginal_mean[:n_arms]
-            look_sd = fit.marginal_sd[:n_arms]
-
-            def tail_probs(deltas):
-                probs = np.full(n_arms, np.nan)
-                for t in np.flatnonzero(active & ~np.isnan(deltas)).tolist():
-                    probs[t] = glm.marginal_posterior_prob(
-                        fit, t, float(deltas[t]), direction[t]
-                    )
-                return probs
+        if converged:
 
             def arm_flags(rule, tails, rule_spec):
                 flags = np.zeros(n_arms, dtype=bool)
                 evaluated = ~np.isnan(tails)
                 if evaluated.any():
-                    flags[evaluated] = rule(context(tails), rule_spec)
+                    flags[evaluated] = rule(self.context(tails, j, m), rule_spec)
                 return flags
-
-            p_eff = tail_probs(delta_eff[:, j])
-            p_fut = tail_probs(delta_fut[:, j])
-            if spec.rar_rule is not None:
-                p_rar = tail_probs(delta_rar[:, j])
 
             hit_eff = arm_flags(rules.efficacy_arm, p_eff, spec.eff_arm_rule)
             hit_fut = arm_flags(rules.futility_arm, p_fut, spec.fut_arm_rule)
             decided = hit_eff | hit_fut
             for t in np.flatnonzero(decided).tolist():
-                decisions[t] = ArmDecision(
+                self.decisions[t] = ArmDecision(
                     efficacy_met=bool(hit_eff[t]),
                     futility_met=bool(hit_fut[t]),
                     timing="last" if is_final else "early",
@@ -278,76 +385,83 @@ def run_trial(validated: ValidatedSpec, seed: int) -> TrialResult:
                 )
             # decided arms keep the estimate of their decision look, the
             # others that of the last converged fit
-            est_mean[active] = look_mean[active]
-            est_sd[active] = look_sd[active]
+            self.est_mean[active] = look_mean[active]
+            self.est_sd[active] = look_sd[active]
             active &= ~decided
 
             verdict = rules.trial_stop(
-                decisions[1:], context(no_tails), spec.eff_trial_rule,
-                spec.fut_trial_rule,
+                self.decisions[1:], self.context(d.no_tails, j, m),
+                spec.eff_trial_rule, spec.fut_trial_rule,
             )
         else:
-            non_converged += 1
+            self.non_converged += 1
+            look_mean = look_sd = d.no_tails
 
-        if history is not None:
-            history.append(
+        if self.history is not None:
+            self.history.append(
                 LookRecord(
                     look_index=j,
                     is_final=is_final,
-                    n_total=int(n_per_arm.sum()),
-                    n_per_arm=dict(zip(arms, n_per_arm.tolist())),
+                    n_total=int(self.n_per_arm.sum()),
+                    n_per_arm=dict(zip(arms, self.n_per_arm.tolist())),
                     active=dict(zip(arms, active.tolist())),
-                    allocation=dict(zip(arms, allocation.tolist())),
+                    allocation=dict(zip(arms, self.allocation.tolist())),
                     eff_posterior=_by_arm(arms, p_eff, range(1, n_arms)),
                     fut_posterior=_by_arm(arms, p_fut, range(1, n_arms)),
                     rar_posterior=_by_arm(arms, p_rar, range(1, n_arms)),
-                    estimate_mean=_by_arm(arms, look_mean, targets),
-                    estimate_sd=_by_arm(arms, look_sd, targets),
-                    fit_converged=fit.converged,
+                    estimate_mean=_by_arm(arms, look_mean, d.targets),
+                    estimate_sd=_by_arm(arms, look_sd, d.targets),
+                    fit_converged=converged,
                 )
             )
 
-        if not is_final and (verdict != "continue" or not active[1:].any()):
-            stop_reason = _STOP_REASONS.get(verdict, STOP_ALL_DECIDED)
-            break
+        self.looks = j + 1
+        if is_final:
+            self.stopped = True
+            return
+        if verdict != "continue" or not active[1:].any():
+            self.stop_reason = _STOP_REASONS.get(verdict, STOP_ALL_DECIDED)
+            self.stopped = True
+            return
 
         # --- allocation for the next cohort
-        if not is_final:
-            if spec.rar_rule is None:
-                allocation = _rescale(prob0, active)
-            elif not np.isnan(p_rar[active][1:]).any():
-                # every recruiting intervention has a tail at this look
-                rar_w = rules.rar_weights(context(p_rar), spec.rar_rule)
-                allocation = np.zeros(n_arms)
-                allocation[active] = rules.normalize_allocation(rar_w)
-            else:
-                # non-converged fit or margin disabled at this look: keep the
-                # current allocation, restricted to the arms still recruiting
-                allocation = _rescale(allocation, active)
+        if spec.rar_rule is None:
+            self.allocation = _rescale(d.prob0, active)
+        elif not np.isnan(p_rar[active][1:]).any():
+            # every recruiting intervention has a tail at this look
+            rar_w = rules.rar_weights(self.context(p_rar, j, m), spec.rar_rule)
+            self.allocation = np.zeros(n_arms)
+            self.allocation[active] = rules.normalize_allocation(rar_w)
+        else:
+            # non-converged fit or margin disabled at this look: keep the
+            # current allocation, restricted to the arms still recruiting
+            self.allocation = _rescale(self.allocation, active)
 
-    dataset = None
-    if spec.extended >= 2:
-        data = Cohort.concat(cohorts)
-        dataset = {
-            "arm": data.arm.tolist(),
-            "covariates": {k: v.tolist() for k, v in data.covariates.items()},
-            "response": data.response.tolist(),
-        }
-
-    return TrialResult(
-        seed=seed,
-        arms=model.interventions,
-        decisions=dict(zip(model.interventions, decisions[1:])),
-        sample_sizes=dict(zip(arms, n_per_arm.tolist())),
-        total_size=int(n_per_arm.sum()),
-        stop_reason=stop_reason,
-        looks_performed=j + 1,
-        estimate_mean=_by_arm(arms, est_mean, targets),
-        estimate_sd=_by_arm(arms, est_sd, targets),
-        non_converged_fits=non_converged,
-        history=history,
-        dataset=dataset,
-    )
+    def result(self) -> TrialResult:
+        d = self.design
+        arms, model = d.arms, d.model
+        dataset = None
+        if self.cohorts is not None:
+            data = Cohort.concat(self.cohorts)
+            dataset = {
+                "arm": data.arm.tolist(),
+                "covariates": {k: v.tolist() for k, v in data.covariates.items()},
+                "response": data.response.tolist(),
+            }
+        return TrialResult(
+            seed=self.seed,
+            arms=model.interventions,
+            decisions=dict(zip(model.interventions, self.decisions[1:])),
+            sample_sizes=dict(zip(arms, self.n_per_arm.tolist())),
+            total_size=int(self.n_per_arm.sum()),
+            stop_reason=self.stop_reason,
+            looks_performed=self.looks,
+            estimate_mean=_by_arm(arms, self.est_mean, d.targets),
+            estimate_sd=_by_arm(arms, self.est_sd, d.targets),
+            non_converged_fits=self.non_converged,
+            history=self.history,
+            dataset=dataset,
+        )
 
 
 def _arm_deltas(matrix, targets, n_arms: int) -> np.ndarray:

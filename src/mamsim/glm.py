@@ -11,10 +11,10 @@ negative log-posterior Hessian at the mode.  Supported response families
 * nbinomial + log, known dispersion ``phi`` (variance mu + mu^2/phi)
 
 Nuisance parameters are plug-in values supplied by the caller; coefficient
-priors are independent gaussians.  ``quadrature_oracle_prob`` provides an
-independent dense-grid evaluation of posterior tail probabilities for small
-models, used to validate the Laplace path; it deliberately builds its
-densities from ``scipy.stats`` rather than the hand-coded likelihood below.
+priors are independent gaussians.  ``fit_laplace`` fits one dataset;
+``fit_laplace_batch`` fits a block of replicates in one Newton iteration.
+The independent quadrature oracle lives in :mod:`mamsim.oracle`;
+``quadrature_oracle_prob`` is re-exported here.
 """
 
 from __future__ import annotations
@@ -22,11 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
-from scipy.integrate import simpson
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import expit, ndtr
-from scipy import stats
 
 from .config import coefficient_names, covariate_columns
 
@@ -307,6 +304,237 @@ def fit_laplace(
     )
 
 
+# --------------------------------------------------------------------------
+# batched fits: one Newton iteration over a block of replicates
+# --------------------------------------------------------------------------
+
+
+class ArmTotals:
+    """Arm-only data of a block of replicates, one row per replicate.
+
+    ``count``, ``total`` and ``square`` hold, per arm (control first), the
+    subjects, the sum of their responses and the sum of their squared
+    responses (needed by the gaussian family only).  The model matrix is the
+    intercept plus one indicator per intervention, so the linear predictor
+    is constant within an arm and these totals are sufficient: arm g has
+    eta_g = beta_0 + beta_g, and eta_0 = beta_0 for the control.
+    """
+
+    def __init__(self, count, total, square=None) -> None:
+        self.count = np.asarray(count, dtype=float)
+        self.total = np.asarray(total, dtype=float)
+        self.square = None if square is None else np.asarray(square, dtype=float)
+        self.shape = self.count.shape
+
+    def eta(self, beta):
+        eta = beta.copy()
+        eta[:, 1:] += beta[:, :1]
+        return eta
+
+    def score(self, d1):
+        """X' d1: every arm feeds the intercept, arm g its own coefficient."""
+        score = d1.copy()
+        score[:, 0] = d1.sum(axis=1)
+        return score
+
+    def hessian(self, w):
+        """X' W X, an arrowhead: the intercept row and column plus a diagonal."""
+        n_rep, p = w.shape
+        hess = np.zeros((n_rep, p, p))
+        hess[:, 0, 0] = w.sum(axis=1)
+        hess[:, 0, 1:] = hess[:, 1:, 0] = w[:, 1:]
+        arm = np.arange(1, p)
+        hess[:, arm, arm] = w[:, 1:]
+        return hess
+
+
+class SubjectRows:
+    """Per-subject data of a block of replicates: design rows ``x`` of shape
+    (R, n, p) and responses ``y`` of shape (R, n).  Each subject is a unit of
+    count one; every product runs slice by slice."""
+
+    def __init__(self, x, y) -> None:
+        self.x = np.ascontiguousarray(x, dtype=float)
+        self.xt = np.ascontiguousarray(self.x.transpose(0, 2, 1))
+        self.total = np.asarray(y, dtype=float)
+        self.count = np.ones_like(self.total)
+        self.square = self.total * self.total
+        self.shape = (self.x.shape[0], self.x.shape[2])
+
+    def eta(self, beta):
+        return (self.x * beta[:, None, :]).sum(axis=2)
+
+    def score(self, d1):
+        return (self.xt * d1[:, None, :]).sum(axis=2)
+
+    def hessian(self, w):
+        return np.matmul(self.xt * w[:, None, :], self.x)
+
+
+def _unit_terms(family, eta, data, nuisance):
+    """``_family_terms`` over a block: units of ``count`` subjects that share
+    a linear predictor, with response sums ``total`` (and ``square``).
+
+    Returns the log-likelihood of each replicate (summed over its units, up
+    to data-only constants) and d ll / d eta and w per unit.
+    """
+    c, s = data.count, data.total
+    if family == "gaussian":
+        sigma2 = nuisance["sd"] ** 2
+        units = -0.5 * (data.square - 2.0 * eta * s + c * eta * eta) / sigma2
+        return units.sum(axis=1), (s - c * eta) / sigma2, c / sigma2
+    if family == "binomial":
+        mu = expit(eta)
+        units = s * eta - c * np.logaddexp(0.0, eta)
+        return units.sum(axis=1), s - c * mu, c * mu * (1.0 - mu)
+    if family == "poisson":
+        mu = np.exp(eta)
+        return (s * eta - c * mu).sum(axis=1), s - c * mu, c * mu
+    if family == "nbinomial":
+        phi = nuisance["dispersion"]
+        mu = np.exp(eta)
+        a = s + c * phi
+        units = s * eta - a * np.log(phi + mu)
+        return units.sum(axis=1), s - a * mu / (phi + mu), a * phi * mu / (phi + mu) ** 2
+    raise FitError(f"unknown family {family!r}")
+
+
+def _solve_each(a, b):
+    """Solve ``a[r] x = b[r]`` for every slice ``r``; NaN where ``a[r]`` is
+    singular, without disturbing the other slices."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, np.nan)
+        for r in range(a.shape[0]):
+            try:
+                out[r] = np.linalg.solve(a[r], b[r])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+@dataclass
+class BatchFit:
+    """Laplace fits of a block of replicates, one row per replicate.
+
+    ``mode`` and ``marginal_sd`` have shape (R, p); ``converged`` and
+    ``iterations`` have shape (R,).  ``marginal_sd`` is NaN for a replicate
+    whose final Hessian cannot be factorised.
+    """
+
+    mode: np.ndarray
+    marginal_sd: np.ndarray
+    converged: np.ndarray
+    iterations: np.ndarray
+
+
+def fit_laplace_batch(
+    data: ArmTotals | SubjectRows,
+    family: str,
+    nuisance=None,
+    prior: PriorSpec | None = None,
+    max_iterations: int = 100,
+) -> BatchFit:
+    """``fit_laplace`` for every replicate of a block, in one Newton iteration.
+
+    Each replicate follows ``fit_laplace``: a zero start, the same score and
+    mode-change tolerances, up to 30 step halvings and the same iteration
+    cap.  A replicate leaves the iteration when it converges, when its
+    line search fails, or when its Hessian cannot be factorised; the last
+    two end non-converged, and the rest of the block carries on.  A
+    non-finite Hessian or score of an iterating replicate raises
+    ``ValueError``.
+
+    Every operation acts elementwise, on one replicate's row, or on one
+    replicate's slice of a stack (``np.linalg.solve`` and ``np.matmul``
+    slice by slice), never on a product across replicates, so a replicate's
+    fit is bit-identical whatever else is in the block.
+    """
+    nuisance = dict(nuisance or {})
+    check_nuisance(family, nuisance)
+    n_rep, p = data.shape
+    if family == "gaussian" and data.square is None:
+        raise FitError("gaussian arm totals need the sums of squared responses")
+    if prior is None:
+        prior = default_prior(p)
+    pm = np.asarray(prior.mean, dtype=float)
+    tau = np.asarray(prior.precision, dtype=float)
+    if pm.shape[0] != p or tau.shape[0] != p:
+        raise FitError("prior dimensions do not match the design matrix")
+    diag = np.arange(p)
+
+    def posterior_terms(beta):
+        ll, d1, w = _unit_terms(family, data.eta(beta), data, nuisance)
+        return ll - 0.5 * (tau * (beta - pm) ** 2).sum(axis=1), d1, w
+
+    def neg_hessian(w):
+        hess = data.hessian(w)
+        hess[:, diag, diag] += tau
+        return hess
+
+    beta = np.zeros((n_rep, p))
+    lp, d1, w = posterior_terms(beta)
+    if not np.isfinite(lp).all():
+        raise FitError("log posterior is not finite at the starting point")
+
+    converged = np.zeros(n_rep, dtype=bool)
+    iterations = np.zeros(n_rep, dtype=int)
+    live = np.ones(n_rep, dtype=bool)  # still iterating
+    for it in range(max_iterations):
+        iterations[live] = it + 1
+        score = data.score(d1) - tau * (beta - pm)
+        done = live & (np.abs(score).max(axis=1) < SCORE_TOL)
+        converged |= done
+        live &= ~done
+        if not live.any():
+            break
+        hess = neg_hessian(w)
+        if not (np.isfinite(hess[live]).all() and np.isfinite(score[live]).all()):
+            raise ValueError("array must not contain infs or NaNs")
+        step = _solve_each(hess, score[:, :, None])[:, :, 0]
+        live &= np.isfinite(step).all(axis=1)  # singular: stop, not converged
+        step[~live] = 0.0
+
+        scale = np.ones(n_rep)
+        pending = live.copy()
+        floor = lp - 1e-12 * (1.0 + np.abs(lp))
+        beta_new, lp_new, d1_new, w_new = beta.copy(), lp.copy(), d1.copy(), w.copy()
+        for _ in range(MAX_HALVINGS + 1):
+            cand = beta + scale[:, None] * step
+            lp_cand, d1_cand, w_cand = posterior_terms(cand)
+            ok = pending & np.isfinite(lp_cand) & (lp_cand >= floor)
+            beta_new[ok], lp_new[ok] = cand[ok], lp_cand[ok]
+            d1_new[ok], w_new[ok] = d1_cand[ok], w_cand[ok]
+            pending &= ~ok
+            if not pending.any():
+                break
+            scale[pending] *= 0.5
+        live &= ~pending  # no acceptable step: stop, not converged
+        change = np.abs(beta_new - beta).max(axis=1) / np.maximum(
+            1.0, np.abs(beta).max(axis=1)
+        )
+        beta, lp, d1, w = beta_new, lp_new, d1_new, w_new
+        done = live & (change < MODE_CHANGE_TOL)
+        converged |= done
+        live &= ~done
+        if not live.any():
+            break
+
+    hess = neg_hessian(w)
+    if not np.isfinite(hess).all():
+        raise ValueError("array must not contain infs or NaNs")
+    cov = _solve_each(hess, np.broadcast_to(np.eye(p), hess.shape))
+    var = np.diagonal(cov, axis1=1, axis2=2)
+    converged &= np.isfinite(var).all(axis=1)
+    return BatchFit(
+        mode=beta,
+        marginal_sd=np.sqrt(np.clip(var, 0.0, None)),
+        converged=converged,
+        iterations=iterations,
+    )
+
+
 def estimate_nuisance_mom(family: str, y, mu) -> dict:
     """Method-of-moments nuisance re-estimate from fitted means.
 
@@ -345,207 +573,26 @@ def marginal_posterior_prob(
         raise NonConvergedError("tail probability requested from a non-converged fit")
     if not 0 <= k < fit.mode.shape[0]:
         raise FitError(f"coefficient index {k} out of range")
-    z = (delta - fit.marginal_mean[k]) / fit.marginal_sd[k]
-    if direction == "greater":
-        prob = float(ndtr(-z))
-    elif direction == "less":
-        prob = float(ndtr(z))
-    else:
-        raise FitError(f"direction must be 'greater' or 'less', got {direction!r}")
-    return min(max(prob, _PROB_FLOOR), _PROB_CEIL)
-
-
-# --------------------------------------------------------------------------
-# independent quadrature oracle (test support, p <= 3)
-# --------------------------------------------------------------------------
-
-
-def quadrature_oracle_prob(
-    X,
-    y,
-    family: str,
-    link: str,
-    nuisance,
-    prior: PriorSpec,
-    k: int,
-    delta: float,
-    direction: str,
-    points_per_axis: int = 401,
-) -> float:
-    """Exact posterior tail probability by dense tensor-grid quadrature.
-
-    The unnormalised posterior is evaluated over a box of +-10 posterior
-    standard deviations around an independently located mode, on a grid of
-    ``points_per_axis`` nodes per axis (the grid along axis ``k`` is shifted
-    so ``delta`` falls exactly on a node).  Tail and normalising integrals
-    use the same grid.  Densities come from ``scipy.stats``, the mode from a
-    derivative-free ``scipy.optimize`` search, so no code is shared with the
-    Laplace fitting path.
-    """
-    x = X.values if isinstance(X, DesignMatrix) else np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    nuisance = dict(nuisance or {})
-    check_nuisance(family, nuisance)
-    n, p = x.shape
-    if p > 3:
-        raise FitError("the quadrature oracle supports at most 3 coefficients")
-    if points_per_axis < 401:
-        raise FitError("the oracle grid needs at least 401 points per axis")
     if direction not in ("greater", "less"):
         raise FitError(f"direction must be 'greater' or 'less', got {direction!r}")
-    prior_sd = 1.0 / np.sqrt(np.asarray(prior.precision, dtype=float))
-    prior_mean = np.asarray(prior.mean, dtype=float)
-
-    def scipy_loglik(mu_vals, y_vals):
-        if family == "gaussian":
-            return stats.norm.logpdf(y_vals, loc=mu_vals, scale=nuisance["sd"])
-        if family == "binomial":
-            return stats.bernoulli.logpmf(y_vals, mu_vals)
-        if family == "poisson":
-            return stats.poisson.logpmf(y_vals, mu_vals)
-        phi = nuisance["dispersion"]
-        return stats.nbinom.logpmf(y_vals, phi, phi / (phi + mu_vals))
-
-    def neg_log_post(beta):
-        mu = inverse_link(link, x @ beta)
-        ll = scipy_loglik(mu, y).sum()
-        lp = stats.norm.logpdf(beta, prior_mean, prior_sd).sum()
-        value = ll + lp
-        return -value if np.isfinite(value) else np.inf
-
-    start = np.zeros(p)
-    res = scipy.optimize.minimize(neg_log_post, start, method="Nelder-Mead",
-                                  options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 4000})
-    center = res.x
-
-    hess = _fd_hessian(neg_log_post, center)
-    sds = prior_sd.copy()
-    try:
-        eigvals = np.linalg.eigvalsh(hess)
-        if np.all(eigvals > 0):
-            sds = np.sqrt(np.diag(np.linalg.inv(hess)))
-    except np.linalg.LinAlgError:
-        pass
-
-    axes = []
-    for i in range(p):
-        lo, hi = center[i] - 10.0 * sds[i], center[i] + 10.0 * sds[i]
-        axis = np.linspace(lo, hi, points_per_axis)
-        if i == k and lo < delta < hi:
-            step = axis[1] - axis[0]
-            axis = axis + (delta - lo) - round((delta - lo) / step) * step
-        axes.append(axis)
-
-    total, marginal = _grid_posterior_marginal(x, y, axes, k, prior_mean, prior_sd, scipy_loglik, link)
-    if not np.isfinite(total) or total <= 0.0:
-        raise FitError("quadrature grid underflow: all posterior weights are zero")
-
-    axis_k = axes[k]
-    if delta <= axis_k[0]:
-        p_greater = 1.0
-    elif delta >= axis_k[-1]:
-        p_greater = 0.0
-    else:
-        idx = int(round((delta - axis_k[0]) / (axis_k[1] - axis_k[0])))
-        denom = simpson(marginal, x=axis_k)
-        upper = simpson(marginal[idx:], x=axis_k[idx:]) if idx <= len(axis_k) - 2 else 0.0
-        p_greater = upper / denom
-    prob = p_greater if direction == "greater" else 1.0 - p_greater
-    return min(max(prob, _PROB_FLOOR), _PROB_CEIL)
+    return float(
+        tail_probabilities(
+            fit.marginal_mean[k], fit.marginal_sd[k], delta, direction == "greater"
+        )
+    )
 
 
-def _fd_hessian(f, x0, rel_step: float = 1e-4) -> np.ndarray:
-    """Central finite-difference Hessian of a scalar function."""
-    p = len(x0)
-    h = rel_step * (1.0 + np.abs(x0))
-    hess = np.empty((p, p))
-    f0 = f(x0)
-    for i in range(p):
-        ei = np.zeros(p)
-        ei[i] = h[i]
-        hess[i, i] = (f(x0 + ei) - 2.0 * f0 + f(x0 - ei)) / h[i] ** 2
-        for j in range(i + 1, p):
-            ej = np.zeros(p)
-            ej[j] = h[j]
-            hess[i, j] = hess[j, i] = (
-                f(x0 + ei + ej) - f(x0 + ei - ej) - f(x0 - ei + ej) + f(x0 - ei - ej)
-            ) / (4.0 * h[i] * h[j])
-    return hess
+def tail_probabilities(mean, sd, delta, greater) -> np.ndarray:
+    """Tail probabilities of gaussian marginals, with broadcasting.
 
-
-def _grid_posterior_marginal(x, y, axes, k, prior_mean, prior_sd, scipy_loglik, link):
-    """Total posterior mass and the axis-k marginal over the tensor grid.
-
-    The likelihood factors over distinct design rows; each row's
-    contribution depends only on the axes its nonzero coefficients touch,
-    so terms are precomputed on sub-grids and broadcast.  For 3-axis grids
-    the combination runs in slabs along axis 0 to bound memory.
+    P(beta > delta) where ``greater`` is true, P(beta < delta) elsewhere,
+    for beta with the given ``mean`` and ``sd``; clamped to the open
+    interval (0, 1), and NaN where ``delta`` is NaN.
     """
-    p = len(axes)
-    rows, inverse = np.unique(x, axis=0, return_inverse=True)
+    z = (delta - mean) / sd
+    return np.clip(ndtr(np.where(greater, -z, z)), _PROB_FLOOR, _PROB_CEIL)
 
-    # log-likelihood terms per unique design row, on the sub-grid of the
-    # axes that row actually involves
-    terms: list[tuple[tuple[int, ...], np.ndarray]] = []
-    for g in range(rows.shape[0]):
-        row = rows[g]
-        involved = tuple(int(j) for j in np.nonzero(row)[0])
-        y_vals, y_counts = np.unique(y[inverse == g], return_counts=True)
-        mesh_shape = tuple(len(axes[j]) for j in involved)
-        eta = np.zeros(mesh_shape)
-        for pos, j in enumerate(involved):
-            shape = [1] * len(involved)
-            shape[pos] = len(axes[j])
-            eta = eta + row[j] * axes[j].reshape(shape)
-        mu = inverse_link(link, eta)
-        term = np.zeros(mesh_shape)
-        for val, count in zip(y_vals, y_counts):
-            term += count * scipy_loglik(mu, val)
-        terms.append((involved, term))
-    for j in range(p):
-        lp = stats.norm.logpdf(axes[j], prior_mean[j], prior_sd[j])
-        terms.append(((j,), lp))
 
-    def broadcast(term_axes, arr, full_ndim):
-        # term_axes is ascending (np.nonzero order), so a reshape suffices
-        shape = [1] * full_ndim
-        for pos, j in enumerate(term_axes):
-            shape[j] = arr.shape[pos]
-        return arr.reshape(shape)
-
-    if p <= 2:
-        logden = sum(broadcast(t_axes, arr, p) for t_axes, arr in terms)
-        logden = np.broadcast_to(logden, tuple(len(a) for a in axes))
-        peak = logden.max()
-        weight = np.exp(logden - peak)
-        total = float(weight.sum())
-        marginal = weight.sum(axis=tuple(j for j in range(p) if j != k))
-        return total, np.asarray(marginal, dtype=float)
-
-    # p == 3: two passes over axis-0 slabs (max, then exp-accumulate)
-    n0 = len(axes[0])
-    b_terms = [(t_axes, broadcast(t_axes, arr, 3)) for t_axes, arr in terms]
-
-    def slab(lo, hi):
-        out = np.zeros((hi - lo, len(axes[1]), len(axes[2])))
-        for t_axes, arr in b_terms:
-            out = out + (arr[lo:hi] if 0 in t_axes else arr)
-        return out
-
-    chunk = 16
-    peak = -np.inf
-    for lo in range(0, n0, chunk):
-        peak = max(peak, float(slab(lo, min(lo + chunk, n0)).max()))
-    total = 0.0
-    marginal = np.zeros(len(axes[k]))
-    for lo in range(0, n0, chunk):
-        hi = min(lo + chunk, n0)
-        weight = np.exp(slab(lo, hi) - peak)
-        total += float(weight.sum())
-        if k == 0:
-            marginal[lo:hi] = weight.sum(axis=(1, 2))
-        elif k == 1:
-            marginal += weight.sum(axis=(0, 2))
-        else:
-            marginal += weight.sum(axis=(0, 1))
-    return total, marginal
+# Re-exported for callers of the documented ``mamsim.glm.quadrature_oracle_prob``;
+# imported last because the oracle module imports from this one.
+from .oracle import quadrature_oracle_prob  # noqa: E402,F401

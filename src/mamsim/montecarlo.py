@@ -37,7 +37,9 @@ from .config import (
     document_diff,
     null_variant,
 )
-from .engine import TrialResult, run_trial
+# run_trial is unused here but stays bound: benchmark/tracing.py wraps
+# ``montecarlo.run_trial`` by name
+from .engine import TrialResult, run_block, run_trial  # noqa: F401
 
 MAGIC = b"MAMSHD01"
 FORMAT_VERSION = 1
@@ -136,8 +138,8 @@ def _chunk(seeds, workers):
 
 
 def _run_chunk(validated, null_spec, seeds):
-    results = [run_trial(validated, s) for s in seeds]
-    nulls = [run_trial(null_spec, s) for s in seeds] if null_spec else None
+    results = run_block(validated, seeds)
+    nulls = run_block(null_spec, seeds) if null_spec else None
     return results, nulls
 
 

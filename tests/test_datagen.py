@@ -157,3 +157,21 @@ class TestResponses:
     def test_overflowing_mean_rejected(self):
         with pytest.raises(DataGenError, match="finite"):
             simulate_response(np.array([800.0]), "poisson", "log", {}, substream(11, "r"))
+
+
+@pytest.mark.parametrize("method", ["simple", "balanced"])
+def test_arm_codes_draw_the_labels_of_object_arrays(method):
+    # drawing codes and looking up names consumes the generator exactly as
+    # drawing from the array of names does
+    weights = {"control": 0.3, "A": 0.0, "B": 0.45, "C": 0.25}
+    names = np.array(list(weights), dtype=object)
+    prob = np.array(list(weights.values())) / 1.0
+    for seed in range(1, 201):
+        if method == "simple":
+            want = substream(seed, "alloc").choice(names, size=23, p=prob)
+        else:
+            want = substream(seed, "alloc").permutation(np.repeat(names, [7, 0, 10, 6]))
+        got = allocate_arms(23, weights, method, substream(seed, "alloc"))
+        codes = datagen.allocate_codes(23, list(weights.values()), method, substream(seed, "alloc"))
+        assert got.dtype == object
+        assert got.tolist() == want.tolist() == names[codes].tolist()

