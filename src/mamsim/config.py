@@ -468,6 +468,8 @@ def validate_spec(spec: TrialSpec) -> ValidatedSpec:
 
     if len(spec.seeds) != len(set(spec.seeds)):
         errors.append("seed list contains duplicates")
+    if spec.seeds and min(spec.seeds) < 0:
+        errors.append(f"seeds must be non-negative, got {min(spec.seeds)}")
     if not spec.seeds:
         errors.append("at least one seed is required")
 

@@ -6,6 +6,12 @@ label path (``substream(seed, "look", j, "response")`` and friends).
 Because sub-streams are keyed by purpose rather than consumed in sequence,
 adding a covariate to a design never perturbs the response draws, and
 replicates are bit-reproducible regardless of execution order.
+
+``substream`` defines the streams.  A Philox stream is its 128-bit key
+with the counter at zero, so the engine does not build one generator per
+stream: ``stream_keys`` derives the keys of a whole block of (seed, label
+path) pairs in one vectorised pass, and ``rekey`` restarts a single
+generator at each key in turn.  Both give ``substream``'s draws exactly.
 """
 
 from __future__ import annotations
@@ -42,6 +48,149 @@ def substream(seed: int, *labels) -> np.random.Generator:
     key = tuple(_label_int(repr(l)) for l in labels)
     seq = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
     return np.random.Generator(np.random.Philox(seq))
+
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): pool size in 32-bit
+# words and the hash constants of its entropy mixing (A), state output (B)
+# and pool mixing (MIX)
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK = 0xFFFFFFFF
+
+
+@functools.lru_cache(maxsize=None)
+def _hash_consts(init: int, mult: int, n: int) -> tuple[int, ...]:
+    """The first n + 1 hash constants: init, init * mult, init * mult**2, ..."""
+    consts = [init]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & _MASK)
+    return tuple(consts)
+
+
+def _hashmix(value, consts, i: int):
+    """SeedSequence's hash of a word (uint32 array or int) by its i-th call."""
+    value = (value ^ consts[i]) * consts[i + 1] & _MASK
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of a pool word with a hashed word (uint32 arrays)."""
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ r >> 16
+
+
+def _entropy_words(seed) -> list[int]:
+    """The 32-bit words of a seed, least significant first, as SeedSequence
+    splits its entropy."""
+    seed = int(seed)
+    if seed < 0:
+        raise DataGenError(f"seeds must be non-negative, got {seed}")
+    words = [seed & _MASK]
+    while seed > _MASK:
+        seed >>= 32
+        words.append(seed & _MASK)
+    return words
+
+
+def _seed_pool(entropy: np.ndarray) -> list[np.ndarray]:
+    """SeedSequence's pool words after mixing in seed entropy, for a
+    (words, seeds) uint32 array of at least ``_POOL`` words per seed."""
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL * len(entropy))
+    pool = [_hashmix(entropy[d], consts, d) for d in range(_POOL)]
+    call = _POOL
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts, call))
+                call += 1
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], _hashmix(word, consts, call))
+            call += 1
+    return pool
+
+
+@functools.lru_cache(maxsize=None)
+def _spawn_hashes(label_reprs: tuple[str, ...], start: int) -> tuple[int, ...]:
+    """Hashes of a label path's words at entropy positions ``start`` onwards,
+    four per word (one per pool word), in the order SeedSequence mixes them.
+
+    They depend on the labels and their positions only, so they are cached
+    on the labels' ``repr``, as ``_label_int`` is.
+    """
+    # calls so far: one per pool word, the pool's cross-mix, then one per
+    # pool word for each entropy word past the pool
+    first = _POOL * _POOL + _POOL * (start - _POOL)
+    consts = _hash_consts(_INIT_A, _MULT_A, first + _POOL * len(label_reprs))
+    return tuple(
+        _hashmix(_label_int(r), consts, first + _POOL * l + d)
+        for l, r in enumerate(label_reprs)
+        for d in range(_POOL)
+    )
+
+
+def stream_keys(seeds, paths) -> np.ndarray:
+    """Philox keys of every (seed, label path) pair, as a
+    (len(seeds), len(paths), 2) uint64 array.
+
+    ``keys[i, p]`` is ``SeedSequence(entropy=seeds[i], spawn_key=<the
+    label ints of paths[p]>).generate_state(2, np.uint64)``, the key of
+    ``substream(seeds[i], *paths[p])``, computed for all pairs at once in
+    uint32 array arithmetic: each seed's entropy is mixed once, and a label
+    path's words enter every seed's pool as precomputed hashes.
+    """
+    words = [_entropy_words(s) for s in seeds]
+    reprs = [tuple(repr(l) for l in path) for path in paths]
+    depth = max(map(len, reprs), default=0)
+    keys = np.empty((len(words), len(reprs), 2), dtype=np.uint64)
+    by_size: dict[int, list[int]] = {}
+    for i, w in enumerate(words):
+        # with a spawn key, SeedSequence pads the entropy to the pool size;
+        # without one, its mixing reads missing pool words as 0 all the same
+        by_size.setdefault(max(len(w), _POOL), []).append(i)
+    for size, rows in by_size.items():
+        entropy = np.zeros((size, len(rows)), dtype=np.uint32)
+        for c, i in enumerate(rows):
+            entropy[: len(words[i]), c] = words[i]
+        pool = _seed_pool(entropy)
+        # spawn words, as (depth, pool word, path) hashes; shorter paths
+        # skip the positions past their end
+        hashes = np.zeros((len(reprs), depth * _POOL), dtype=np.uint32)
+        present = np.zeros((len(reprs), depth), dtype=bool)
+        for p, r in enumerate(reprs):
+            hashes[p, : len(r) * _POOL] = _spawn_hashes(r, size)
+            present[p, : len(r)] = True
+        hashes = hashes.reshape(len(reprs), depth, _POOL).transpose(1, 2, 0)
+        pool = [word[:, None] for word in pool]
+        for l in range(depth):
+            for d in range(_POOL):
+                pool[d] = np.where(present[:, l], _mix(pool[d], hashes[l, d]), pool[d])
+        out = _hash_consts(_INIT_B, _MULT_B, _POOL)
+        state = [_hashmix(pool[d], out, d).astype(np.uint64) for d in range(_POOL)]
+        keys[rows, :, 0] = state[0] | state[1] << np.uint64(32)
+        keys[rows, :, 1] = state[2] | state[3] << np.uint64(32)
+    return keys
+
+
+_ZERO4 = np.zeros(4, dtype=np.uint64)
+
+
+def rekey(rng: np.random.Generator, key: np.ndarray) -> np.random.Generator:
+    """Restart ``rng``, a Philox generator, at the first draw of the stream
+    with ``key`` (a row of ``stream_keys``): counter zero, empty buffer, no
+    spare 32-bit word.  It then draws what a new generator with that key
+    draws, whatever it drew before."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO4, "key": key},
+        "buffer": _ZERO4,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 @dataclass
@@ -102,10 +251,16 @@ def allocate_codes(m: int, weights, method: str, rng: np.random.Generator) -> np
     total = w.sum()
     if total == 0.0:
         raise DataGenError("allocation weights are all zero")
+    if not np.isfinite(total):
+        raise DataGenError("allocation weights must be finite, with a finite sum")
     prob = w / total
 
     if method == "simple":
-        return rng.choice(len(w), size=m, p=prob)
+        # Generator.choice(len(w), size=m, p=prob) without its checks: the
+        # same cdf, uniforms and search, so the same draws
+        cdf = prob.cumsum()
+        cdf /= cdf[-1]
+        return cdf.searchsorted(rng.random(m), side="right")
     if method == "balanced":
         quota = m * prob
         counts = np.floor(quota).astype(int)
@@ -181,32 +336,31 @@ def simulate_covariates(
     return values
 
 
-def simulate_response(
-    eta: np.ndarray,
-    family: str,
-    link: str,
-    nuisance,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Draw responses with mean inverse_link(eta) from the given family.
+def response_means(eta: np.ndarray, family: str, link: str, nuisance) -> np.ndarray:
+    """Response means inverse_link(eta), checked as ``simulate_response``
+    needs them: a finite predictor, valid nuisance values, finite means and,
+    for the binomial, means in [0, 1]."""
+    eta = np.asarray(eta, dtype=float)
+    if not np.all(np.isfinite(eta)):
+        raise DataGenError("linear predictor contains non-finite values")
+    check_nuisance(family, dict(nuisance or {}))
+    mu = inverse_link(link, eta)
+    if not np.all(np.isfinite(mu)):
+        raise DataGenError("response mean is not finite; check beta_true and link")
+    if family == "binomial" and np.any((mu < 0.0) | (mu > 1.0)):
+        raise DataGenError("binomial means must lie in [0, 1]")
+    return mu
+
+
+def draw_response(mu: np.ndarray, family: str, nuisance, rng: np.random.Generator) -> np.ndarray:
+    """Draw responses with the means ``mu`` of ``response_means``.
 
     The negative binomial uses the gamma-poisson mixture with dispersion
     phi, giving variance mu + mu^2/phi.
     """
-    eta = np.asarray(eta, dtype=float)
-    if not np.all(np.isfinite(eta)):
-        raise DataGenError("linear predictor contains non-finite values")
-    nuisance = dict(nuisance or {})
-    check_nuisance(family, nuisance)
-    mu = inverse_link(link, eta)
-    if not np.all(np.isfinite(mu)):
-        raise DataGenError("response mean is not finite; check beta_true and link")
-
     if family == "gaussian":
         return rng.normal(mu, nuisance["sd"])
     if family == "binomial":
-        if np.any((mu < 0.0) | (mu > 1.0)):
-            raise DataGenError("binomial means must lie in [0, 1]")
         return rng.binomial(1, mu)
     if family == "poisson":
         return rng.poisson(mu)
@@ -215,3 +369,15 @@ def simulate_response(
         lam = rng.gamma(shape=phi, scale=mu / phi)
         return rng.poisson(lam)
     raise DataGenError(f"unknown family {family!r}")
+
+
+def simulate_response(
+    eta: np.ndarray,
+    family: str,
+    link: str,
+    nuisance,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Draw responses with mean inverse_link(eta) from the given family."""
+    mu = response_means(eta, family, link, nuisance)
+    return draw_response(mu, family, nuisance, rng)

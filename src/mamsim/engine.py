@@ -18,10 +18,13 @@ cohort's arm codes); models with covariates on per-subject rows.
 
 Per-seed contract: a replicate draws only from its own Philox substreams,
 keyed by (seed, look, purpose), and every batched step acts on each
-replicate's own row or slice.  A replicate's result is therefore a pure
-function of (validated spec, seed), bit for bit: it does not depend on the
-size, membership or order of its block, nor on how many workers share the
-seeds.  ``run_trial`` is a block of one.
+replicate's own row or slice.  (A block derives its replicates' stream keys
+in one pass, :func:`mamsim.datagen.stream_keys`, and restarts one generator
+at each key in turn: the draws of :func:`mamsim.datagen.substream`.)  A
+replicate's result is therefore a pure function of (validated spec, seed),
+bit for bit: it does not depend on the size, membership or order of its
+block, nor on how many workers share the seeds.  ``run_trial`` is a block
+of one.
 """
 
 from __future__ import annotations
@@ -32,7 +35,10 @@ import numpy as np
 
 from . import datagen, glm, rules
 from .config import ValidatedSpec
-from .datagen import Cohort, substream
+from .datagen import Cohort
+# not called here: the engine draws from stream keys, which give the same
+# streams; kept bound because benchmark/tracing.py wraps ``engine.substream``
+from .datagen import substream  # noqa: F401
 from .rules import ArmDecision, RuleContext
 
 STOP_ALL_DECIDED = "all_decided"
@@ -191,7 +197,11 @@ def run_block(validated: ValidatedSpec, seeds) -> list[TrialResult]:
     size = design.block_size()
     results: list[TrialResult] = []
     for start in range(0, len(seeds), size):
-        trials = [_Trial(design, seed) for seed in seeds[start : start + size]]
+        block = seeds[start : start + size]
+        keys = datagen.stream_keys(block, design.paths).reshape(
+            len(block), len(design.sizes), len(design.purposes), 2
+        )
+        trials = [_Trial(design, seed, key) for seed, key in zip(block, keys)]
         live = trials
         for j, m in enumerate(design.sizes):
             for trial in live:
@@ -236,6 +246,18 @@ class _Design:
         self.arm_eta = self.beta_true[:n_arms].copy()
         self.arm_eta[1:] += self.beta_true[0]
         self.gaussian = model.family == "gaussian"
+        # a replicate's streams, look by look: the k-th purpose of look j is
+        # substream(seed, *paths[j * len(purposes) + k])
+        self.purposes = ("alloc", "response")
+        if model.covariates:
+            self.purposes = ("alloc", "covariates", "response")
+        self.paths = [("look", j, k) for j in range(len(self.sizes)) for k in self.purposes]
+        self.rng = np.random.Generator(np.random.Philox(0))  # re-keyed per stream
+        if not model.covariates:
+            # every cohort's response means, checked once for all arms
+            self.arm_mu = datagen.response_means(
+                self.arm_eta, model.family, model.link, model.nuisance
+            )
 
     def block_size(self) -> int:
         """Replicates per block: ``BLOCK_SIZE``, or fewer so that a covariate
@@ -286,10 +308,11 @@ class _Trial:
     """One replicate's state, per arm in arrays indexed by arm position,
     control first; arrays become arm-name dicts only in the records."""
 
-    def __init__(self, design: _Design, seed: int) -> None:
+    def __init__(self, design: _Design, seed: int, keys: np.ndarray) -> None:
         spec = design.spec
         n_arms = len(design.arms)
         self.design, self.seed = design, seed
+        self.keys = keys  # (look, purpose, 2) Philox keys
         self.active = np.ones(n_arms, dtype=bool)
         self.n_per_arm = np.zeros(n_arms, dtype=int)
         self.total = np.zeros(n_arms)  # response sums per arm
@@ -309,28 +332,34 @@ class _Trial:
         self.looks = 0
         self.stopped = False
 
+    def stream(self, j: int, purpose: str) -> np.random.Generator:
+        """The design's generator, restarted at this replicate's stream
+        ``substream(seed, "look", j, purpose)``."""
+        d = self.design
+        return datagen.rekey(d.rng, self.keys[j, d.purposes.index(purpose)])
+
     def recruit(self, j: int, m: int) -> None:
         """Simulate look ``j``'s cohort of ``m`` subjects."""
-        d, seed = self.design, self.seed
+        d = self.design
         model = d.model
         recruiting = np.flatnonzero(self.active)
         codes = recruiting[datagen.allocate_codes(
-            m, self.allocation[recruiting], d.spec.allocation,
-            substream(seed, "look", j, "alloc"),
+            m, self.allocation[recruiting], d.spec.allocation, self.stream(j, "alloc"),
         )]
         covs = {}
         if model.covariates:
             covs = datagen.simulate_covariates(
-                model.covariates, m, substream(seed, "look", j, "covariates")
+                model.covariates, m, self.stream(j, "covariates")
             )
             x_cohort = glm.design_values(d.names[codes], covs, model)
-            eta = x_cohort @ d.beta_true
+            y = datagen.simulate_response(
+                x_cohort @ d.beta_true, model.family, model.link, model.nuisance,
+                self.stream(j, "response"),
+            )
         else:
-            eta = d.arm_eta[codes]
-        y = datagen.simulate_response(
-            eta, model.family, model.link, model.nuisance,
-            substream(seed, "look", j, "response"),
-        )
+            y = datagen.draw_response(
+                d.arm_mu[codes], model.family, model.nuisance, self.stream(j, "response")
+            )
         if model.covariates:
             start = d.recruited[j] - m
             self.x[start : start + m] = x_cohort
@@ -343,13 +372,13 @@ class _Trial:
         if self.cohorts is not None:
             self.cohorts.append(Cohort(arm=d.names[codes], covariates=covs, response=y))
 
-    def context(self, tails, j: int, m: int) -> RuleContext:
-        """Rule inputs at look ``j``, with the active arms' tails in arm order."""
+    def shared(self, j: int, m: int, n: tuple[int, ...]) -> dict:
+        """The ``RuleContext`` fields that every rule of look ``j`` sees while
+        the arms active now stay active."""
         d, active = self.design, self.active
-        return RuleContext(
+        return dict(
             active=tuple(active.tolist()),
-            posterior=tuple(tails[active & ~np.isnan(tails)].tolist()),
-            n=tuple(self.n_per_arm.tolist()),
+            n=n,
             ref=d.ref,
             prob=tuple(self.allocation[active].tolist()),
             m=m,
@@ -358,6 +387,11 @@ class _Trial:
             is_final=j == len(d.sizes) - 1,
         )
 
+    def context(self, tails, shared: dict) -> RuleContext:
+        """Rule inputs of ``shared``, with the active arms' tails in arm order."""
+        active = self.active
+        return RuleContext(posterior=tuple(tails[active & ~np.isnan(tails)].tolist()), **shared)
+
     def decide(self, j, m, converged, look_mean, look_sd, p_eff, p_fut, p_rar) -> None:
         """Apply look ``j``'s rules to this replicate's fit and tails."""
         d, spec, active = self.design, self.design.spec, self.active
@@ -365,12 +399,14 @@ class _Trial:
         is_final = j == len(d.sizes) - 1
         verdict = "continue"
         if converged:
+            n = tuple(self.n_per_arm.tolist())
+            shared = self.shared(j, m, n)
 
             def arm_flags(rule, tails, rule_spec):
                 flags = np.zeros(n_arms, dtype=bool)
                 evaluated = ~np.isnan(tails)
                 if evaluated.any():
-                    flags[evaluated] = rule(self.context(tails, j, m), rule_spec)
+                    flags[evaluated] = rule(self.context(tails, shared), rule_spec)
                 return flags
 
             hit_eff = arm_flags(rules.efficacy_arm, p_eff, spec.eff_arm_rule)
@@ -387,10 +423,12 @@ class _Trial:
             # others that of the last converged fit
             self.est_mean[active] = look_mean[active]
             self.est_sd[active] = look_sd[active]
-            active &= ~decided
+            if decided.any():
+                active &= ~decided
+                shared = self.shared(j, m, n)
 
             verdict = rules.trial_stop(
-                self.decisions[1:], self.context(d.no_tails, j, m),
+                self.decisions[1:], self.context(d.no_tails, shared),
                 spec.eff_trial_rule, spec.fut_trial_rule,
             )
         else:
@@ -429,7 +467,7 @@ class _Trial:
             self.allocation = _rescale(d.prob0, active)
         elif not np.isnan(p_rar[active][1:]).any():
             # every recruiting intervention has a tail at this look
-            rar_w = rules.rar_weights(self.context(p_rar, j, m), spec.rar_rule)
+            rar_w = rules.rar_weights(self.context(p_rar, shared), spec.rar_rule)
             self.allocation = np.zeros(n_arms)
             self.allocation[active] = rules.normalize_allocation(rar_w)
         else:

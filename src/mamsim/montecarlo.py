@@ -71,7 +71,11 @@ def resolve_workers(flag: int | None) -> int:
             raise ShardError("worker count must be >= 1")
         return flag
     available = os.cpu_count() or 1
-    cap = int(os.environ.get(WORKER_CAP_ENV, "0") or "0")
+    text = os.environ.get(WORKER_CAP_ENV, "0") or "0"
+    try:
+        cap = int(text)
+    except ValueError:
+        raise ShardError(f"{WORKER_CAP_ENV} must be an integer, got {text!r}") from None
     return min(available, cap) if cap > 0 else available
 
 
@@ -97,6 +101,9 @@ def run_batch(
     if len(counts) != len(seeds):
         dupes = sorted(s for s, c in counts.items() if c > 1)
         raise ShardError(f"duplicate seeds: {_preview(dupes)}")
+    negative = sorted(s for s in seeds if s < 0)
+    if negative:
+        raise ShardError(f"seeds must be non-negative: {_preview(negative)}")
     if workers < 1:
         raise ShardError("worker count must be >= 1")
     seeds = sorted(seeds)

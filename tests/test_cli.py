@@ -91,6 +91,30 @@ def test_invalid_spec_reports_error(tmp_path, capsys):
     assert "syntax error" in capsys.readouterr().err
 
 
+def test_negative_seed_flag_reports_error(spec_path, tmp_path, capsys):
+    out = tmp_path / "neg.shard"
+    assert main(["run", str(spec_path), "--seeds=-3,1", "--workers", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: seeds must be non-negative: -3\n"
+    assert not out.exists()
+
+
+def test_negative_document_seeds_report_error(tmp_path, capsys):
+    doc = gaussian_two_stage_design()
+    del doc["replicates"]
+    doc["seeds"] = [-1, 2]
+    path = tmp_path / "neg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out", str(tmp_path / "neg.shard")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seeds must be non-negative, got -1" in err
+
+
+def test_bad_worker_cap_reports_error(spec_path, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(montecarlo.WORKER_CAP_ENV, "abc")
+    assert main(["run", str(spec_path), "--out", str(tmp_path / "cap.shard")]) == 2
+    assert capsys.readouterr().err == "error: MAMSIM_MAX_WORKERS must be an integer, got 'abc'\n"
+
+
 def test_missing_shard_reports_error(tmp_path, capsys):
     assert main(["summary", str(tmp_path / "absent.shard")]) == 2
     assert "error" in capsys.readouterr().err

@@ -173,6 +173,14 @@ def test_duplicate_seeds_rejected():
         validated(doc)
 
 
+def test_negative_seeds_rejected():
+    doc = gaussian_two_stage_design()
+    del doc["replicates"]
+    doc["seeds"] = [-1, 2]
+    with pytest.raises(SpecError, match="non-negative, got -1"):
+        validated(doc)
+
+
 def test_null_variant_zeroes_targets():
     v = validated(count_dose_design())
     null = config.null_variant(v)

@@ -90,6 +90,13 @@ class TestAllocateArms:
         with pytest.raises(DataGenError, match="method"):
             allocate_arms(5, {"a": 1.0}, "stratified", substream(1, "x"))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("method", ["simple", "balanced"])
+    @pytest.mark.parametrize("weights", [[1.0, np.inf], [np.nan, 1.0], [1e308, 1e308]])
+    def test_non_finite_weights_rejected(self, method, weights):
+        with pytest.raises(DataGenError, match="finite"):
+            datagen.allocate_codes(5, weights, method, substream(1, "x"))
+
 
 class TestCovariates:
     def test_empty_specs(self):

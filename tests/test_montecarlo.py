@@ -188,6 +188,17 @@ def test_extended_payloads_survive_persistence(tmp_path):
     assert again.results[0].dataset is not None
 
 
+def test_negative_seeds_rejected_before_any_run(small_spec):
+    with pytest.raises(ShardError, match="non-negative: -3, -1"):
+        run_batch(small_spec, seeds=[2, -1, -3], workers=2)
+
+
+def test_resolve_workers_rejects_a_non_integer_cap(monkeypatch):
+    monkeypatch.setenv(montecarlo.WORKER_CAP_ENV, "abc")
+    with pytest.raises(ShardError, match="MAMSIM_MAX_WORKERS must be an integer, got 'abc'"):
+        montecarlo.resolve_workers(None)
+
+
 def test_resolve_workers_env_cap(monkeypatch):
     monkeypatch.setenv(montecarlo.WORKER_CAP_ENV, "1")
     assert montecarlo.resolve_workers(None) == 1
