@@ -17,9 +17,11 @@ from pathlib import Path
 
 from . import config, montecarlo, report
 from .config import SpecError
+from .datagen import DataGenError
 from .glm import FitError
 from .montecarlo import ShardError
 from .report import ReportError
+from .rules import RuleError
 
 
 def _parse_seed_range(text: str) -> list[int]:
@@ -129,7 +131,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (SpecError, ShardError, ReportError, FitError, OSError) as exc:
+    except (SpecError, ShardError, ReportError, FitError, DataGenError, RuleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

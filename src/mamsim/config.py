@@ -454,6 +454,14 @@ def validate_spec(spec: TrialSpec) -> ValidatedSpec:
     if spec.allocation not in ALLOCATION_METHODS:
         errors.append(f"allocation must be one of {ALLOCATION_METHODS}, got {spec.allocation!r}")
 
+    for key, kind in _RULE_KINDS.items():
+        rule = getattr(spec, key)
+        if rule is not None:
+            try:
+                rules.check_rule(kind, rule)
+            except rules.RuleError as exc:
+                errors.append(f"{key}: {exc}")
+
     if spec.rar_rule is not None:
         missing = [
             model.arm_names[i + 1]

@@ -29,7 +29,8 @@ of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -58,8 +59,30 @@ BLOCK_SIZE = 256
 BLOCK_BYTES = 1 << 19
 
 
+# The v1 record format, defined once: a ``TrialResult``, ``LookRecord`` or
+# ``ArmDecision`` is the JSON object of its dataclass fields, except that an
+# unset (None) ``history`` or ``dataset`` is left out.  ``encode`` writes it,
+# ``TrialResult.from_dict`` reads it back and fills in no defaults.
+OMITTED_WHEN_UNSET = frozenset({"history", "dataset"})
+
+
+class RecordError(ValueError):
+    """A document that is not a v1 record."""
+
+
+class _Record:
+    """``to_dict`` and ``from_dict`` of a record dataclass, by the codec."""
+
+    def to_dict(self) -> dict:
+        return json.loads(encode(self))
+
+    @classmethod
+    def from_dict(cls, doc):
+        return _build(cls, doc)
+
+
 @dataclass
-class LookRecord:
+class LookRecord(_Record):
     """State captured at one look (stored when extended >= 1).
 
     ``allocation`` holds the probabilities that recruited this look's
@@ -79,29 +102,9 @@ class LookRecord:
     estimate_sd: dict[str, float | None]
     fit_converged: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "look_index": self.look_index,
-            "is_final": self.is_final,
-            "n_total": self.n_total,
-            "n_per_arm": self.n_per_arm,
-            "active": self.active,
-            "allocation": self.allocation,
-            "eff_posterior": self.eff_posterior,
-            "fut_posterior": self.fut_posterior,
-            "rar_posterior": self.rar_posterior,
-            "estimate_mean": self.estimate_mean,
-            "estimate_sd": self.estimate_sd,
-            "fit_converged": self.fit_converged,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "LookRecord":
-        return cls(**doc)
-
 
 @dataclass
-class TrialResult:
+class TrialResult(_Record):
     """Outcome of one simulated trial replicate."""
 
     seed: int
@@ -117,59 +120,59 @@ class TrialResult:
     history: list[LookRecord] | None = None
     dataset: dict | None = None
 
-    def to_dict(self) -> dict:
-        doc = {
-            "seed": self.seed,
-            "arms": list(self.arms),
-            "decisions": {
-                arm: {
-                    "efficacy_met": d.efficacy_met,
-                    "futility_met": d.futility_met,
-                    "timing": d.timing,
-                    "look_index": d.look_index,
-                }
-                for arm, d in self.decisions.items()
-            },
-            "sample_sizes": self.sample_sizes,
-            "total_size": self.total_size,
-            "stop_reason": self.stop_reason,
-            "looks_performed": self.looks_performed,
-            "estimate_mean": self.estimate_mean,
-            "estimate_sd": self.estimate_sd,
-            "non_converged_fits": self.non_converged_fits,
-        }
-        if self.history is not None:
-            doc["history"] = [rec.to_dict() for rec in self.history]
-        if self.dataset is not None:
-            doc["dataset"] = self.dataset
-        return doc
-
     @classmethod
-    def from_dict(cls, doc: dict) -> "TrialResult":
-        return cls(
-            seed=doc["seed"],
-            arms=tuple(doc["arms"]),
-            decisions={
-                arm: ArmDecision(
-                    efficacy_met=d["efficacy_met"],
-                    futility_met=d["futility_met"],
-                    timing=d["timing"],
-                    look_index=d["look_index"],
-                )
-                for arm, d in doc["decisions"].items()
-            },
-            sample_sizes=doc["sample_sizes"],
-            total_size=doc["total_size"],
-            stop_reason=doc["stop_reason"],
-            looks_performed=doc["looks_performed"],
-            estimate_mean=doc["estimate_mean"],
-            estimate_sd=doc["estimate_sd"],
-            non_converged_fits=doc["non_converged_fits"],
-            history=[LookRecord.from_dict(r) for r in doc["history"]]
-            if "history" in doc
-            else None,
-            dataset=doc.get("dataset"),
-        )
+    def from_dict(cls, doc) -> "TrialResult":
+        """``RecordError`` unless every object in ``doc`` has exactly its
+        fields and ``decisions`` is keyed by exactly ``arms``."""
+        result = _build(cls, doc)
+        arms, decisions, history = result.arms, result.decisions, result.history
+        if not (isinstance(arms, list) and all(isinstance(arm, str) for arm in arms)
+                and isinstance(decisions, dict) and decisions.keys() == set(arms)):
+            raise RecordError("decisions are not keyed by exactly the arms")
+        if not isinstance(history, (list, type(None))):
+            raise RecordError("history is not a list")
+        result.arms = tuple(arms)
+        result.decisions = {arm: _build(ArmDecision, d) for arm, d in decisions.items()}
+        if history is not None:
+            result.history = [_build(LookRecord, look) for look in history]
+        return result
+
+
+_FIELDS = {
+    cls: frozenset(f.name for f in fields(cls)) for cls in (TrialResult, LookRecord, ArmDecision)
+}
+
+
+def _fields(record) -> dict:
+    """The JSON object of a record dataclass (the encoder's ``default``),
+    from its instance dict, which holds exactly its fields."""
+    if type(record) not in _FIELDS:
+        raise TypeError(f"Object of type {type(record).__name__} is not JSON serializable")
+    doc = vars(record)
+    unset = [name for name in OMITTED_WHEN_UNSET if doc.get(name, 0) is None]
+    return {k: v for k, v in doc.items() if k not in unset} if unset else doc
+
+
+def _build(cls, doc):
+    """``cls`` from a JSON object holding exactly its fields."""
+    if not isinstance(doc, dict):
+        raise RecordError(f"{cls.__name__} is not a JSON object")
+    names = _FIELDS[cls]
+    if doc.keys() != names:
+        missing = names - OMITTED_WHEN_UNSET - doc.keys()
+        if missing:
+            raise RecordError(f"{cls.__name__} without {', '.join(sorted(missing))}")
+        extra = doc.keys() - names
+        if extra:
+            raise RecordError(f"{cls.__name__} with unexpected {', '.join(sorted(extra))}")
+    return cls(**doc)
+
+
+def encode(doc) -> bytes:
+    """Canonical JSON bytes (sorted keys, no spaces) of records and headers."""
+    return json.dumps(
+        doc, default=_fields, sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")
 
 
 def cohort_sizes(spec) -> list[int]:

@@ -11,12 +11,13 @@ one JSON record per replicate.  All integers are little-endian.
     n_records        u64
     records          n_records x (u32 length + UTF-8 JSON record)
 
-Records are sorted by seed and serialised canonically, so the bytes after
-the header depend only on (design, seed set): batches produced with
-different worker counts are byte-identical.  ``combine_shard_files``
-streams records straight from input shards to the output, checking seed
-disjointness and design fingerprints on the way.  A JSON export of the
-same content is provided for interoperability.
+Records are sorted by seed and written by the record codec of
+:mod:`mamsim.engine`, so the bytes after the header depend only on (design,
+seed set): batches produced with different worker counts are
+byte-identical.  ``combine_shard_files`` streams records straight from
+input shards to the output, checking design fingerprints, seed order,
+seed disjointness and every record on the way.  A JSON export of the same
+content is provided for interoperability.
 """
 
 from __future__ import annotations
@@ -27,8 +28,10 @@ import os
 import struct
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from operator import itemgetter
 
 from . import __version__
 from .config import (
@@ -39,7 +42,7 @@ from .config import (
 )
 # run_trial is unused here but stays bound: benchmark/tracing.py wraps
 # ``montecarlo.run_trial`` by name
-from .engine import TrialResult, run_block, run_trial  # noqa: F401
+from .engine import RecordError, TrialResult, encode, run_block, run_trial  # noqa: F401
 
 MAGIC = b"MAMSHD01"
 FORMAT_VERSION = 1
@@ -156,14 +159,10 @@ def _run_chunk(validated, null_spec, seeds):
 
 
 def _record_bytes(batch: BatchResult, i: int) -> bytes:
-    doc = {"seed": batch.seeds[i], "result": batch.results[i].to_dict()}
+    doc = {"seed": batch.seeds[i], "result": batch.results[i]}
     if batch.results_null is not None:
-        doc["null_result"] = batch.results_null[i].to_dict()
-    return _dump(doc)
-
-
-def _dump(doc) -> bytes:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        doc["null_result"] = batch.results_null[i]
+    return encode(doc)
 
 
 _HEADER_KEYS = frozenset({
@@ -189,27 +188,26 @@ def _header_doc(batch: BatchResult) -> dict:
 
 def save_shard(batch: BatchResult, path) -> None:
     records = (_record_bytes(batch, i) for i in range(len(batch.seeds)))
-    _write_shard(path, _header_doc(batch), records)
+    _write_atomic(path, _shard_bytes(_header_doc(batch), records))
 
 
-def _write_shard(path, header: dict, raw_records) -> None:
-    """Write a shard atomically: a temp file beside ``path``, then a rename.
+def _shard_bytes(header: dict, raw_records):
+    """Yield a shard's bytes: magic, header, record count, then each record."""
+    blob = encode(header)
+    yield MAGIC + struct.pack("<I", len(blob)) + blob + struct.pack("<Q", header["n_records"])
+    for raw in raw_records:
+        yield struct.pack("<I", len(raw)) + raw
 
-    ``path`` is replaced only once every record is on disk, so a crash or
-    an error mid-write never leaves a partial shard, and ``path`` may be
-    one of the shards the records are streamed from.
-    """
+
+def _write_atomic(path, chunks) -> None:
+    """Write the byte strings ``chunks`` to a temp file beside ``path``,
+    sync it, then rename it over ``path``: a crash or an error mid-write
+    never leaves a partial file, and ``path`` may be one of the files the
+    chunks are streamed from."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            blob = _dump(header)
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-            fh.write(struct.pack("<Q", header["n_records"]))
-            for raw in raw_records:
-                fh.write(struct.pack("<I", len(raw)))
-                fh.write(raw)
+            fh.writelines(chunks)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -226,8 +224,7 @@ def save_shard_json(batch: BatchResult, path) -> None:
             json.loads(_record_bytes(batch, i)) for i in range(len(batch.seeds))
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
+    _write_atomic(path, [json.dumps(doc, sort_keys=True, indent=1).encode("utf-8")])
 
 
 def _read_exact(fh, n, path):
@@ -279,44 +276,45 @@ def read_shard_header(path) -> dict:
         return _read_header(fh, path)
 
 
-def _iter_records(path):
-    """Yield raw record bytes from a shard without loading them all."""
-    with open(path, "rb") as fh:
-        header = _read_header(fh, path)
-        (n_records,) = struct.unpack("<Q", _read_exact(fh, 8, path))
-        if n_records != header["n_records"]:
-            raise ShardError(f"corrupt shard {path}: record count mismatch")
-        for _ in range(n_records):
-            (length,) = struct.unpack("<I", _read_exact(fh, 4, path))
-            yield _read_exact(fh, length, path)
+def _raw_records(fh, header: dict, path):
+    """Yield the raw record bytes of the shard open in ``fh``, read up to the
+    end of its header, without loading them all."""
+    (n_records,) = struct.unpack("<Q", _read_exact(fh, 8, path))
+    if n_records != header["n_records"]:
+        raise ShardError(f"corrupt shard {path}: record count mismatch")
+    for _ in range(n_records):
+        (length,) = struct.unpack("<I", _read_exact(fh, 4, path))
+        yield _read_exact(fh, length, path)
 
 
-def _decode_record(raw: bytes, path, has_null: bool) -> dict:
-    """Parse one record and check it with :func:`_check_record`."""
-    try:
-        doc = json.loads(raw)
-    except ValueError as exc:
-        raise ShardError(f"corrupt shard {path}: bad record ({exc})") from None
-    return _check_record(doc, path, has_null)
-
-
-def _check_record(doc, path, has_null: bool) -> dict:
-    """A record needs an integer seed, a result, and a null result when the
-    header says ``has_null``; anything less is corrupt."""
-    if not isinstance(doc, dict) or not isinstance(doc.get("seed"), int):
-        raise ShardError(f"corrupt shard {path}: record without an integer seed")
-    if "result" not in doc or (has_null and "null_result" not in doc):
-        raise ShardError(f"corrupt shard {path}: record {doc['seed']} without a result")
-    return doc
-
-
-def _read_json_export(path) -> tuple[dict, list]:
-    """Header and records of a ``save_shard_json`` export."""
-    with open(path, "r", encoding="utf-8") as fh:
+def _decode(record, path, has_null: bool) -> tuple:
+    """Seed, result and null result (None unless ``has_null``) of a record,
+    given as raw bytes from a binary shard or as an object from a JSON
+    export; a record the codec rejects is corrupt."""
+    if isinstance(record, bytes):
         try:
-            doc = json.load(fh)
+            record = json.loads(record)
         except ValueError as exc:
-            raise ShardError(f"corrupt shard {path}: not JSON ({exc})") from None
+            raise ShardError(f"corrupt shard {path}: bad record ({exc})") from None
+    if not isinstance(record, dict) or not isinstance(record.get("seed"), int):
+        raise ShardError(f"corrupt shard {path}: record without an integer seed")
+    seed = record["seed"]
+    if "result" not in record or (has_null and "null_result" not in record):
+        raise ShardError(f"corrupt shard {path}: record {seed} without a result")
+    try:
+        result = TrialResult.from_dict(record["result"])
+        null = TrialResult.from_dict(record["null_result"]) if has_null else None
+    except RecordError as exc:
+        raise ShardError(f"corrupt shard {path}: record {seed}: {exc}") from None
+    return seed, result, null
+
+
+def _read_json_export(fh, path) -> tuple[dict, list]:
+    """Header and records of a ``save_shard_json`` export open in ``fh``."""
+    try:
+        doc = json.load(fh)
+    except ValueError as exc:
+        raise ShardError(f"corrupt shard {path}: not JSON ({exc})") from None
     if not (isinstance(doc, dict) and isinstance(doc.get("records"), list)):
         raise ShardError(f"corrupt shard {path}: JSON export without header and records")
     return _check_header(doc.get("header"), path), doc["records"]
@@ -324,35 +322,25 @@ def _read_json_export(path) -> tuple[dict, list]:
 
 def load_shard(path) -> BatchResult:
     """Read a binary shard, or a ``save_shard_json`` export, into a batch."""
-    if _looks_like_json(path):
-        header, docs = _read_json_export(path)
-        records = (_check_record(doc, path, header["has_null"]) for doc in docs)
-    else:
-        header = read_shard_header(path)
-        records = (
-            _decode_record(raw, path, header["has_null"]) for raw in _iter_records(path)
-        )
-    seeds, results, nulls = [], [], [] if header["has_null"] else None
-    for doc in records:
-        seeds.append(doc["seed"])
-        results.append(TrialResult.from_dict(doc["result"]))
-        if nulls is not None:
-            nulls.append(TrialResult.from_dict(doc["null_result"]))
+    with open(path, "rb") as fh:
+        export = fh.read(len(MAGIC)) != MAGIC and str(path).endswith(".json")
+        fh.seek(0)
+        if export:
+            header, records = _read_json_export(fh, path)
+        else:
+            header = _read_header(fh, path)
+            records = _raw_records(fh, header, path)
+        decoded = [_decode(record, path, header["has_null"]) for record in records]
     return BatchResult(
         fingerprint=header["fingerprint"],
-        seeds=tuple(seeds),
+        seeds=tuple(d[0] for d in decoded),
         extended=header["extended"],
         spec_document=header["spec_document"],
-        results=results,
-        results_null=nulls,
+        results=[d[1] for d in decoded],
+        results_null=[d[2] for d in decoded] if header["has_null"] else None,
         engine_version=header["engine_version"],
         created_at=header["created_at"],
     )
-
-
-def _looks_like_json(path) -> bool:
-    with open(path, "rb") as fh:
-        return fh.read(len(MAGIC)) != MAGIC and str(path).endswith(".json")
 
 
 # --------------------------------------------------------------------------
@@ -373,16 +361,6 @@ def _check_compatible(headers_or_batches) -> None:
             raise ShardError("shards disagree on the extended level")
 
 
-def _check_disjoint(seed_sets) -> None:
-    seen: set[int] = set()
-    overlap: set[int] = set()
-    for s in seed_sets:
-        overlap |= seen & set(s)
-        seen |= set(s)
-    if overlap:
-        raise ShardError(f"overlapping seed sets: {_preview(sorted(overlap))}")
-
-
 def _preview(values, limit: int = 20) -> str:
     text = ", ".join(map(str, values[:limit]))
     if len(values) > limit:
@@ -396,13 +374,11 @@ def combine_shards(batches) -> BatchResult:
     if not batches:
         raise ShardError("no shards to combine")
     _check_compatible([_header_doc(b) for b in batches])
-    _check_disjoint([b.seeds for b in batches])
-
-    triples = []
-    for b in batches:
-        nulls = b.results_null or [None] * len(b.seeds)
-        triples += list(zip(b.seeds, b.results, nulls))
-    triples.sort(key=lambda t: t[0])
+    streams = [
+        sorted(zip(b.seeds, b.results, b.results_null or [None] * len(b.seeds)), key=itemgetter(0))
+        for b in batches
+    ]
+    triples = list(_disjoint(heapq.merge(*streams, key=itemgetter(0))))
     has_null = batches[0].results_null is not None
     return BatchResult(
         fingerprint=batches[0].fingerprint,
@@ -417,33 +393,53 @@ def combine_shards(batches) -> BatchResult:
 
 
 def combine_shard_files(paths, out_path) -> dict:
-    """Stream-combine shard files into one output shard.
+    """Stream-combine shard files into one output shard, in one pass.
 
-    Runs two passes: the first reads only seeds to verify disjointness, the
-    second copies record bytes verbatim in seed order via a k-way merge.
-    Record payloads are never held in memory all at once, and the output is
-    byte-identical to a monolithic run over the union of the seed sets.
-    Returns the combined header.
+    Each input is opened and its header read once; its records, each
+    checked by the record decoder, are merged in seed order and copied
+    verbatim.  Overlapping seed sets and an input out of seed order are
+    errors raised before the output replaces anything.  Record payloads are
+    never held in memory all at once, and the output is byte-identical to a
+    monolithic run over the union of the seed sets.  Returns the header.
     """
     if not paths:
         raise ShardError("no shards to combine")
-    headers = [read_shard_header(p) for p in paths]
-    _check_compatible(headers)
-
-    def keyed(path, header):
-        for raw in _iter_records(path):
-            yield _decode_record(raw, path, header["has_null"])["seed"], raw
-
-    _check_disjoint(
-        [[seed for seed, _ in keyed(p, h)] for p, h in zip(paths, headers)]
-    )
-    merged = heapq.merge(
-        *(keyed(p, h) for p, h in zip(paths, headers)), key=lambda t: t[0]
-    )
-    header = dict(headers[0])
-    header["n_records"] = sum(h["n_records"] for h in headers)
-    header["seed_min"] = min(h["seed_min"] for h in headers)
-    header["seed_max"] = max(h["seed_max"] for h in headers)
-    header["created_at"] = datetime.now(timezone.utc).isoformat()
-    _write_shard(out_path, header, (raw for _, raw in merged))
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(path, "rb")) for path in paths]
+        headers = [_read_header(fh, path) for fh, path in zip(files, paths)]
+        _check_compatible(headers)
+        header = dict(headers[0])
+        header["n_records"] = sum(h["n_records"] for h in headers)
+        header["seed_min"] = min(h["seed_min"] for h in headers)
+        header["seed_max"] = max(h["seed_max"] for h in headers)
+        header["created_at"] = datetime.now(timezone.utc).isoformat()
+        streams = (_in_seed_order(*shard) for shard in zip(files, paths, headers))
+        merged = heapq.merge(*streams, key=itemgetter(0))
+        _write_atomic(out_path, _shard_bytes(header, (raw for _, raw in _disjoint(merged))))
     return header
+
+
+def _in_seed_order(fh, path, header):
+    """``(seed, raw record)`` pairs of the shard open in ``fh``, each record
+    checked by the record decoder, in strictly increasing seed order."""
+    last = None
+    for raw in _raw_records(fh, header, path):
+        seed = _decode(raw, path, header["has_null"])[0]
+        if last is not None and seed <= last:
+            raise ShardError(f"corrupt shard {path}: record {seed} out of seed order")
+        last = seed
+        yield seed, raw
+
+
+def _disjoint(merged):
+    """The ``(seed, ...)`` items of a merge in seed order; a seed met twice
+    is an overlap, reported in full once the merge is spent."""
+    overlap, last = [], None
+    for item in merged:
+        if item[0] == last:
+            overlap.append(last)
+        elif not overlap:
+            yield item
+        last = item[0]
+    if overlap:
+        raise ShardError(f"overlapping seed sets: {_preview(sorted(set(overlap)))}")

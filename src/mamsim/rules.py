@@ -145,7 +145,15 @@ def required_params(kind: str, name: str) -> tuple[str, ...]:
         raise RuleError(f"unknown {kind} rule family {name!r}") from None
 
 
-def _lookup(kind: str, rule: RuleSpec) -> _EvalFn:
+# Threshold parameters lie in (0, 1) and exponents are >= 0, whichever
+# family takes them.
+_UNIT_INTERVAL = ("b_e", "b", "b_f")
+_NONNEGATIVE = ("p", "p_f")
+
+
+def check_rule(kind: str, rule: RuleSpec) -> _EvalFn:
+    """The evaluator of a ``kind`` rule; ``RuleError`` unless the family is
+    known and every parameter it requires is given and within range."""
     try:
         required, fn = _REGISTRY[kind][rule.family_id]
     except KeyError:
@@ -159,6 +167,12 @@ def _lookup(kind: str, rule: RuleSpec) -> _EvalFn:
             f"{kind} rule {rule.family_id!r} missing parameter(s): "
             + ", ".join(missing)
         )
+    for name in required:
+        value = rule.params[name]
+        if name in _UNIT_INTERVAL and not 0.0 < value < 1.0:
+            raise RuleError(f"parameter {name} must lie in (0, 1), got {value}")
+        if name in _NONNEGATIVE and not value >= 0.0:
+            raise RuleError(f"parameter {name} must be >= 0, got {value}")
     return fn
 
 
@@ -167,42 +181,26 @@ def _lookup(kind: str, rule: RuleSpec) -> _EvalFn:
 # --------------------------------------------------------------------------
 
 
-def _check_unit_interval(value: float, name: str) -> float:
-    if not 0.0 < value < 1.0:
-        raise RuleError(f"parameter {name} must lie in (0, 1), got {value}")
-    return value
-
-
 def _eff_fixed(ctx: RuleContext, params: Mapping[str, float]) -> np.ndarray:
     # declare efficacy when the tail probability clears 1 - b_e
-    b_e = _check_unit_interval(params["b_e"], "b_e")
-    return np.asarray(ctx.posterior) > 1.0 - b_e
+    return np.asarray(ctx.posterior) > 1.0 - params["b_e"]
 
 
 def _eff_infofract(ctx: RuleContext, params: Mapping[str, float]) -> np.ndarray:
     # threshold 1 - b * (sum(n)/N)^p: strict early, relaxing to 1 - b at full
     # information
-    b = _check_unit_interval(params["b"], "b")
-    p = params["p"]
-    if p < 0:
-        raise RuleError(f"parameter p must be >= 0, got {p}")
-    threshold = 1.0 - b * ctx.info_fraction**p
+    threshold = 1.0 - params["b"] * ctx.info_fraction ** params["p"]
     return np.asarray(ctx.posterior) > threshold
 
 
 def _fut_fixed(ctx: RuleContext, params: Mapping[str, float]) -> np.ndarray:
-    b_f = _check_unit_interval(params["b_f"], "b_f")
-    return np.asarray(ctx.posterior) < b_f
+    return np.asarray(ctx.posterior) < params["b_f"]
 
 
 def _fut_increasing(ctx: RuleContext, params: Mapping[str, float]) -> np.ndarray:
     # boundary b_f * (sum(n)/N)^p_f rises with the information fraction and
     # equals b_f exactly at the maximum sample size
-    b_f = _check_unit_interval(params["b_f"], "b_f")
-    p_f = params["p_f"]
-    if p_f < 0:
-        raise RuleError(f"parameter p_f must be >= 0, got {p_f}")
-    boundary = b_f * ctx.info_fraction**p_f
+    boundary = params["b_f"] * ctx.info_fraction ** params["p_f"]
     return np.asarray(ctx.posterior) < boundary
 
 
@@ -211,12 +209,12 @@ def efficacy_arm(ctx: RuleContext, rule: RuleSpec) -> np.ndarray:
 
     Returns a boolean array aligned with ``ctx.posterior``.
     """
-    return _lookup("eff_arm", rule)(ctx, rule.params)
+    return check_rule("eff_arm", rule)(ctx, rule.params)
 
 
 def futility_arm(ctx: RuleContext, rule: RuleSpec) -> np.ndarray:
     """Evaluate the futility stopping rule for every active intervention."""
-    return _lookup("fut_arm", rule)(ctx, rule.params)
+    return check_rule("fut_arm", rule)(ctx, rule.params)
 
 
 # --------------------------------------------------------------------------
@@ -237,9 +235,9 @@ def trial_stop(
     here, the engine terminates once every intervention arm is inactive.
     """
     decisions = list(decisions)
-    if _lookup("eff_trial", eff_rule)(ctx, eff_rule.params)(decisions):
+    if check_rule("eff_trial", eff_rule)(ctx, eff_rule.params)(decisions):
         return "stop_efficacy"
-    if _lookup("fut_trial", fut_rule)(ctx, fut_rule.params)(decisions):
+    if check_rule("fut_trial", fut_rule)(ctx, fut_rule.params)(decisions):
         return "stop_futility"
     return "continue"
 
@@ -295,7 +293,7 @@ def _rar_trippa(ctx: RuleContext, params: Mapping[str, float]) -> np.ndarray:
 
 def rar_weights(ctx: RuleContext, rule: RuleSpec) -> np.ndarray:
     """Unnormalised allocation weights for the active arms, control first."""
-    return _lookup("rar", rule)(ctx, rule.params)
+    return check_rule("rar", rule)(ctx, rule.params)
 
 
 def normalize_allocation(weights) -> np.ndarray:

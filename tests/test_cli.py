@@ -8,8 +8,9 @@ import pytest
 
 from mamsim import montecarlo
 from mamsim.cli import main
+from mamsim.rules import RuleError
 
-from trial_designs import gaussian_two_stage_design
+from trial_designs import count_dose_design, gaussian_two_stage_design
 
 
 @pytest.fixture()
@@ -132,16 +133,34 @@ def test_combine_onto_an_input_matches_monolithic_run(spec_path, tmp_path, capsy
     ]
 
 
-def _shard_with_record(path, source, raw, **header_changes):
-    """Copy ``source``'s header onto a one-record shard holding ``raw``."""
+def _shard_with_record(path, source, *raws, **header_changes):
+    """Copy ``source``'s header onto a shard holding the records ``raws``."""
     header = montecarlo.read_shard_header(source)
-    header["n_records"] = 1
+    header["n_records"] = len(raws)
     header.update(header_changes)
     blob = json.dumps(header).encode()
     path.write_bytes(
-        montecarlo.MAGIC + struct.pack("<I", len(blob)) + blob
-        + struct.pack("<Q", 1) + struct.pack("<I", len(raw)) + raw
+        montecarlo.MAGIC + struct.pack("<I", len(blob)) + blob + struct.pack("<Q", len(raws))
+        + b"".join(struct.pack("<I", len(raw)) + raw for raw in raws)
     )
+
+
+def _set(path, value):
+    """Edit of a record document: set the key path ``path`` to ``value``."""
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return edit
+
+
+def _delete(path):
+    """Edit of a record document: delete the key path ``path``."""
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        del doc[path[-1]]
+    return edit
 
 
 @pytest.mark.parametrize(
@@ -150,17 +169,61 @@ def _shard_with_record(path, source, raw, **header_changes):
         (b"{not json", "bad record"),
         (b'{"result": {}}', "without an integer seed"),
         (b'{"seed": 1}', "record 1 without a result"),
+        pytest.param(
+            _delete(("result", "total_size")), "TrialResult without total_size",
+            id="no-total-size",
+        ),
+        pytest.param(_set(("result",), 5), "TrialResult is not a JSON object", id="result-5"),
+        pytest.param(
+            _set(("result", "decisions", "T1"), {"efficacy_met": True}),
+            "ArmDecision without futility_met, look_index, timing",
+            id="partial-decision",
+        ),
+        pytest.param(
+            _delete(("result", "decisions", "T2")),
+            "decisions are not keyed by exactly the arms",
+            id="decision-missing-arm",
+        ),
+        pytest.param(
+            _set(("result", "history", 0, "extra"), 1),
+            "LookRecord with unexpected extra",
+            id="history-extra-key",
+        ),
     ],
 )
 def test_corrupt_record_reported_by_every_verb(spec_path, tmp_path, capsys, raw, message):
+    """``raw`` is a record's bytes, or an edit of seed 5's good record."""
     good, bad = tmp_path / "good.shard", tmp_path / "bad.shard"
     assert main(["run", str(spec_path), "--seeds", "1..2", "--workers", "1", "--out", str(good)]) == 0
+    if callable(raw):
+        assert main(["run", str(spec_path), "--seeds", "5", "--workers", "1", "--out", str(bad)]) == 0
+        doc = json.loads(montecarlo._record_bytes(montecarlo.load_shard(bad), 0))
+        raw(doc)
+        raw = json.dumps(doc).encode()
     _shard_with_record(bad, good, raw)
     capsys.readouterr()
     out = tmp_path / "out.shard"
     for argv in (["summary", str(bad)], ["combine", str(good), str(bad), "--out", str(out)]):
         assert main(argv) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: corrupt shard")
+        assert message in err
+    assert not out.exists()
+
+
+def test_combine_refuses_out_of_order_input(spec_path, tmp_path, capsys):
+    good, pair, bad = (tmp_path / n for n in ("good.shard", "pair.shard", "bad.shard"))
+    assert main(["run", str(spec_path), "--seeds", "1..2", "--workers", "1", "--out", str(good)]) == 0
+    assert main(["run", str(spec_path), "--seeds", "3..4", "--workers", "1", "--out", str(pair)]) == 0
+    batch = montecarlo.load_shard(pair)
+    _shard_with_record(
+        bad, pair, montecarlo._record_bytes(batch, 1), montecarlo._record_bytes(batch, 0)
+    )
+    capsys.readouterr()
+    out = tmp_path / "out.shard"
+    assert main(["combine", str(good), str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: corrupt shard") and "record 3 out of seed order" in err
     assert not out.exists()
 
 
@@ -177,7 +240,7 @@ def test_combine_refuses_json_export(spec_path, tmp_path, capsys):
 def test_record_without_null_result_is_corrupt(spec_path, tmp_path, capsys):
     good, bad = tmp_path / "good.shard", tmp_path / "bad.shard"
     assert main(["run", str(spec_path), "--seeds", "1..2", "--workers", "1", "--out", str(good)]) == 0
-    raw = next(montecarlo._iter_records(good))
+    raw = montecarlo._record_bytes(montecarlo.load_shard(good), 0)
     _shard_with_record(bad, good, raw, has_null=True)
     capsys.readouterr()
     out = tmp_path / "out.shard"
@@ -218,3 +281,37 @@ def test_corrupt_json_export_reported(spec_path, tmp_path, capsys, removed, mess
     err = capsys.readouterr().err
     assert err.startswith("error: corrupt shard")
     assert message in err
+
+
+def test_out_of_range_rule_parameter_reported(tmp_path, capsys):
+    doc = count_dose_design(
+        eff_arm_rule={"family": "infofract", "params": {"b": 1.5, "p": 1.5}}
+    )
+    path, out = tmp_path / "range.json", tmp_path / "range.shard"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--workers", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "eff_arm_rule: parameter b must lie in (0, 1), got 1.5" in err
+    assert not out.exists()
+
+
+def test_datagen_error_reported(tmp_path, capsys):
+    doc = count_dose_design()
+    doc["beta_true"] = [800.0] + doc["beta_true"][1:]
+    path, out = tmp_path / "overflow.json", tmp_path / "overflow.shard"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--workers", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: response mean is not finite; check beta_true and link\n"
+    assert not out.exists()
+
+
+def test_rule_error_reported(spec_path, tmp_path, capsys, monkeypatch):
+    def degenerate(*args, **kwargs):
+        raise RuleError("all RAR posteriors are zero; weights are degenerate")
+
+    monkeypatch.setattr(montecarlo, "run_batch", degenerate)
+    assert main(["run", str(spec_path), "--out", str(tmp_path / "r.shard")]) == 2
+    assert capsys.readouterr().err == (
+        "error: all RAR posteriors are zero; weights are degenerate\n"
+    )

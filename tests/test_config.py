@@ -44,6 +44,35 @@ def test_rule_missing_parameter_lists_name():
         config.parse_spec(json.dumps(doc))
 
 
+_RULE_BOUNDS = [
+    # (rule key, family, good parameters, parameter to move, allowed, refused)
+    ("eff_arm_rule", "fixed", {"b_e": 0.05}, "b_e", [1e-9, 0.999], [0.0, 1.0, -0.1, 1.5]),
+    ("eff_arm_rule", "infofract", {"b": 0.01, "p": 3.0}, "b", [1e-9, 0.999], [0.0, 1.0, 1.5]),
+    ("eff_arm_rule", "infofract", {"b": 0.01, "p": 3.0}, "p", [0.0, 50.0], [-1e-9, -2.0]),
+    ("fut_arm_rule", "fixed", {"b_f": 0.2}, "b_f", [1e-9, 0.999], [0.0, 1.0, 2.0]),
+    ("fut_arm_rule", "increasing", {"b_f": 0.8, "p_f": 2.0}, "b_f", [1e-9, 0.999], [0.0, 1.0]),
+    ("fut_arm_rule", "increasing", {"b_f": 0.8, "p_f": 2.0}, "p_f", [0.0, 7.0], [-1e-9, -1.0]),
+]
+
+
+@pytest.mark.parametrize(
+    "key, family, params, name, allowed, refused", _RULE_BOUNDS,
+    ids=[f"{family}-{name}" for _, family, _, name, _, _ in _RULE_BOUNDS],
+)
+def test_rule_parameter_ranges_checked_by_validation(key, family, params, name, allowed, refused):
+    def spec_with(value):
+        rule = {"family": family, "params": {**params, name: value}}
+        return config.parse_spec(json.dumps(gaussian_two_stage_design(**{key: rule})))
+
+    for value in allowed:
+        config.validate_spec(spec_with(value))
+    for value in refused:
+        with pytest.raises(SpecError) as info:
+            config.validate_spec(spec_with(value))
+        assert f"{key}: parameter {name} must" in str(info.value)
+        assert f"got {value}" in str(info.value)
+
+
 def test_unknown_rule_family():
     doc = gaussian_two_stage_design(eff_arm_rule={"family": "bogus", "params": {}})
     with pytest.raises(SpecError, match="unknown rule family"):

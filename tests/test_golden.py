@@ -148,3 +148,29 @@ def test_record_bytes_match_golden_hash(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(DESIGNS))
 def test_record_skeleton_matches_hash(name, tmp_path):
     assert skeleton_digest(_record_region(name, tmp_path)) == SKELETON[name]
+
+
+# sha256 of ``save_shard_json`` files for a fixed batch with a fixed
+# ``created_at``: the whole export, header and records, in its indented
+# layout.  The gaussian case carries null results, per-look histories and
+# datasets; the count case nbinomial records with histories only.  Recorded
+# before the shard writers and readers moved onto one record codec; they
+# must not be edited unless a change is set out to alter the export.
+EXPORT_CASES = {
+    "gaussian_h0_extended2": lambda: gaussian_two_stage_design(h0_mode=True, extended=2),
+    "count_dose_extended1": lambda: count_dose_design(extended=1),
+}
+
+EXPORT_GOLDEN = {
+    "count_dose_extended1": "31aa1aea30075682c8602afaf59d66ca436e941fd966cde5b5a80f26f99ba6fe",
+    "gaussian_h0_extended2": "2afd6ead928d888b6d4509338cbeeeabdf48f6150af277a07d84677e22b6cf2d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPORT_CASES))
+def test_json_export_bytes_match_golden_hash(name, tmp_path):
+    batch = montecarlo.run_batch(validated(EXPORT_CASES[name]()), seeds=range(1, 9), workers=1)
+    batch.created_at = "2024-01-01T00:00:00+00:00"
+    path = tmp_path / f"{name}.json"
+    montecarlo.save_shard_json(batch, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == EXPORT_GOLDEN[name]

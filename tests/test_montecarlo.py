@@ -92,6 +92,20 @@ def test_json_export_round_trip(small_batch, tmp_path):
     ]
 
 
+def test_failed_json_export_leaves_target_untouched(small_batch, tmp_path, monkeypatch):
+    path = tmp_path / "batch.json"
+    path.write_bytes(b"previous export")
+
+    def no_sync(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(montecarlo.os, "fsync", no_sync)
+    with pytest.raises(OSError, match="disk full"):
+        save_shard_json(small_batch, path)
+    assert path.read_bytes() == b"previous export"
+    assert [p.name for p in tmp_path.iterdir()] == ["batch.json"]
+
+
 def test_combine_partition_equals_monolithic(small_spec, small_batch, tmp_path):
     left = run_batch(small_spec, seeds=range(1, 7), workers=1)
     right = run_batch(small_spec, seeds=range(7, 13), workers=1)
