@@ -1,16 +1,16 @@
 """Trial execution in lockstep blocks of replicates.
 
 ``run_block`` walks a block of simulated trials through the schedule
-together, look by look.  Each replicate recruits the burn-in cohort under
-the initial allocation; then, at each look, every replicate still running
-simulates its new cohort, the block refits the model on each replicate's
-accumulated data in one batched Newton solve
-(:func:`mamsim.glm.fit_laplace_batch`), and each replicate evaluates the
-arm and trial stopping rules against the look's margins, drops decided
-arms from recruitment (their data stay in the fit), and updates its
-allocation probabilities (response-adaptive or rescaled fixed weights).  A
-replicate leaves the block when it stops; the others go on to the final
-analysis at the maximum sample size.
+together, look by look, holding their state in arrays with a row per
+replicate and a column per arm.  At each look every replicate still
+running simulates its new cohort, the block refits the model on each live
+row's accumulated data in one batched Newton solve
+(:func:`mamsim.glm.fit_laplace_batch`), and the block forms of the arm and
+trial rules (:mod:`mamsim.rules`) act on all live rows at once: they drop
+decided arms from recruitment (their data stay in the fit) and set the
+allocation probabilities of the rows that go on (response-adaptive or
+rescaled fixed weights).  A replicate leaves the block when it stops; the
+others go on to the final analysis at the maximum sample size.
 
 Arm-only models are fitted on per-arm sufficient statistics (subjects and
 response sums per arm, kept up to date with ``np.bincount`` of each
@@ -18,19 +18,19 @@ cohort's arm codes); models with covariates on per-subject rows.
 
 Per-seed contract: a replicate draws only from its own Philox substreams,
 keyed by (seed, look, purpose), and every batched step acts on each
-replicate's own row or slice.  (A block derives its replicates' stream keys
-in one pass, :func:`mamsim.datagen.stream_keys`, and restarts one generator
-at each key in turn: the draws of :func:`mamsim.datagen.substream`.)  A
-replicate's result is therefore a pure function of (validated spec, seed),
-bit for bit: it does not depend on the size, membership or order of its
-block, nor on how many workers share the seeds.  ``run_trial`` is a block
-of one.
+replicate's own row or slice with the arithmetic it would get alone.  (A
+block derives its replicates' stream keys in one pass,
+:func:`mamsim.datagen.stream_keys`, and restarts one generator at each key
+in turn: the draws of :func:`mamsim.datagen.substream`.)  A replicate's
+result is therefore a pure function of (validated spec, seed), bit for
+bit: it does not depend on the size, membership or order of its block, nor
+on how many workers share the seeds.  ``run_trial`` is a block of one.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,16 +40,10 @@ from .datagen import Cohort
 # not called here: the engine draws from stream keys, which give the same
 # streams; kept bound because benchmark/tracing.py wraps ``engine.substream``
 from .datagen import substream  # noqa: F401
-from .rules import ArmDecision, RuleContext
+from .rules import ArmDecision
 
-STOP_ALL_DECIDED = "all_decided"
-STOP_TRIAL_EFFICACY = "trial_rule_efficacy"
-STOP_TRIAL_FUTILITY = "trial_rule_futility"
-STOP_REACHED_MAX = "reached_max"
-_STOP_REASONS = {
-    "stop_efficacy": STOP_TRIAL_EFFICACY,
-    "stop_futility": STOP_TRIAL_FUTILITY,
-}
+# a record's stop reason, by the code its block keeps for it
+STOP_REASONS = ("reached_max", "all_decided", "trial_rule_efficacy", "trial_rule_futility")
 # Replicates per lockstep block.  Throughput is flat from about 128 to 1024
 # replicates per block, while each replicate adds a few kB of block state, so
 # the cap bounds the memory of large chunks of seeds.
@@ -123,14 +117,12 @@ class TrialResult(_Record):
     @classmethod
     def from_dict(cls, doc) -> "TrialResult":
         """``RecordError`` unless every object in ``doc`` has exactly its
-        fields and ``decisions`` is keyed by exactly ``arms``."""
+        fields, each of its JSON type, and ``decisions`` is keyed by exactly
+        ``arms``."""
         result = _build(cls, doc)
         arms, decisions, history = result.arms, result.decisions, result.history
-        if not (isinstance(arms, list) and all(isinstance(arm, str) for arm in arms)
-                and isinstance(decisions, dict) and decisions.keys() == set(arms)):
+        if not (all(isinstance(arm, str) for arm in arms) and decisions.keys() == set(arms)):
             raise RecordError("decisions are not keyed by exactly the arms")
-        if not isinstance(history, (list, type(None))):
-            raise RecordError("history is not a list")
         result.arms = tuple(arms)
         result.decisions = {arm: _build(ArmDecision, d) for arm, d in decisions.items()}
         if history is not None:
@@ -138,9 +130,23 @@ class TrialResult(_Record):
         return result
 
 
-_FIELDS = {
-    cls: frozenset(f.name for f in fields(cls)) for cls in (TrialResult, LookRecord, ArmDecision)
+# The JSON type of each field of a record, a tuple where it may be null.
+# Only the field itself is checked, not the elements of a list or object.
+_NULL = type(None)
+_TYPES = {
+    TrialResult: dict(
+        seed=int, arms=list, decisions=dict, sample_sizes=dict, total_size=int,
+        stop_reason=str, looks_performed=int, estimate_mean=dict, estimate_sd=dict,
+        non_converged_fits=int, history=(list, _NULL), dataset=(dict, _NULL),
+    ),
+    LookRecord: dict(
+        look_index=int, is_final=bool, n_total=int, n_per_arm=dict, active=dict,
+        allocation=dict, eff_posterior=dict, fut_posterior=dict, rar_posterior=dict,
+        estimate_mean=dict, estimate_sd=dict, fit_converged=bool,
+    ),
+    ArmDecision: dict(efficacy_met=bool, futility_met=bool, timing=str, look_index=(int, _NULL)),
 }
+_FIELDS = {cls: frozenset(types) for cls, types in _TYPES.items()}
 
 
 def _fields(record) -> dict:
@@ -165,6 +171,10 @@ def _build(cls, doc):
         extra = doc.keys() - names
         if extra:
             raise RecordError(f"{cls.__name__} with unexpected {', '.join(sorted(extra))}")
+    types = _TYPES[cls]
+    for name, value in doc.items():
+        if not isinstance(value, types[name]):
+            raise RecordError(f"{cls.__name__} {name} of the wrong type ({type(value).__name__})")
     return cls(**doc)
 
 
@@ -177,13 +187,8 @@ def encode(doc) -> bytes:
 
 def cohort_sizes(spec) -> list[int]:
     """Recruitment increments implied by the interim schedule plus final."""
-    sizes = [spec.interim_recruited[0]]
-    sizes += [
-        b - a
-        for a, b in zip(spec.interim_recruited, spec.interim_recruited[1:])
-    ]
-    sizes.append(spec.n_max - spec.interim_recruited[-1])
-    return sizes
+    recruited = [0, *spec.interim_recruited, spec.n_max]
+    return [b - a for a, b in zip(recruited, recruited[1:])]
 
 
 def run_trial(validated: ValidatedSpec, seed: int) -> TrialResult:
@@ -195,312 +200,266 @@ def run_block(validated: ValidatedSpec, seeds) -> list[TrialResult]:
     """Simulate one trial replicate per seed, in lockstep blocks of at most
     ``BLOCK_SIZE`` replicates (fewer for models with covariates, see
     ``BLOCK_BYTES``); results come back in the order of ``seeds``."""
-    design = _Design(validated.spec)
+    spec = validated.spec
     seeds = list(seeds)
-    size = design.block_size()
+    size = BLOCK_SIZE
+    if spec.model.covariates:
+        # each replicate holds n_max x p design rows
+        size = max(1, min(BLOCK_SIZE, BLOCK_BYTES // (spec.n_max * len(spec.beta_true) * 8)))
     results: list[TrialResult] = []
     for start in range(0, len(seeds), size):
-        block = seeds[start : start + size]
-        keys = datagen.stream_keys(block, design.paths).reshape(
-            len(block), len(design.sizes), len(design.purposes), 2
-        )
-        trials = [_Trial(design, seed, key) for seed, key in zip(block, keys)]
-        live = trials
-        for j, m in enumerate(design.sizes):
-            for trial in live:
-                trial.recruit(j, m)
-            for trial, *look in zip(live, *design.analyse(live, j)):
-                trial.decide(j, m, *look)
-            live = [trial for trial in live if not trial.stopped]
-            if not live:
-                break
-        results += [trial.result() for trial in trials]
+        results += _Block(spec, seeds[start : start + size]).run()
     return results
 
 
-class _Design:
-    """What every replicate of a design shares: arm-indexed margins (NaN
-    where a look has none), allocation, schedule and the batched analysis.
+class _Block:
+    """A block of replicates of one design, run in lockstep, with its trial
+    state in arrays of one row per replicate and one column per arm, control
+    first.  Target ``t`` is the coefficient of arm ``t``, so arm columns
+    serve the targets too.  Records are built from the rows at the end."""
 
-    Target ``t`` is the coefficient of arm ``t``, so the arm index serves the
-    targets too.
-    """
-
-    def __init__(self, spec) -> None:
+    def __init__(self, spec, seeds: list[int]) -> None:
         model = spec.model
-        self.spec, self.model = spec, model
+        self.spec, self.model, self.seeds = spec, model, seeds
         self.arms = model.arm_names
-        n_arms = len(self.arms)
+        shape = (len(seeds), len(self.arms))
         self.names = np.array(self.arms, dtype=object)
         self.targets = list(spec.which_targets)
-        self.greater = np.zeros(n_arms, dtype=bool)
+        self.greater = np.zeros(shape[1], dtype=bool)
         self.greater[self.targets] = [a == "greater" for a in spec.alternative]
-        self.delta_eff = _arm_deltas(spec.delta_eff, self.targets, n_arms)
-        self.delta_fut = _arm_deltas(spec.delta_fut, self.targets, n_arms)
-        self.delta_rar = _arm_deltas(spec.delta_rar, self.targets, n_arms)
-        self.no_tails = np.full(n_arms, np.nan)
-        self.ref = (True,) + (False,) * (n_arms - 1)
+        self.delta_eff = _arm_deltas(spec.delta_eff, self.targets, shape[1])
+        self.delta_fut = _arm_deltas(spec.delta_fut, self.targets, shape[1])
+        self.delta_rar = _arm_deltas(spec.delta_rar, self.targets, shape[1])
+        self.ref = np.arange(shape[1]) == 0  # the control, the rules' reference
         self.prob0 = np.array([spec.prob0[a] for a in self.arms])
         self.sizes = cohort_sizes(spec)
         self.recruited = np.cumsum(self.sizes).tolist()
         self.beta_true = np.asarray(spec.beta_true, dtype=float)
-        # an arm's linear predictor in an arm-only model: beta_0 + beta_arm,
-        # the value of its indicator row times beta_true
-        self.arm_eta = self.beta_true[:n_arms].copy()
-        self.arm_eta[1:] += self.beta_true[0]
         self.gaussian = model.family == "gaussian"
-        # a replicate's streams, look by look: the k-th purpose of look j is
-        # substream(seed, *paths[j * len(purposes) + k])
-        self.purposes = ("alloc", "response")
-        if model.covariates:
-            self.purposes = ("alloc", "covariates", "response")
-        self.paths = [("look", j, k) for j in range(len(self.sizes)) for k in self.purposes]
-        self.rng = np.random.Generator(np.random.Philox(0))  # re-keyed per stream
-        if not model.covariates:
-            # every cohort's response means, checked once for all arms
-            self.arm_mu = datagen.response_means(
-                self.arm_eta, model.family, model.link, model.nuisance
-            )
-
-    def block_size(self) -> int:
-        """Replicates per block: ``BLOCK_SIZE``, or fewer so that a covariate
-        model's stacked design rows stay within ``BLOCK_BYTES``."""
-        if not self.model.covariates:
-            return BLOCK_SIZE
-        row_bytes = self.spec.n_max * len(self.beta_true) * 8
-        return max(1, min(BLOCK_SIZE, BLOCK_BYTES // row_bytes))
-
-    def fit_data(self, live, j):
-        """The live replicates' data at look ``j``, all of the same size."""
-        if self.model.covariates:
-            n = self.recruited[j]
-            return glm.SubjectRows(
-                np.stack([t.x[:n] for t in live]), np.stack([t.y[:n] for t in live])
-            )
-        return glm.ArmTotals(
-            np.stack([t.n_per_arm for t in live]),
-            np.stack([t.total for t in live]),
-            np.stack([t.square for t in live]) if self.gaussian else None,
+        if model.covariates:  # per-subject design rows and responses
+            self.x = np.empty((len(seeds), spec.n_max, len(self.beta_true)))
+            self.y = np.empty((len(seeds), spec.n_max))
+        else:
+            # every cohort's response means, checked once for all arms: an
+            # arm's linear predictor is beta_0 + beta_arm
+            eta = self.beta_true[: shape[1]].copy()
+            eta[1:] += self.beta_true[0]
+            self.arm_mu = datagen.response_means(eta, model.family, model.link, model.nuisance)
+        # (replicate, look, purpose, 2) Philox keys of the streams
+        # substream(seed, "look", j, purpose)
+        covariates = ("covariates",) if model.covariates else ()
+        self.purposes = ("alloc", *covariates, "response")
+        paths = [("look", j, k) for j in range(len(self.sizes)) for k in self.purposes]
+        self.keys = datagen.stream_keys(seeds, paths).reshape(
+            len(seeds), len(self.sizes), len(self.purposes), 2
         )
+        self.rng = np.random.Generator(np.random.Philox(0))  # re-keyed per stream
 
-    def analyse(self, live, j):
-        """One batched fit of the live replicates at look ``j``: per replicate
-        the converged flag, arm estimates and sds, and the efficacy,
-        futility and RAR tail probabilities of its active arms."""
+        self.active = np.ones(shape, dtype=bool)
+        self.count = np.zeros(shape, dtype=int)
+        self.total = np.zeros(shape)  # response sums per arm
+        self.square = np.zeros(shape)  # squared-response sums (gaussian)
+        self.allocation = np.tile(self.prob0, (len(seeds), 1))
+        self.efficacy = np.zeros(shape, dtype=bool)
+        self.futility = np.zeros(shape, dtype=bool)
+        self.decision_look = np.full(shape, -1)  # -1 while undecided
+        self.est_mean = np.full(shape, np.nan)
+        self.est_sd = np.full(shape, np.nan)
+        self.stop = np.zeros(len(seeds), dtype=int)  # index into STOP_REASONS
+        self.looks = np.zeros(len(seeds), dtype=int)
+        self.non_converged = np.zeros(len(seeds), dtype=int)
+        self.history = [[] for _ in seeds] if spec.extended >= 1 else None
+        self.cohorts = [[] for _ in seeds] if spec.extended >= 2 else None
+
+    def run(self) -> list[TrialResult]:
+        live = np.arange(len(self.seeds))
+        for j, m in enumerate(self.sizes):
+            self.recruit(live, j, m)
+            live = self.look(live, j)
+            if not live.size:
+                break
+        return [self.result(r) for r in range(len(self.seeds))]
+
+    def stream(self, r: int, j: int, purpose: str) -> np.random.Generator:
+        """The block's generator, restarted at replicate ``r``'s stream
+        ``substream(seed, "look", j, purpose)``."""
+        return datagen.rekey(self.rng, self.keys[r, j, self.purposes.index(purpose)])
+
+    def recruit(self, live: np.ndarray, j: int, m: int) -> None:
+        """Simulate look ``j``'s cohort of ``m`` subjects in each live row."""
         model = self.model
-        fit = glm.fit_laplace_batch(self.fit_data(live, j), model.family, model.nuisance)
+        codes = np.empty((len(live), m), dtype=int)
+        ys = np.empty((len(live), m))
+        for i, r in enumerate(live.tolist()):
+            recruiting = np.flatnonzero(self.active[r])
+            codes[i] = recruiting[datagen.allocate_codes(
+                m, self.allocation[r, recruiting], self.spec.allocation, self.stream(r, j, "alloc"),
+            )]
+            covs = {}
+            if model.covariates:
+                covs = datagen.simulate_covariates(
+                    model.covariates, m, self.stream(r, j, "covariates")
+                )
+                x_cohort = glm.design_values(self.names[codes[i]], covs, model)
+                y = datagen.simulate_response(
+                    x_cohort @ self.beta_true, model.family, model.link, model.nuisance,
+                    self.stream(r, j, "response"),
+                )
+                start = self.recruited[j] - m
+                self.x[r, start : start + m] = x_cohort
+                self.y[r, start : start + m] = y
+            else:
+                y = datagen.draw_response(
+                    self.arm_mu[codes[i]], model.family, model.nuisance,
+                    self.stream(r, j, "response"),
+                )
+            ys[i] = y
+            if self.cohorts is not None:
+                self.cohorts[r].append(Cohort(arm=self.names[codes[i]], covariates=covs, response=y))
+        # one bincount for the block: row i's arms are bins i * arms + code
         n_arms = len(self.arms)
+        bins = (codes + n_arms * np.arange(len(live))[:, None]).ravel()
+
+        def per_arm(weights=None):
+            return np.bincount(bins, weights, len(live) * n_arms).reshape(len(live), n_arms)
+
+        self.count[live] += per_arm()
+        self.total[live] += per_arm(ys.ravel())
+        if self.gaussian:
+            self.square[live] += per_arm((ys * ys).ravel())
+
+    def rule_block(self, rows: np.ndarray) -> rules.RuleBlock:
+        return rules.RuleBlock(self.active[rows], self.count[rows], self.ref, self.spec.n_max)
+
+    def look(self, live: np.ndarray, j: int) -> np.ndarray:
+        """Look ``j`` of the live rows: one batched fit of their data so far,
+        the tails of their active arms, the arm and trial rules, and the
+        next allocation of the rows that go on, which are returned."""
+        spec, model, n_arms = self.spec, self.model, len(self.arms)
+        if model.covariates:
+            n = self.recruited[j]
+            data = glm.SubjectRows(self.x[live, :n], self.y[live, :n])
+        else:
+            square = self.square[live] if self.gaussian else None
+            data = glm.ArmTotals(self.count[live], self.total[live], square)
+        fit = glm.fit_laplace_batch(data, model.family, model.nuisance)
+        converged = fit.converged
         mean, sd = fit.mode[:, :n_arms], fit.marginal_sd[:, :n_arms]
-        evaluated = np.stack([t.active for t in live]) & fit.converged[:, None]
+        evaluated = self.active[live] & converged[:, None]
 
         def tails(deltas):
             delta = deltas[:, j]
             probs = glm.tail_probabilities(mean, sd, delta, self.greater)
             return np.where(evaluated & ~np.isnan(delta), probs, np.nan)
 
-        p_rar = np.full(mean.shape, np.nan)
-        if self.spec.rar_rule is not None:
-            p_rar = tails(self.delta_rar)
-        return (
-            fit.converged.tolist(), mean, sd,
-            tails(self.delta_eff), tails(self.delta_fut), p_rar,
-        )
+        p_eff, p_fut = tails(self.delta_eff), tails(self.delta_fut)
+        p_rar = tails(self.delta_rar) if spec.rar_rule is not None else np.full(mean.shape, np.nan)
 
+        # arm rules; a non-converged row has no tails, so no decisions
+        block = self.rule_block(live)
+        hit_eff = rules.evaluate("eff_arm", spec.eff_arm_rule, p_eff, block) & ~np.isnan(p_eff)
+        hit_fut = rules.evaluate("fut_arm", spec.fut_arm_rule, p_fut, block) & ~np.isnan(p_fut)
+        decided = hit_eff | hit_fut
+        self.efficacy[live] |= hit_eff
+        self.futility[live] |= hit_fut
+        self.decision_look[live] = np.where(decided, j, self.decision_look[live])
+        # decided arms keep the estimate of their decision look, the others
+        # that of the last converged fit
+        self.est_mean[live] = np.where(evaluated, mean, self.est_mean[live])
+        self.est_sd[live] = np.where(evaluated, sd, self.est_sd[live])
+        active = self.active[live] & ~decided
+        self.active[live] = active
 
-class _Trial:
-    """One replicate's state, per arm in arrays indexed by arm position,
-    control first; arrays become arm-name dicts only in the records."""
-
-    def __init__(self, design: _Design, seed: int, keys: np.ndarray) -> None:
-        spec = design.spec
-        n_arms = len(design.arms)
-        self.design, self.seed = design, seed
-        self.keys = keys  # (look, purpose, 2) Philox keys
-        self.active = np.ones(n_arms, dtype=bool)
-        self.n_per_arm = np.zeros(n_arms, dtype=int)
-        self.total = np.zeros(n_arms)  # response sums per arm
-        self.square = np.zeros(n_arms)  # squared-response sums (gaussian)
-        self.allocation = design.prob0
-        # one entry per arm; the control's stays undecided
-        self.decisions = [ArmDecision() for _ in range(n_arms)]
-        self.est_mean = np.full(n_arms, np.nan)
-        self.est_sd = np.full(n_arms, np.nan)
-        self.history: list[LookRecord] | None = [] if spec.extended >= 1 else None
-        self.cohorts: list[Cohort] | None = [] if spec.extended >= 2 else None
-        if design.model.covariates:  # per-subject design rows and responses
-            self.x = np.empty((spec.n_max, len(design.beta_true)))
-            self.y = np.empty(spec.n_max)
-        self.non_converged = 0
-        self.stop_reason = STOP_REACHED_MAX
-        self.looks = 0
-        self.stopped = False
-
-    def stream(self, j: int, purpose: str) -> np.random.Generator:
-        """The design's generator, restarted at this replicate's stream
-        ``substream(seed, "look", j, purpose)``."""
-        d = self.design
-        return datagen.rekey(d.rng, self.keys[j, d.purposes.index(purpose)])
-
-    def recruit(self, j: int, m: int) -> None:
-        """Simulate look ``j``'s cohort of ``m`` subjects."""
-        d = self.design
-        model = d.model
-        recruiting = np.flatnonzero(self.active)
-        codes = recruiting[datagen.allocate_codes(
-            m, self.allocation[recruiting], d.spec.allocation, self.stream(j, "alloc"),
-        )]
-        covs = {}
-        if model.covariates:
-            covs = datagen.simulate_covariates(
-                model.covariates, m, self.stream(j, "covariates")
-            )
-            x_cohort = glm.design_values(d.names[codes], covs, model)
-            y = datagen.simulate_response(
-                x_cohort @ d.beta_true, model.family, model.link, model.nuisance,
-                self.stream(j, "response"),
-            )
-        else:
-            y = datagen.draw_response(
-                d.arm_mu[codes], model.family, model.nuisance, self.stream(j, "response")
-            )
-        if model.covariates:
-            start = d.recruited[j] - m
-            self.x[start : start + m] = x_cohort
-            self.y[start : start + m] = y
-        n_arms = len(d.arms)
-        self.n_per_arm += np.bincount(codes, minlength=n_arms)
-        self.total += np.bincount(codes, weights=y, minlength=n_arms)
-        if d.gaussian:
-            self.square += np.bincount(codes, weights=y * y, minlength=n_arms)
-        if self.cohorts is not None:
-            self.cohorts.append(Cohort(arm=d.names[codes], covariates=covs, response=y))
-
-    def shared(self, j: int, m: int, n: tuple[int, ...]) -> dict:
-        """The ``RuleContext`` fields that every rule of look ``j`` sees while
-        the arms active now stay active."""
-        d, active = self.design, self.active
-        return dict(
-            active=tuple(active.tolist()),
-            n=n,
-            ref=d.ref,
-            prob=tuple(self.allocation[active].tolist()),
-            m=m,
-            n_max=d.spec.n_max,
-            look_index=j,
-            is_final=j == len(d.sizes) - 1,
-        )
-
-    def context(self, tails, shared: dict) -> RuleContext:
-        """Rule inputs of ``shared``, with the active arms' tails in arm order."""
-        active = self.active
-        return RuleContext(posterior=tuple(tails[active & ~np.isnan(tails)].tolist()), **shared)
-
-    def decide(self, j, m, converged, look_mean, look_sd, p_eff, p_fut, p_rar) -> None:
-        """Apply look ``j``'s rules to this replicate's fit and tails."""
-        d, spec, active = self.design, self.design.spec, self.active
-        arms, n_arms = d.arms, len(d.arms)
-        is_final = j == len(d.sizes) - 1
-        verdict = "continue"
-        if converged:
-            n = tuple(self.n_per_arm.tolist())
-            shared = self.shared(j, m, n)
-
-            def arm_flags(rule, tails, rule_spec):
-                flags = np.zeros(n_arms, dtype=bool)
-                evaluated = ~np.isnan(tails)
-                if evaluated.any():
-                    flags[evaluated] = rule(self.context(tails, shared), rule_spec)
-                return flags
-
-            hit_eff = arm_flags(rules.efficacy_arm, p_eff, spec.eff_arm_rule)
-            hit_fut = arm_flags(rules.futility_arm, p_fut, spec.fut_arm_rule)
-            decided = hit_eff | hit_fut
-            for t in np.flatnonzero(decided).tolist():
-                self.decisions[t] = ArmDecision(
-                    efficacy_met=bool(hit_eff[t]),
-                    futility_met=bool(hit_fut[t]),
-                    timing="last" if is_final else "early",
-                    look_index=j,
-                )
-            # decided arms keep the estimate of their decision look, the
-            # others that of the last converged fit
-            self.est_mean[active] = look_mean[active]
-            self.est_sd[active] = look_sd[active]
-            if decided.any():
-                active &= ~decided
-                shared = self.shared(j, m, n)
-
-            verdict = rules.trial_stop(
-                self.decisions[1:], self.context(d.no_tails, shared),
-                spec.eff_trial_rule, spec.fut_trial_rule,
-            )
-        else:
-            self.non_converged += 1
-            look_mean = look_sd = d.no_tails
-
+        # trial rules see the decisions so far; the efficacy rule comes first
+        interventions = ~self.ref
+        flags = self.efficacy[live][:, interventions], self.futility[live][:, interventions]
+        stop_eff = converged & rules.evaluate("eff_trial", spec.eff_trial_rule, *flags)
+        stop_fut = converged & ~stop_eff & rules.evaluate("fut_trial", spec.fut_trial_rule, *flags)
+        self.non_converged[live] += ~converged
+        self.looks[live] = j + 1
         if self.history is not None:
-            self.history.append(
+            self.record_look(live, j, converged, mean, sd, p_eff, p_fut, p_rar)
+        if j == len(self.sizes) - 1:
+            return live[:0]
+
+        stopped = stop_eff | stop_fut | ~active[:, interventions].any(axis=1)
+        # codes are indices into STOP_REASONS
+        self.stop[live] = np.select([stop_eff, stop_fut, stopped], [2, 3, 1])
+        go = ~stopped
+        rows, active = live[go], active[go]
+        if spec.rar_rule is None:
+            self.allocation[rows] = _rescale(self.prob0, active)
+            return rows
+        # RAR where every recruiting intervention has a tail at this look;
+        # elsewhere (non-converged fit or margin disabled) the current
+        # allocation, restricted to the arms still recruiting
+        rar = ~(np.isnan(p_rar[go]) & active & interventions).any(axis=1)
+        self.allocation[rows] = _rescale(self.allocation[rows], active)
+        if rar.any():
+            block = self.rule_block(rows[rar])
+            weights = rules.evaluate("rar", spec.rar_rule, p_rar[go][rar], block)
+            self.allocation[rows[rar]] = rules.normalize_rows(weights, block.active)
+        return rows
+
+    def record_look(self, live, j, converged, mean, sd, p_eff, p_fut, p_rar) -> None:
+        """Append look ``j``'s ``LookRecord`` to each live row's history."""
+        arms, interventions = self.arms, range(1, len(self.arms))
+        look_mean = np.where(converged[:, None], mean, np.nan)
+        look_sd = np.where(converged[:, None], sd, np.nan)
+        for i, r in enumerate(live.tolist()):
+            counts = self.count[r].tolist()
+            self.history[r].append(
                 LookRecord(
                     look_index=j,
-                    is_final=is_final,
-                    n_total=int(self.n_per_arm.sum()),
-                    n_per_arm=dict(zip(arms, self.n_per_arm.tolist())),
-                    active=dict(zip(arms, active.tolist())),
-                    allocation=dict(zip(arms, self.allocation.tolist())),
-                    eff_posterior=_by_arm(arms, p_eff, range(1, n_arms)),
-                    fut_posterior=_by_arm(arms, p_fut, range(1, n_arms)),
-                    rar_posterior=_by_arm(arms, p_rar, range(1, n_arms)),
-                    estimate_mean=_by_arm(arms, look_mean, d.targets),
-                    estimate_sd=_by_arm(arms, look_sd, d.targets),
-                    fit_converged=converged,
+                    is_final=j == len(self.sizes) - 1,
+                    n_total=sum(counts),
+                    n_per_arm=dict(zip(arms, counts)),
+                    active=dict(zip(arms, self.active[r].tolist())),
+                    allocation=dict(zip(arms, self.allocation[r].tolist())),
+                    eff_posterior=_by_arm(arms, p_eff[i], interventions),
+                    fut_posterior=_by_arm(arms, p_fut[i], interventions),
+                    rar_posterior=_by_arm(arms, p_rar[i], interventions),
+                    estimate_mean=_by_arm(arms, look_mean[i], self.targets),
+                    estimate_sd=_by_arm(arms, look_sd[i], self.targets),
+                    fit_converged=bool(converged[i]),
                 )
             )
 
-        self.looks = j + 1
-        if is_final:
-            self.stopped = True
-            return
-        if verdict != "continue" or not active[1:].any():
-            self.stop_reason = _STOP_REASONS.get(verdict, STOP_ALL_DECIDED)
-            self.stopped = True
-            return
-
-        # --- allocation for the next cohort
-        if spec.rar_rule is None:
-            self.allocation = _rescale(d.prob0, active)
-        elif not np.isnan(p_rar[active][1:]).any():
-            # every recruiting intervention has a tail at this look
-            rar_w = rules.rar_weights(self.context(p_rar, shared), spec.rar_rule)
-            self.allocation = np.zeros(n_arms)
-            self.allocation[active] = rules.normalize_allocation(rar_w)
-        else:
-            # non-converged fit or margin disabled at this look: keep the
-            # current allocation, restricted to the arms still recruiting
-            self.allocation = _rescale(self.allocation, active)
-
-    def result(self) -> TrialResult:
-        d = self.design
-        arms, model = d.arms, d.model
+    def result(self, r: int) -> TrialResult:
+        """Row ``r``'s record."""
+        arms, final = self.arms, len(self.sizes) - 1
+        looks = self.decision_look[r].tolist()
+        efficacy, futility = self.efficacy[r].tolist(), self.futility[r].tolist()
+        decisions = {
+            arm: ArmDecision(
+                efficacy_met=efficacy[t],
+                futility_met=futility[t],
+                timing="none" if looks[t] < 0 else "last" if looks[t] == final else "early",
+                look_index=None if looks[t] < 0 else looks[t],
+            )
+            for t, arm in enumerate(self.model.interventions, 1)
+        }
         dataset = None
         if self.cohorts is not None:
-            data = Cohort.concat(self.cohorts)
+            data = Cohort.concat(self.cohorts[r])
             dataset = {
                 "arm": data.arm.tolist(),
                 "covariates": {k: v.tolist() for k, v in data.covariates.items()},
                 "response": data.response.tolist(),
             }
+        counts = self.count[r].tolist()
         return TrialResult(
-            seed=self.seed,
-            arms=model.interventions,
-            decisions=dict(zip(model.interventions, self.decisions[1:])),
-            sample_sizes=dict(zip(arms, self.n_per_arm.tolist())),
-            total_size=int(self.n_per_arm.sum()),
-            stop_reason=self.stop_reason,
-            looks_performed=self.looks,
-            estimate_mean=_by_arm(arms, self.est_mean, d.targets),
-            estimate_sd=_by_arm(arms, self.est_sd, d.targets),
-            non_converged_fits=self.non_converged,
-            history=self.history,
+            seed=self.seeds[r],
+            arms=self.model.interventions,
+            decisions=decisions,
+            sample_sizes=dict(zip(arms, counts)),
+            total_size=sum(counts),
+            stop_reason=STOP_REASONS[self.stop[r]],
+            looks_performed=int(self.looks[r]),
+            estimate_mean=_by_arm(arms, self.est_mean[r], self.targets),
+            estimate_sd=_by_arm(arms, self.est_sd[r], self.targets),
+            non_converged_fits=int(self.non_converged[r]),
+            history=None if self.history is None else self.history[r],
             dataset=dataset,
         )
 
@@ -521,11 +480,11 @@ def _by_arm(arms, values, index) -> dict[str, float | None]:
 
 
 def _rescale(weights: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """Restrict weights to active arms and renormalise; dropped arms get 0."""
+    """Restrict weights to active arms and renormalise, row by row; dropped
+    arms get 0."""
     live = np.where(active, np.abs(weights), 0.0)
-    # left-to-right sum: numpy's pairwise sum can round differently
-    total = sum(live.tolist())
-    if total == 0.0:
-        # every remaining arm carried zero weight; fall back to equal shares
-        return active / np.count_nonzero(active)
-    return live / total
+    # running sum, left to right: numpy's pairwise sum can round differently
+    total = live.cumsum(axis=-1)[..., -1:]
+    # a row whose remaining arms all carry zero weight gets equal shares
+    even = active / np.count_nonzero(active, axis=-1, keepdims=True)
+    return np.where(total == 0.0, even, live / np.where(total == 0.0, 1.0, total))

@@ -42,7 +42,7 @@ from .config import (
 )
 # run_trial is unused here but stays bound: benchmark/tracing.py wraps
 # ``montecarlo.run_trial`` by name
-from .engine import RecordError, TrialResult, encode, run_block, run_trial  # noqa: F401
+from .engine import RecordError, TrialResult, _fields, encode, run_block, run_trial  # noqa: F401
 
 MAGIC = b"MAMSHD01"
 FORMAT_VERSION = 1
@@ -158,11 +158,15 @@ def _run_chunk(validated, null_spec, seeds):
 # --------------------------------------------------------------------------
 
 
-def _record_bytes(batch: BatchResult, i: int) -> bytes:
+def _record_doc(batch: BatchResult, i: int) -> dict:
     doc = {"seed": batch.seeds[i], "result": batch.results[i]}
     if batch.results_null is not None:
         doc["null_result"] = batch.results_null[i]
-    return encode(doc)
+    return doc
+
+
+def _record_bytes(batch: BatchResult, i: int) -> bytes:
+    return encode(_record_doc(batch, i))
 
 
 _HEADER_KEYS = frozenset({
@@ -220,11 +224,10 @@ def save_shard_json(batch: BatchResult, path) -> None:
     """Plain-JSON export of a batch, for interoperability."""
     doc = {
         "header": _header_doc(batch),
-        "records": [
-            json.loads(_record_bytes(batch, i)) for i in range(len(batch.seeds))
-        ],
+        "records": [_record_doc(batch, i) for i in range(len(batch.seeds))],
     }
-    _write_atomic(path, [json.dumps(doc, sort_keys=True, indent=1).encode("utf-8")])
+    text = json.dumps(doc, default=_fields, sort_keys=True, indent=1)
+    _write_atomic(path, [text.encode("utf-8")])
 
 
 def _read_exact(fh, n, path):
@@ -290,7 +293,8 @@ def _raw_records(fh, header: dict, path):
 def _decode(record, path, has_null: bool) -> tuple:
     """Seed, result and null result (None unless ``has_null``) of a record,
     given as raw bytes from a binary shard or as an object from a JSON
-    export; a record the codec rejects is corrupt."""
+    export; a record the codec rejects, or whose results belong to another
+    seed, is corrupt."""
     if isinstance(record, bytes):
         try:
             record = json.loads(record)
@@ -306,6 +310,11 @@ def _decode(record, path, has_null: bool) -> tuple:
         null = TrialResult.from_dict(record["null_result"]) if has_null else None
     except RecordError as exc:
         raise ShardError(f"corrupt shard {path}: record {seed}: {exc}") from None
+    for res in (result, null):
+        if res is not None and res.seed != seed:
+            raise ShardError(
+                f"corrupt shard {path}: record {seed} holds a result of seed {res.seed}"
+            )
     return seed, result, null
 
 
@@ -330,7 +339,8 @@ def load_shard(path) -> BatchResult:
         else:
             header = _read_header(fh, path)
             records = _raw_records(fh, header, path)
-        decoded = [_decode(record, path, header["has_null"]) for record in records]
+        # the raw records are not kept
+        decoded = [d[:3] for d in _in_seed_order(records, path, header["has_null"])]
     return BatchResult(
         fingerprint=header["fingerprint"],
         seeds=tuple(d[0] for d in decoded),
@@ -413,22 +423,26 @@ def combine_shard_files(paths, out_path) -> dict:
         header["seed_min"] = min(h["seed_min"] for h in headers)
         header["seed_max"] = max(h["seed_max"] for h in headers)
         header["created_at"] = datetime.now(timezone.utc).isoformat()
-        streams = (_in_seed_order(*shard) for shard in zip(files, paths, headers))
+        streams = (
+            _in_seed_order(_raw_records(fh, h, path), path, h["has_null"])
+            for fh, path, h in zip(files, paths, headers)
+        )
         merged = heapq.merge(*streams, key=itemgetter(0))
-        _write_atomic(out_path, _shard_bytes(header, (raw for _, raw in _disjoint(merged))))
+        _write_atomic(out_path, _shard_bytes(header, (d[-1] for d in _disjoint(merged))))
     return header
 
 
-def _in_seed_order(fh, path, header):
-    """``(seed, raw record)`` pairs of the shard open in ``fh``, each record
-    checked by the record decoder, in strictly increasing seed order."""
+def _in_seed_order(records, path, has_null: bool):
+    """``(seed, result, null result, record)`` for each of a shard's
+    ``records``, each checked by the record decoder, in strictly increasing
+    seed order."""
     last = None
-    for raw in _raw_records(fh, header, path):
-        seed = _decode(raw, path, header["has_null"])[0]
+    for record in records:
+        seed, result, null = _decode(record, path, has_null)
         if last is not None and seed <= last:
             raise ShardError(f"corrupt shard {path}: record {seed} out of seed order")
         last = seed
-        yield seed, raw
+        yield seed, result, null, record
 
 
 def _disjoint(merged):

@@ -8,8 +8,10 @@ parameterised families:
 * trial-level stopping (functions of the arm decisions so far),
 * response-adaptive randomisation (RAR) weights.
 
-All rules are pure functions of a :class:`RuleContext` plus their family
-parameters, so re-evaluation is idempotent and safe to run concurrently.
+Families are registered in block form, evaluating one look of a block of
+replicates at once (one row per replicate, one column per arm); the scalar
+entry points on a :class:`RuleContext` evaluate a block of one.  All rules
+are pure functions of their inputs plus their family parameters.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ class RuleSpec:
 
 @dataclass(frozen=True)
 class RuleContext:
-    """Per-look quantities handed to every adaptation rule.
+    """Per-look quantities of one trial, handed to the scalar entry points.
 
     Vectors indexed per arm follow the design's arm order (control first).
     ``posterior`` is indexed per *active intervention* only, in arm order,
@@ -68,16 +70,21 @@ class RuleContext:
         if sum(self.n) > self.n_max:
             raise RuleError("recruited counts exceed the maximum sample size")
 
-    @property
-    def info_fraction(self) -> float:
-        """Fraction of the maximum sample size recruited so far."""
-        return sum(self.n) / self.n_max
 
-    @property
-    def n_active_interventions(self) -> int:
-        return sum(
-            a and not r for a, r in zip(self.active, self.ref)
-        )
+@dataclass(frozen=True, eq=False)
+class RuleBlock:
+    """What the rule families read of a look of a block of replicates: the
+    (replicates, arms) active flags and recruited counts, and the column
+    flags of the reference arm."""
+
+    active: np.ndarray
+    n: np.ndarray
+    ref: np.ndarray
+    n_max: int
+
+    def info_fractions(self) -> list[float]:
+        """Per row, the fraction of the maximum sample size recruited so far."""
+        return [total / self.n_max for total in self.n.sum(axis=1).tolist()]
 
 
 @dataclass
@@ -114,9 +121,9 @@ class ArmDecision:
 # registry
 # --------------------------------------------------------------------------
 
-_EvalFn = Callable[[RuleContext, Mapping[str, float]], object]
+_BlockFn = Callable[..., np.ndarray]
 
-_REGISTRY: dict[str, dict[str, tuple[tuple[str, ...], _EvalFn]]] = {
+_REGISTRY: dict[str, dict[str, tuple[tuple[str, ...], _BlockFn]]] = {
     "eff_arm": {},
     "fut_arm": {},
     "rar": {},
@@ -126,9 +133,16 @@ _REGISTRY: dict[str, dict[str, tuple[tuple[str, ...], _EvalFn]]] = {
 
 
 def register_family(
-    kind: str, name: str, required: tuple[str, ...], fn: _EvalFn
+    kind: str, name: str, required: tuple[str, ...], fn: _BlockFn
 ) -> None:
-    """Register a rule family; the extension point for library users."""
+    """Register a rule family in block form; the extension point for
+    library users.  ``tails`` is a (replicates, arms) matrix of tail
+    probabilities, NaN where an arm is not evaluated.  ``eff_arm`` and
+    ``fut_arm``: ``fn(tails, block, params)`` gives (replicates, arms) stop
+    flags, ignored where ``tails`` is NaN.  ``eff_trial``, ``fut_trial``:
+    ``fn(efficacy, futility, params)`` gives a stop flag per replicate from
+    the (replicates, interventions) decision flags so far.  ``rar``:
+    ``fn(tails, block, params)`` gives (replicates, arms) weights."""
     if kind not in _REGISTRY:
         raise RuleError(f"unknown rule kind {kind!r}")
     _REGISTRY[kind][name] = (required, fn)
@@ -151,8 +165,8 @@ _UNIT_INTERVAL = ("b_e", "b", "b_f")
 _NONNEGATIVE = ("p", "p_f")
 
 
-def check_rule(kind: str, rule: RuleSpec) -> _EvalFn:
-    """The evaluator of a ``kind`` rule; ``RuleError`` unless the family is
+def check_rule(kind: str, rule: RuleSpec) -> _BlockFn:
+    """The block form of a ``kind`` rule; ``RuleError`` unless the family is
     known and every parameter it requires is given and within range."""
     try:
         required, fn = _REGISTRY[kind][rule.family_id]
@@ -176,32 +190,70 @@ def check_rule(kind: str, rule: RuleSpec) -> _EvalFn:
     return fn
 
 
+def evaluate(kind: str, rule: RuleSpec, *inputs) -> np.ndarray:
+    """The block form of the ``kind`` rule ``rule`` on ``inputs``."""
+    return check_rule(kind, rule)(*inputs, rule.params)
+
+
+def _block_of_one(ctx: RuleContext) -> RuleBlock:
+    active, ref = np.array([ctx.active], dtype=bool), np.array(ctx.ref, dtype=bool)
+    return RuleBlock(active=active, n=np.array([ctx.n]), ref=ref, n_max=ctx.n_max)
+
+
+def _tails_of_one(ctx: RuleContext) -> tuple[np.ndarray, np.ndarray]:
+    """``ctx.posterior`` as a one-row tail matrix, and the columns it fills."""
+    columns = np.flatnonzero(np.array(ctx.active) & ~np.array(ctx.ref))
+    if len(columns) != len(ctx.posterior):
+        raise RuleError("posterior must hold one tail per active intervention")
+    tails = np.full((1, len(ctx.active)), np.nan)
+    tails[0, columns] = ctx.posterior
+    return tails, columns
+
+
+def _row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per row, the sum of ``values`` where ``mask``, with the bits numpy's
+    1-D ``sum`` of those entries gives: it adds fewer than 8 terms left to
+    right, as a running sum of the zero-padded row does, and more in a
+    pairwise tree, so such rows are compacted and summed by numpy."""
+    sums = np.where(mask, values, 0.0).cumsum(axis=1)[:, -1]
+    for r in np.flatnonzero(mask.sum(axis=1) >= 8).tolist():
+        sums[r] = values[r, mask[r]].sum()
+    return sums
+
+
 # --------------------------------------------------------------------------
 # arm-level stopping
 # --------------------------------------------------------------------------
 
 
-def _eff_fixed(ctx: RuleContext, params: Mapping[str, float]) -> np.ndarray:
+def _eff_fixed(tails, block: RuleBlock, params: Mapping[str, float]) -> np.ndarray:
     # declare efficacy when the tail probability clears 1 - b_e
-    return np.asarray(ctx.posterior) > 1.0 - params["b_e"]
+    return tails > 1.0 - params["b_e"]
 
 
-def _eff_infofract(ctx: RuleContext, params: Mapping[str, float]) -> np.ndarray:
+def _eff_infofract(tails, block: RuleBlock, params: Mapping[str, float]) -> np.ndarray:
     # threshold 1 - b * (sum(n)/N)^p: strict early, relaxing to 1 - b at full
     # information
-    threshold = 1.0 - params["b"] * ctx.info_fraction ** params["p"]
-    return np.asarray(ctx.posterior) > threshold
+    b, p = params["b"], params["p"]
+    thresholds = [1.0 - b * f**p for f in block.info_fractions()]
+    return tails > np.array(thresholds)[:, None]
 
 
-def _fut_fixed(ctx: RuleContext, params: Mapping[str, float]) -> np.ndarray:
-    return np.asarray(ctx.posterior) < params["b_f"]
+def _fut_fixed(tails, block: RuleBlock, params: Mapping[str, float]) -> np.ndarray:
+    return tails < params["b_f"]
 
 
-def _fut_increasing(ctx: RuleContext, params: Mapping[str, float]) -> np.ndarray:
+def _fut_increasing(tails, block: RuleBlock, params: Mapping[str, float]) -> np.ndarray:
     # boundary b_f * (sum(n)/N)^p_f rises with the information fraction and
     # equals b_f exactly at the maximum sample size
-    boundary = params["b_f"] * ctx.info_fraction ** params["p_f"]
-    return np.asarray(ctx.posterior) < boundary
+    b_f, p_f = params["b_f"], params["p_f"]
+    boundaries = [b_f * f**p_f for f in block.info_fractions()]
+    return tails < np.array(boundaries)[:, None]
+
+
+def _arm_rule(kind: str, ctx: RuleContext, rule: RuleSpec) -> np.ndarray:
+    tails, columns = _tails_of_one(ctx)
+    return evaluate(kind, rule, tails, _block_of_one(ctx))[0, columns]
 
 
 def efficacy_arm(ctx: RuleContext, rule: RuleSpec) -> np.ndarray:
@@ -209,12 +261,12 @@ def efficacy_arm(ctx: RuleContext, rule: RuleSpec) -> np.ndarray:
 
     Returns a boolean array aligned with ``ctx.posterior``.
     """
-    return check_rule("eff_arm", rule)(ctx, rule.params)
+    return _arm_rule("eff_arm", ctx, rule)
 
 
 def futility_arm(ctx: RuleContext, rule: RuleSpec) -> np.ndarray:
     """Evaluate the futility stopping rule for every active intervention."""
-    return check_rule("fut_arm", rule)(ctx, rule.params)
+    return _arm_rule("fut_arm", ctx, rule)
 
 
 # --------------------------------------------------------------------------
@@ -235,25 +287,25 @@ def trial_stop(
     here, the engine terminates once every intervention arm is inactive.
     """
     decisions = list(decisions)
-    if check_rule("eff_trial", eff_rule)(ctx, eff_rule.params)(decisions):
+    efficacy = np.array([[d.efficacy_met for d in decisions]], dtype=bool)
+    futility = np.array([[d.futility_met for d in decisions]], dtype=bool)
+    if evaluate("eff_trial", eff_rule, efficacy, futility)[0]:
         return "stop_efficacy"
-    if check_rule("fut_trial", fut_rule)(ctx, fut_rule.params)(decisions):
+    if evaluate("fut_trial", fut_rule, efficacy, futility)[0]:
         return "stop_futility"
     return "continue"
 
 
-def _trial_never(ctx: RuleContext, params: Mapping[str, float]):
-    return lambda decisions: False
+def _trial_never(efficacy, futility, params) -> np.ndarray:
+    return np.zeros(len(efficacy), dtype=bool)
 
 
-def _trial_any_efficacious(ctx: RuleContext, params: Mapping[str, float]):
-    return lambda decisions: any(d.efficacy_met for d in decisions)
+def _trial_any_efficacious(efficacy, futility, params) -> np.ndarray:
+    return efficacy.any(axis=1)
 
 
-def _trial_all_futile(ctx: RuleContext, params: Mapping[str, float]):
-    return lambda decisions: bool(decisions) and all(
-        d.futility_met for d in decisions
-    )
+def _trial_all_futile(efficacy, futility, params) -> np.ndarray:
+    return futility.all(axis=1) & (futility.shape[1] > 0)
 
 
 # --------------------------------------------------------------------------
@@ -261,7 +313,7 @@ def _trial_all_futile(ctx: RuleContext, params: Mapping[str, float]):
 # --------------------------------------------------------------------------
 
 
-def _rar_trippa(ctx: RuleContext, params: Mapping[str, float]) -> np.ndarray:
+def _rar_trippa(tails, block: RuleBlock, params: Mapping[str, float]) -> np.ndarray:
     """Trippa-style allocation weights over the active arms.
 
     Control weight: exp(max_k(n_k) - n_ref)^nu / K_j with the max over the
@@ -270,39 +322,47 @@ def _rar_trippa(ctx: RuleContext, params: Mapping[str, float]) -> np.ndarray:
     active interventions, with h = gamma * (sum(n)/N)^eta.
     """
     gamma, eta, nu = params["gamma"], params["eta"], params["nu"]
-    k_active = ctx.n_active_interventions
-    if k_active < 1:
+    interventions = block.active & ~block.ref
+    k_active = interventions.sum(axis=1)
+    if not k_active.all():
         raise RuleError("RAR requires at least one active intervention")
 
-    n = np.asarray(ctx.n, dtype=float)
-    ref_idx = ctx.ref.index(True)
-    active_int = [
-        i for i, (a, r) in enumerate(zip(ctx.active, ctx.ref)) if a and not r
-    ]
-    exponent = min(nu * (max(n[active_int]) - n[ref_idx]), _MAX_EXPONENT)
-    control_weight = math.exp(exponent) / k_active
+    n_ref = block.n[:, block.ref.argmax()]
+    lead = np.where(interventions, block.n, -np.inf).max(axis=1) - n_ref
+    exponents = np.minimum(nu * lead, _MAX_EXPONENT).tolist()
+    control = [math.exp(e) / k for e, k in zip(exponents, k_active.tolist())]
 
-    h = gamma * ctx.info_fraction**eta
-    posterior = np.asarray(ctx.posterior, dtype=float)
-    powered = posterior**h
-    total = powered.sum()
-    if total == 0.0:
+    h = np.array([gamma * f**eta for f in block.info_fractions()])
+    powered = tails ** h[:, None]
+    total = _row_sums(powered, interventions)
+    if (total == 0.0).any():
         raise RuleError("all RAR posteriors are zero; weights are degenerate")
-    return np.concatenate([[control_weight], powered / total])
+    weights = np.where(interventions, powered, 0.0) / total[:, None]
+    weights[:, block.ref] = np.array(control)[:, None]
+    return weights
 
 
 def rar_weights(ctx: RuleContext, rule: RuleSpec) -> np.ndarray:
-    """Unnormalised allocation weights for the active arms, control first."""
-    return check_rule("rar", rule)(ctx, rule.params)
+    """Unnormalised allocation weights for the active arms, in arm order
+    (control first)."""
+    tails, _ = _tails_of_one(ctx)
+    block = _block_of_one(ctx)
+    return evaluate("rar", rule, tails, block)[block.active]
+
+
+def normalize_rows(weights: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per row, abs(w) / sum(abs(w)) over the entries in ``mask``; 0 elsewhere."""
+    w = np.where(mask, np.abs(weights), 0.0)
+    total = _row_sums(w, mask)
+    if (total == 0.0).any():
+        raise RuleError("cannot normalise an all-zero weight vector")
+    return w / total[:, None]
 
 
 def normalize_allocation(weights) -> np.ndarray:
     """Map weights to probabilities via abs(w) / sum(abs(w))."""
-    w = np.abs(np.asarray(weights, dtype=float))
-    total = w.sum()
-    if total == 0.0:
-        raise RuleError("cannot normalise an all-zero weight vector")
-    return w / total
+    w = np.asarray(weights, dtype=float).reshape(1, -1)
+    return normalize_rows(w, np.ones(w.shape, dtype=bool))[0]
 
 
 def delta_from_orr(pi0: float, lift: float) -> float:

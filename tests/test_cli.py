@@ -154,6 +154,11 @@ def _set(path, value):
     return edit
 
 
+def _relabelled(doc, seed):
+    """A record document with its seed and its result's seed set to ``seed``."""
+    return dict(doc, seed=seed, result=dict(doc["result"], seed=seed))
+
+
 def _delete(path):
     """Edit of a record document: delete the key path ``path``."""
     def edit(doc):
@@ -189,18 +194,39 @@ def _delete(path):
             "LookRecord with unexpected extra",
             id="history-extra-key",
         ),
+        pytest.param(
+            lambda doc: [doc, _relabelled(doc, 4)],
+            "record 4 out of seed order",
+            id="out-of-seed-order",
+        ),
+        pytest.param(
+            _set(("result", "seed"), 6),
+            "record 5 holds a result of seed 6",
+            id="result-of-another-seed",
+        ),
+        pytest.param(
+            _set(("result", "sample_sizes"), 5),
+            "TrialResult sample_sizes of the wrong type (int)",
+            id="sample-sizes-int",
+        ),
+        pytest.param(
+            _set(("result", "total_size"), "x"),
+            "TrialResult total_size of the wrong type (str)",
+            id="total-size-str",
+        ),
     ],
 )
 def test_corrupt_record_reported_by_every_verb(spec_path, tmp_path, capsys, raw, message):
-    """``raw`` is a record's bytes, or an edit of seed 5's good record."""
+    """``raw`` is a record's bytes, or an edit of seed 5's good record, made
+    in place or returning the record documents to write instead."""
     good, bad = tmp_path / "good.shard", tmp_path / "bad.shard"
     assert main(["run", str(spec_path), "--seeds", "1..2", "--workers", "1", "--out", str(good)]) == 0
+    raws = [raw]
     if callable(raw):
         assert main(["run", str(spec_path), "--seeds", "5", "--workers", "1", "--out", str(bad)]) == 0
         doc = json.loads(montecarlo._record_bytes(montecarlo.load_shard(bad), 0))
-        raw(doc)
-        raw = json.dumps(doc).encode()
-    _shard_with_record(bad, good, raw)
+        raws = [json.dumps(d).encode() for d in raw(doc) or [doc]]
+    _shard_with_record(bad, good, *raws)
     capsys.readouterr()
     out = tmp_path / "out.shard"
     for argv in (["summary", str(bad)], ["combine", str(good), str(bad), "--out", str(out)]):

@@ -10,15 +10,22 @@ and tail probabilities in their last digits (by at most 2e-12) and nothing
 else.  They must not be edited again unless a change is set out to alter
 the simulated records and says so.
 
-The shipped designs are joined by three variants that reach branches no
-shipped design does: a covariate column in the model, a look whose margin
-is disabled, and an arm that prob0 never recruits.
+The shipped designs are joined by variants that reach branches no shipped
+design does: a covariate column in the model, a look whose margin is
+disabled, an arm that prob0 never recruits, trial-level stopping rules
+that end trials early (the six-arm null design with efficacy assessed at
+every look), and a nine-arm RAR design whose eight interventions are the
+first count at which numpy's pairwise ``sum`` regroups its terms.
 
 ``SKELETON`` hashes the same records with every float value replaced by a
 fixed token.  They pin what a float-level change to the fit must never
 move: decisions, sizes, active flags, the pattern of nulls, look counts and
 converged flags.  They were recorded once, from the per-replicate engine
-that preceded lockstep blocks, and must not be edited.
+that preceded lockstep blocks, and must not be edited.  The
+``six_arm_trial_rules`` and ``nine_arm_rar`` hashes, in both tables, were
+recorded from the engine whose replicates were still per-replicate
+objects inside lockstep blocks, before trial state moved into block
+arrays.
 """
 
 import hashlib
@@ -30,7 +37,7 @@ import pytest
 
 from mamsim import montecarlo
 
-from trial_designs import count_dose_design, gaussian_two_stage_design, validated
+from trial_designs import LOGIT, count_dose_design, gaussian_two_stage_design, validated
 
 DESIGN_DIR = Path(__file__).resolve().parent.parent / "designs"
 SEEDS = range(1, 201)
@@ -60,6 +67,43 @@ def _count_zero_weight_arm():
     return count_dose_design(prob0={"control": 1, "A": 1, "B": 0, "C": 1})
 
 
+def _six_arm_trial_rules():
+    doc = _shipped("orr_six_arm_null")
+    doc["delta_eff"] = 0.0
+    doc["eff_trial_rule"] = {"family": "any_arm_efficacious"}
+    doc["fut_trial_rule"] = {"family": "all_arms_futile"}
+    return doc
+
+
+def _nine_arm_rar():
+    orr = [0.4, 0.4, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7]
+    arms = ["control"] + [f"T{i}" for i in range(1, len(orr))]
+    beta0 = LOGIT(orr[0])
+    return {
+        "model": {
+            "response": "response",
+            "treatment": "arm",
+            "arms": arms,
+            "family": "binomial",
+            "link": "logit",
+        },
+        "beta_true": [beta0] + [LOGIT(p) - beta0 for p in orr[1:]],
+        "targets": list(range(1, len(orr))),
+        "alternative": "greater",
+        "n_max": 288,
+        "interim_recruited": list(range(90, 271, 18)),
+        "prob0": {arm: 1 for arm in arms},
+        "allocation": "simple",
+        "delta_eff": 0.0,
+        "delta_fut": LOGIT(0.5) - LOGIT(0.4),
+        "delta_rar": 0.0,
+        "eff_arm_rule": {"family": "fixed", "params": {"b_e": 0.01}},
+        "fut_arm_rule": {"family": "fixed", "params": {"b_f": 0.05}},
+        "rar_rule": {"family": "trippa", "params": {"gamma": 3.0, "eta": 0.75, "nu": 0.25}},
+        "replicates": 4,
+    }
+
+
 DESIGNS = {
     "count_dose_finding": lambda: _shipped("count_dose_finding"),
     "orr_six_arm_alternative": lambda: _shipped("orr_six_arm_alternative"),
@@ -73,6 +117,8 @@ DESIGNS = {
     "gaussian_with_covariate": _gaussian_with_covariate,
     "gaussian_interim_null_delta": _gaussian_interim_null_delta,
     "count_zero_weight_arm": _count_zero_weight_arm,
+    "six_arm_trial_rules": _six_arm_trial_rules,
+    "nine_arm_rar": _nine_arm_rar,
 }
 
 GOLDEN = {
@@ -84,6 +130,8 @@ GOLDEN = {
     "orr_six_arm_alternative_rising_futility": "47149a7a037aa505d580bccb654c84130844cf0c8df965eaf6578d66f3f10538",
     "orr_six_arm_null": "112178cf8d15db995254c1f82a381644c11444e558d50a71c119962316b76c5c",
     "orr_six_arm_null_rising_futility": "b718f7e7a3b69c08612cd078c8ba8674a335e76dcaaada5c2e1a4d3f25dbc84b",
+    "six_arm_trial_rules": "3284f3d5422dcf134deba7d84de1b346e17303eaace7428d5f974645081f80a2",
+    "nine_arm_rar": "813e764537c045d59ad4d27c540bb52df930b0a274f03c1c8a85fdba9f3c703f",
 }
 
 
@@ -96,6 +144,8 @@ SKELETON = {
     "orr_six_arm_alternative_rising_futility": "6a17e5716d05399252aa11ebd558333ff3d2751298b0b32e3ac9619427b516f8",
     "orr_six_arm_null": "814999262349f073dec345789dd46b3d43a61da7ea930e422d2c223ffc965370",
     "orr_six_arm_null_rising_futility": "f57d6f6fdd12d9a06556b4b066942e29f0ab61795b246f9916e387d3fea43c3c",
+    "six_arm_trial_rules": "e2828dcb1fef1c0b4b018855b09a515ee80067f1ac78703b4a5e217951d0c50f",
+    "nine_arm_rar": "6300c8cb6fda4fc4af41615e8215cd496a310fa3ed8e3b40b7fe6a67b87b97d0",
 }
 
 FLOAT_TOKEN = "<float>"

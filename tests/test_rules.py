@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from mamsim import rules
+from mamsim.engine import run_block
 from mamsim.rules import (
     ArmDecision,
     RuleContext,
@@ -15,9 +17,10 @@ from mamsim.rules import (
     futility_arm,
     normalize_allocation,
     rar_weights,
-    register_family,
     trial_stop,
 )
+
+from trial_designs import gaussian_two_stage_design, validated
 
 
 def make_ctx(posterior, n, active=None, prob=None, n_max=260, m=40, look=1, is_final=False):
@@ -247,9 +250,19 @@ class TestContextInvariants:
         np.testing.assert_array_equal(first, second)
 
 
-def test_registry_extension_hook():
-    register_family(
-        "fut_arm", "always", (), lambda ctx, params: np.ones(len(ctx.posterior), dtype=bool)
-    )
+def test_registry_extension_hook(monkeypatch):
+    # a block-form futility family that stops every arm it is given a tail for
+    def always(tails, block, params):
+        return ~np.isnan(tails)
+
+    monkeypatch.setitem(rules._REGISTRY["fut_arm"], "always", ((), always))
     ctx = make_ctx([0.99], [5, 5], n_max=50, m=5)
     assert list(futility_arm(ctx, RuleSpec("always", {}))) == [True]
+
+    # the engine applies it too: every replicate stops at its first look
+    # with every intervention futile
+    doc = gaussian_two_stage_design(fut_arm_rule={"family": "always"})
+    for result in run_block(validated(doc), range(1, 21)):
+        assert result.looks_performed == 1
+        assert result.stop_reason == "all_decided"
+        assert all(d.futility_met and d.look_index == 0 for d in result.decisions.values())
