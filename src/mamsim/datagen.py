@@ -10,21 +10,32 @@ replicates are bit-reproducible regardless of execution order.
 ``substream`` defines the streams.  A Philox stream is its 128-bit key
 with the counter at zero, so the engine does not build one generator per
 stream: ``stream_keys`` derives the keys of a whole block of (seed, label
-path) pairs in one vectorised pass, and ``rekey`` restarts a single
-generator at each key in turn.  Both give ``substream``'s draws exactly.
+path) pairs in one vectorised pass.  Philox is counter-based, so the
+uniforms of every stream of a block can be computed at once in uint64
+array arithmetic (``stream_uniforms``).  Draws of one uniform each are
+taken that way: ``simple`` allocation (``allocate_simple``) and binomial
+responses with per-arm means (``binomial_inversion``,
+``binomial_responses``).  Draws that need numpy's rejection samplers or a
+permutation (gaussian, poisson and negative binomial responses,
+covariates, and the permutation that orders a ``balanced`` cohort, whose
+per-arm counts ``balanced_counts`` computes for a whole block) are not
+emulated: ``rekey`` restarts a single generator at each stream's key in
+turn.  Every path gives ``substream``'s draws exactly.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .config import CovariateSpec
 from .glm import inverse_link, check_nuisance
+from .rules import _row_sums
 
 
 class DataGenError(ValueError):
@@ -193,6 +204,112 @@ def rekey(rng: np.random.Generator, key: np.ndarray) -> np.random.Generator:
     return rng
 
 
+# numpy's Philox is Philox4x64-10 (Salmon et al., SC'11; numpy/random/src/
+# philox/philox.h): the round multipliers and the Weyl key increments
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_PHILOX_ROUNDS = 10
+_LOW32, _SHIFT32 = np.uint64(_MASK), np.uint64(32)
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products of the constant m with
+    the uint64 array x, from the products of their 32-bit halves."""
+    m_hi, m_lo = np.uint64(m >> 32), np.uint64(m & _MASK)
+    x_hi, x_lo = x >> _SHIFT32, x & _LOW32
+    lo_lo, hi_lo, lo_hi = m_lo * x_lo, m_hi * x_lo, m_lo * x_hi
+    mid = (lo_lo >> _SHIFT32) + (hi_lo & _LOW32) + (lo_hi & _LOW32)
+    hi = m_hi * x_hi + (hi_lo >> _SHIFT32) + (lo_hi >> _SHIFT32) + (mid >> _SHIFT32)
+    return hi, mid << _SHIFT32 | lo_lo & _LOW32
+
+
+def _philox(key: np.ndarray, counter: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 of each (key, counter) pair: ``key`` a (..., 2) uint64
+    array, ``counter`` the low word of a counter whose other words are 0,
+    broadcast against ``key[..., 0]``; returns the (..., 4) output words.
+    The uint64 products and key increments wrap, as the C code's do."""
+    k0, k1 = key[..., 0], key[..., 1]
+    zero = np.zeros(np.broadcast_shapes(k0.shape, np.shape(counter)), dtype=np.uint64)
+    c0, c1, c2, c3 = zero + counter, zero, zero, zero
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack([c0, c1, c2, c3], axis=-1)
+
+
+def stream_uniforms(keys, sizes: Sequence[int]) -> list[np.ndarray]:
+    """The first draws of Philox streams, computed in one vectorised pass.
+
+    ``keys`` is a (..., len(sizes), 2) uint64 array of stream keys (rows of
+    ``stream_keys``).  Entry s of the result is the (..., sizes[s]) array
+    of the first doubles that the streams ``keys[..., s, :]`` give:
+    ``substream(...).random(sizes[s])``.  A Philox stream's counter runs
+    from 1, each counter gives 4 words, and a double is the top 53 bits of
+    a word times 2**-53.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    counters = [-(-m // 4) for m in sizes]
+    stream = np.repeat(np.arange(len(sizes)), counters)
+    counter = np.concatenate([np.arange(1, c + 1, dtype=np.uint64) for c in counters])
+    words = _philox(keys[..., stream, :], counter)
+    u = (words >> np.uint64(11)).astype(float) * 2.0**-53
+    u = u.reshape(*keys.shape[:-2], -1)
+    starts = np.cumsum([0, *counters]) * 4
+    return [u[..., start : start + m] for start, m in zip(starts.tolist(), sizes)]
+
+
+class Inversion(NamedTuple):
+    """``Generator.binomial(1, p)`` for a set of means p, each draw a test
+    of one uniform u (see ``binomial_inversion``)."""
+
+    threshold: np.ndarray
+    above: np.ndarray  # p <= 0.5: the draw is 1 iff u > threshold, else iff u <= it
+    draws: np.ndarray  # p > 0: the draw takes a uniform
+
+
+_MAX_UNIFORM = 1.0 - 2.0**-53
+
+
+def binomial_inversion(mu) -> Inversion | None:
+    """The tests of numpy's binomial inversion with n = 1, one per mean.
+
+    For p <= 0.5 numpy draws 1 iff u > exp(log(1 - p)); for p > 0.5 it
+    draws 1 - (the draw for 1 - p), so 1 iff u <= exp(log(1 - (1 - p))).
+    p == 0 draws 0 without taking a uniform.  The thresholds use
+    ``math.exp``/``math.log``, the C library functions numpy calls, not
+    numpy's vectorised ``exp``, which may round differently.
+
+    Past its threshold t, numpy's loop would reject u and draw again were
+    u - t above (the smaller of p and 1 - p) * t / (1 - that); only a
+    uniform within rounding of 1 could be, and for no mean tried can the
+    largest uniform, 1 - 2**-53, be.  Should some mean's t allow it, None
+    is returned, and the draws must come from a generator.
+    """
+    threshold, above = [], []
+    for p in np.asarray(mu, dtype=float).tolist():
+        small = p if p <= 0.5 else 1.0 - p
+        q = 1.0 - small
+        t = math.exp(math.log(q))
+        if _MAX_UNIFORM - t > small * t / q:
+            return None
+        threshold.append(t)
+        above.append(p <= 0.5)
+    return Inversion(np.array(threshold), np.array(above), np.asarray(mu) > 0.0)
+
+
+def binomial_responses(inversion: Inversion, codes: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``Generator.binomial(1, p[codes[i]])`` for each row i of a block of
+    cohorts, from the uniforms ``u[i]`` of its response stream: a subject
+    takes the next uniform unless its mean is 0."""
+    taken = inversion.draws[codes].cumsum(axis=1) - 1
+    u = np.take_along_axis(u, np.maximum(taken, 0), axis=1)
+    threshold = inversion.threshold[codes]
+    return np.where(inversion.above[codes], u > threshold, u <= threshold).astype(np.int64)
+
+
 @dataclass
 class Cohort:
     """Per-subject arm labels, covariate values, and responses."""
@@ -245,32 +362,63 @@ def allocate_arms(
 def allocate_codes(m: int, weights, method: str, rng: np.random.Generator) -> np.ndarray:
     """Positions in ``weights`` of the arms of m subjects, as ``allocate_arms``
     draws them: the same generator draws give the same arms."""
-    if m < 1:
-        raise DataGenError(f"cohort size must be >= 1, got {m}")
-    w = np.abs(np.array(weights, dtype=float))
-    total = w.sum()
-    if total == 0.0:
-        raise DataGenError("allocation weights are all zero")
-    if not np.isfinite(total):
-        raise DataGenError("allocation weights must be finite, with a finite sum")
-    prob = w / total
-
+    w = np.array(weights, dtype=float)[None]
+    every = np.ones(w.shape, dtype=bool)
     if method == "simple":
         # Generator.choice(len(w), size=m, p=prob) without its checks: the
-        # same cdf, uniforms and search, so the same draws
-        cdf = prob.cumsum()
-        cdf /= cdf[-1]
-        return cdf.searchsorted(rng.random(m), side="right")
+        # same cdf, uniforms and search, so the same draws.  An empty or
+        # negative cohort draws no uniforms and is rejected as such.
+        return allocate_simple(w, every, rng.random((1, max(m, 0))))[0]
     if method == "balanced":
-        quota = m * prob
-        counts = np.floor(quota).astype(int)
-        leftover = m - counts.sum()
-        if leftover > 0:
-            # ties broken toward lower arm index via stable sort
-            order = np.argsort(-(quota - counts), kind="stable")
-            counts[order[:leftover]] += 1
-        return rng.permutation(np.repeat(np.arange(len(w)), counts))
+        counts = balanced_counts(w, every, m)[0]
+        return rng.permutation(np.repeat(np.arange(len(counts)), counts))
     raise DataGenError(f"unknown allocation method {method!r}")
+
+
+def _probabilities(weights: np.ndarray, mask: np.ndarray, m: int) -> np.ndarray:
+    """Per row, abs(w) / sum(abs(w)) over the entries in ``mask`` (0
+    elsewhere), the sum with the bits of numpy's 1-D ``sum`` of those
+    entries; checked for cohorts of m subjects."""
+    if m < 1:
+        raise DataGenError(f"cohort size must be >= 1, got {m}")
+    w = np.where(mask, np.abs(weights), 0.0)
+    total = _row_sums(w, mask)
+    if (total == 0.0).any():
+        raise DataGenError("allocation weights are all zero")
+    if not np.isfinite(total).all():
+        raise DataGenError("allocation weights must be finite, with a finite sum")
+    return w / total[:, None]
+
+
+def allocate_simple(weights: np.ndarray, mask: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Arm codes of a block of ``simple`` cohorts: row i's subjects draw arm
+    positions of ``weights[i]``, restricted to ``mask[i]``, with the
+    uniforms ``u[i]``, one per subject.
+
+    A row's codes are those of ``allocate_codes`` on its masked weights,
+    mapped back to positions in the row: a subject gets the first arm whose
+    cdf exceeds its uniform, the ``searchsorted(side="right")`` of the
+    compacted cdf.  Zero-padding the masked-out arms leaves every partial
+    sum exact, so the padded cdf holds the compacted one's values.
+    """
+    cdf = _probabilities(weights, mask, u.shape[1]).cumsum(axis=1)
+    cdf = cdf / cdf[:, -1:]
+    return np.count_nonzero(cdf[:, None, :] <= u[:, :, None], axis=2)
+
+
+def balanced_counts(weights: np.ndarray, mask: np.ndarray, m: int) -> np.ndarray:
+    """Subjects per arm of a block of ``balanced`` cohorts of m: per row,
+    the largest-remainder apportionment of m * abs(w)/sum(abs(w)) over the
+    arms in ``mask``, none elsewhere.  A cohort's arms are a permutation of
+    its row's arm positions, each repeated its count of times."""
+    quota = m * _probabilities(weights, mask, m)
+    counts = np.floor(quota).astype(int)
+    leftover = m - counts.sum(axis=1)
+    # one more subject for each of the arms with the largest remainders,
+    # ties broken toward the lower arm by a stable sort; masked-out arms
+    # sort last
+    order = np.argsort(np.where(mask, -(quota - counts), 1.0), axis=1, kind="stable")
+    return counts + (np.argsort(order, axis=1) < leftover[:, None])
 
 
 # --------------------------------------------------------------------------

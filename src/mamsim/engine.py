@@ -20,8 +20,11 @@ Per-seed contract: a replicate draws only from its own Philox substreams,
 keyed by (seed, look, purpose), and every batched step acts on each
 replicate's own row or slice with the arithmetic it would get alone.  (A
 block derives its replicates' stream keys in one pass,
-:func:`mamsim.datagen.stream_keys`, and restarts one generator at each key
-in turn: the draws of :func:`mamsim.datagen.substream`.)  A replicate's
+:func:`mamsim.datagen.stream_keys`; it computes the uniforms of ``simple``
+allocation and of arm-only binomial responses for a run of looks in one
+more, :func:`mamsim.datagen.stream_uniforms`, and restarts one generator
+at each key for the other draws: the draws of
+:func:`mamsim.datagen.substream`.)  A replicate's
 result is therefore a pure function of (validated spec, seed), bit for
 bit: it does not depend on the size, membership or order of its block, nor
 on how many workers share the seeds.  ``run_trial`` is a block of one.
@@ -50,6 +53,8 @@ STOP_REASONS = ("reached_max", "all_decided", "trial_rule_efficacy", "trial_rule
 BLOCK_SIZE = 256
 # Models with covariates stack every replicate's n_max x p design rows at
 # each look; their blocks are cut so that those rows fit in this many bytes.
+# A block's uniforms (``simple`` allocation, arm-only binomial responses)
+# are drawn for all its looks at once, or in runs of looks that fit in it.
 BLOCK_BYTES = 1 << 19
 
 
@@ -253,7 +258,19 @@ class _Block:
         self.keys = datagen.stream_keys(seeds, paths).reshape(
             len(seeds), len(self.sizes), len(self.purposes), 2
         )
-        self.rng = np.random.Generator(np.random.Philox(0))  # re-keyed per stream
+        # uniform-only draws come from one Philox pass per run of looks:
+        # ``simple`` allocation, and binomial responses of arm-only models
+        self.inversion = None
+        if model.family == "binomial" and not model.covariates:
+            self.inversion = datagen.binomial_inversion(self.arm_mu)
+        self.drawn = [
+            k for k, block in [("alloc", spec.allocation == "simple"),
+                               ("response", self.inversion is not None)] if block
+        ]
+        self.run_draws: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # the other draws need a rejection sampler or a permutation: one
+        # generator, re-keyed per stream
+        self.rng = np.random.Generator(np.random.Philox(0))
 
         self.active = np.ones(shape, dtype=bool)
         self.count = np.zeros(shape, dtype=int)
@@ -285,37 +302,50 @@ class _Block:
         ``substream(seed, "look", j, purpose)``."""
         return datagen.rekey(self.rng, self.keys[r, j, self.purposes.index(purpose)])
 
+    def uniforms(self, live: np.ndarray, j: int) -> dict[str, np.ndarray]:
+        """The live rows' uniforms of look ``j``, by purpose in ``drawn``.
+
+        A look with none drawn yet starts a run: the uniforms of its own and
+        the next looks' streams come from one Philox pass over the live rows,
+        as many looks as fit in ``BLOCK_BYTES``.
+        """
+        if j not in self.run_draws:
+            per_subject = 8 * len(live) * len(self.drawn)
+            end = j + 1
+            while end < len(self.sizes) and (
+                per_subject * sum(self.sizes[j : end + 1]) <= BLOCK_BYTES
+            ):
+                end += 1
+            purposes = [self.purposes.index(k) for k in self.drawn]
+            # (row, purpose, look, 2) keys of the run's streams
+            keys = self.keys[live, j:end][:, :, purposes].swapaxes(1, 2)
+            draws = datagen.stream_uniforms(keys, self.sizes[j:end])
+            self.run_draws = {j + k: (live, u) for k, u in enumerate(draws)}
+        rows, u = self.run_draws.pop(j)
+        u = u[np.searchsorted(rows, live)]
+        return {k: u[:, i] for i, k in enumerate(self.drawn)}
+
     def recruit(self, live: np.ndarray, j: int, m: int) -> None:
         """Simulate look ``j``'s cohort of ``m`` subjects in each live row."""
-        model = self.model
-        codes = np.empty((len(live), m), dtype=int)
-        ys = np.empty((len(live), m))
-        for i, r in enumerate(live.tolist()):
-            recruiting = np.flatnonzero(self.active[r])
-            codes[i] = recruiting[datagen.allocate_codes(
-                m, self.allocation[r, recruiting], self.spec.allocation, self.stream(r, j, "alloc"),
-            )]
-            covs = {}
-            if model.covariates:
-                covs = datagen.simulate_covariates(
-                    model.covariates, m, self.stream(r, j, "covariates")
-                )
-                x_cohort = glm.design_values(self.names[codes[i]], covs, model)
-                y = datagen.simulate_response(
-                    x_cohort @ self.beta_true, model.family, model.link, model.nuisance,
-                    self.stream(r, j, "response"),
-                )
-                start = self.recruited[j] - m
-                self.x[r, start : start + m] = x_cohort
-                self.y[r, start : start + m] = y
-            else:
-                y = datagen.draw_response(
-                    self.arm_mu[codes[i]], model.family, model.nuisance,
-                    self.stream(r, j, "response"),
-                )
-            ys[i] = y
-            if self.cohorts is not None:
-                self.cohorts[r].append(Cohort(arm=self.names[codes[i]], covariates=covs, response=y))
+        u = self.uniforms(live, j) if self.drawn else {}
+        if "alloc" in u:
+            codes = datagen.allocate_simple(self.allocation[live], self.active[live], u["alloc"])
+        else:
+            counts = datagen.balanced_counts(self.allocation[live], self.active[live], m)
+            arms = np.arange(len(self.arms))
+            codes = np.array([
+                self.stream(r, j, "alloc").permutation(np.repeat(arms, c))
+                for r, c in zip(live.tolist(), counts)
+            ])
+        if "response" in u:
+            ys = datagen.binomial_responses(self.inversion, codes, u["response"])
+            covs = [{}] * len(live)
+        else:
+            ys, covs = zip(*[self.respond(r, j, c) for r, c in zip(live.tolist(), codes)])
+            ys = np.array(ys)
+        if self.cohorts is not None:
+            for r, c, cov, y in zip(live.tolist(), codes, covs, ys):
+                self.cohorts[r].append(Cohort(arm=self.names[c], covariates=cov, response=y))
         # one bincount for the block: row i's arms are bins i * arms + code
         n_arms = len(self.arms)
         bins = (codes + n_arms * np.arange(len(live))[:, None]).ravel()
@@ -327,6 +357,26 @@ class _Block:
         self.total[live] += per_arm(ys.ravel())
         if self.gaussian:
             self.square[live] += per_arm((ys * ys).ravel())
+
+    def respond(self, r: int, j: int, codes: np.ndarray) -> tuple[np.ndarray, dict]:
+        """Row ``r``'s look ``j`` responses and covariates for subjects in
+        the arms ``codes``, drawn from its streams by the generator."""
+        model, m = self.model, len(codes)
+        if not model.covariates:
+            y = datagen.draw_response(
+                self.arm_mu[codes], model.family, model.nuisance, self.stream(r, j, "response")
+            )
+            return y, {}
+        covs = datagen.simulate_covariates(model.covariates, m, self.stream(r, j, "covariates"))
+        x = glm.design_rows(codes, covs, model)
+        y = datagen.simulate_response(
+            x @ self.beta_true, model.family, model.link, model.nuisance,
+            self.stream(r, j, "response"),
+        )
+        start = self.recruited[j] - m
+        self.x[r, start : start + m] = x
+        self.y[r, start : start + m] = y
+        return y, covs
 
     def rule_block(self, rows: np.ndarray) -> rules.RuleBlock:
         return rules.RuleBlock(self.active[rows], self.count[rows], self.ref, self.spec.n_max)

@@ -118,26 +118,33 @@ def check_nuisance(family: str, nuisance) -> None:
 
 
 def design_values(arm_labels, covariates, model) -> np.ndarray:
-    """Model-matrix values for given arm labels and covariate columns.
+    """Model-matrix values for given arm labels and covariate columns, laid
+    out by ``design_rows``."""
+    arms = np.asarray(arm_labels).tolist()
+    index = {arm: code for code, arm in enumerate(model.arm_names)}
+    unknown = sorted(set(arms) - index.keys())
+    if unknown:
+        raise FitError(f"unknown arm label(s) in data: {', '.join(map(str, unknown))}")
+    return design_rows(np.array([index[arm] for arm in arms], dtype=int), covariates, model)
+
+
+def design_rows(codes, covariates, model) -> np.ndarray:
+    """Model-matrix values for subjects in the arms ``codes`` (positions in
+    ``model.arm_names``) with the given covariate columns.
 
     Columns are ordered intercept, one indicator per intervention arm
     (control as the reference level, all indicators zero), then covariates.
     """
-    arms = np.asarray(arm_labels)
-    n = arms.shape[0]
+    codes = np.asarray(codes)
+    n = codes.shape[0]
     if n == 0:
         raise FitError("no subjects to build a design matrix from")
-    known = set(model.arm_names)
-    unknown = sorted(set(arms.tolist()) - known)
-    if unknown:
-        raise FitError(f"unknown arm label(s) in data: {', '.join(map(str, unknown))}")
-
     cov_cols = covariate_columns(model)
-    x = np.zeros((n, 1 + len(model.interventions) + len(cov_cols)))
+    n_arms = len(model.arm_names)
+    x = np.zeros((n, n_arms + len(cov_cols)))
     x[:, 0] = 1.0
-    for j, arm in enumerate(model.interventions, start=1):
-        x[:, j] = arms == arm
-    for j, name in enumerate(cov_cols, start=1 + len(model.interventions)):
+    x[:, 1:n_arms] = codes[:, None] == np.arange(1, n_arms)
+    for j, name in enumerate(cov_cols, start=n_arms):
         x[:, j] = np.asarray(covariates[name], dtype=float)
     return x
 

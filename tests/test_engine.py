@@ -376,3 +376,28 @@ def test_blocks_are_capped(monkeypatch, doc, constant, value, largest):
     monkeypatch.setattr(engine.glm, "fit_laplace_batch", counting_fit)
     assert _record_texts(engine.run_block(v, seeds)) == whole
     assert max(sizes) == largest
+
+
+# 7 rows x 2 streams x 8 bytes: a budget of 84 subjects holds the first
+# three looks (60 + 12 + 12); a budget of 1 only ever the look at hand
+@pytest.mark.parametrize("budget, first_run", [(1, 1), (7 * 2 * 8 * 84, 3)])
+def test_block_draws_cut_into_runs_of_looks(monkeypatch, budget, first_run):
+    # a block's uniforms come from one Philox pass unless they would exceed
+    # BLOCK_BYTES; cut into runs of looks, they give the same records
+    v = validated(binary_six_arm_design("alternative", extended=1))
+    seeds = list(range(1, 8))
+    whole = _record_texts(engine.run_block(v, seeds))
+    passes = []
+    real_uniforms = engine.datagen.stream_uniforms
+
+    def counting_uniforms(keys, sizes):
+        passes.append(len(sizes))
+        return real_uniforms(keys, sizes)
+
+    monkeypatch.setattr(engine.datagen, "stream_uniforms", counting_uniforms)
+    assert _record_texts(engine.run_block(v, seeds)) == whole
+    assert passes == [14]
+    monkeypatch.setattr(engine, "BLOCK_BYTES", budget)
+    passes.clear()
+    assert _record_texts(engine.run_block(v, seeds)) == whole
+    assert passes[0] == first_run and len(passes) > 1

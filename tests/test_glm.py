@@ -60,6 +60,16 @@ class TestDesignMatrix:
         row = np.array([1.0, 0.0, 0.0, 1.0])
         assert math.exp(row @ beta) == pytest.approx(1.6)
 
+    def test_rows_from_codes_match_rows_from_labels(self):
+        codes = np.array([3, 0, 1, 2, 0, 3])
+        labels = np.array(self.model.arm_names, dtype=object)[codes]
+        rows = glm.design_rows(codes, {}, self.model)
+        assert np.array_equal(rows, glm.design_values(labels, {}, self.model))
+        expected = [
+            [1, 0, 0, 1], [1, 0, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 0], [1, 0, 0, 1],
+        ]
+        assert np.array_equal(rows, np.array(expected, dtype=float))
+
     def test_unknown_arm_label(self):
         data = SimpleNamespace(arm=np.array(["Z"]), covariates={}, response=np.zeros(1))
         with pytest.raises(FitError, match="Z"):

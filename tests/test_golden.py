@@ -14,8 +14,11 @@ The shipped designs are joined by variants that reach branches no shipped
 design does: a covariate column in the model, a look whose margin is
 disabled, an arm that prob0 never recruits, trial-level stopping rules
 that end trials early (the six-arm null design with efficacy assessed at
-every look), and a nine-arm RAR design whose eight interventions are the
-first count at which numpy's pairwise ``sum`` regroups its terms.
+every look), a nine-arm RAR design whose eight interventions are the
+first count at which numpy's pairwise ``sum`` regroups its terms, a
+six-arm binomial design whose arm means are exactly 0, 1/2 and 1 at the
+edges of the binomial draw, and a gaussian design with ``simple``
+allocation and an arm of zero weight.
 
 ``SKELETON`` hashes the same records with every float value replaced by a
 fixed token.  They pin what a float-level change to the fit must never
@@ -25,7 +28,10 @@ that preceded lockstep blocks, and must not be edited.  The
 ``six_arm_trial_rules`` and ``nine_arm_rar`` hashes, in both tables, were
 recorded from the engine whose replicates were still per-replicate
 objects inside lockstep blocks, before trial state moved into block
-arrays.
+arrays.  The ``binomial_saturated_arms`` and ``gaussian_simple_allocation``
+hashes were recorded from the engine that still drew every cohort from a
+per-replicate generator, before a block's uniforms came from one
+vectorised Philox pass.
 """
 
 import hashlib
@@ -75,6 +81,19 @@ def _six_arm_trial_rules():
     return doc
 
 
+def _binomial_saturated_arms():
+    # arm means exactly 0.0, 0.0, 0.269, 0.5, 1.0 and 0.953
+    doc = _shipped("orr_six_arm_alternative")
+    doc["beta_true"] = [-800, 0, 799, 800, 840, 803]
+    return doc
+
+
+def _gaussian_simple_allocation():
+    return gaussian_two_stage_design(
+        allocation="simple", prob0={"control": 1, "T1": 2, "T2": 0}
+    )
+
+
 def _nine_arm_rar():
     orr = [0.4, 0.4, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7]
     arms = ["control"] + [f"T{i}" for i in range(1, len(orr))]
@@ -119,6 +138,8 @@ DESIGNS = {
     "count_zero_weight_arm": _count_zero_weight_arm,
     "six_arm_trial_rules": _six_arm_trial_rules,
     "nine_arm_rar": _nine_arm_rar,
+    "binomial_saturated_arms": _binomial_saturated_arms,
+    "gaussian_simple_allocation": _gaussian_simple_allocation,
 }
 
 GOLDEN = {
@@ -132,6 +153,8 @@ GOLDEN = {
     "orr_six_arm_null_rising_futility": "b718f7e7a3b69c08612cd078c8ba8674a335e76dcaaada5c2e1a4d3f25dbc84b",
     "six_arm_trial_rules": "3284f3d5422dcf134deba7d84de1b346e17303eaace7428d5f974645081f80a2",
     "nine_arm_rar": "813e764537c045d59ad4d27c540bb52df930b0a274f03c1c8a85fdba9f3c703f",
+    "binomial_saturated_arms": "47282f0468d3a77447b196607fa671c0b85804476399260bca7554c142f657aa",
+    "gaussian_simple_allocation": "79c067307774cf4465fdf3fa695534ee9e97ff06de417a10d47dad4cb0a43473",
 }
 
 
@@ -146,6 +169,8 @@ SKELETON = {
     "orr_six_arm_null_rising_futility": "f57d6f6fdd12d9a06556b4b066942e29f0ab61795b246f9916e387d3fea43c3c",
     "six_arm_trial_rules": "e2828dcb1fef1c0b4b018855b09a515ee80067f1ac78703b4a5e217951d0c50f",
     "nine_arm_rar": "6300c8cb6fda4fc4af41615e8215cd496a310fa3ed8e3b40b7fe6a67b87b97d0",
+    "binomial_saturated_arms": "01eafc22e1972c097462456eb89df715889441e59e79bdc8274991b98f27599e",
+    "gaussian_simple_allocation": "8b94b1d79b9da4011e63233947db9a21d09a3d04b43b6aaf949dc33881abcba2",
 }
 
 FLOAT_TOKEN = "<float>"
