@@ -504,7 +504,10 @@ def draw_response(mu: np.ndarray, family: str, nuisance, rng: np.random.Generato
     """Draw responses with the means ``mu`` of ``response_means``.
 
     The negative binomial uses the gamma-poisson mixture with dispersion
-    phi, giving variance mu + mu^2/phi.
+    phi, giving variance mu + mu^2/phi.  Its gamma draws are numpy's
+    ``gamma(shape=phi, scale=mu / phi)``, which is ``scale`` times
+    ``standard_gamma(phi)`` element by element, without the per-call checks
+    of an array ``scale``: the same draws from the same stream.
     """
     if family == "gaussian":
         return rng.normal(mu, nuisance["sd"])
@@ -514,7 +517,7 @@ def draw_response(mu: np.ndarray, family: str, nuisance, rng: np.random.Generato
         return rng.poisson(mu)
     if family == "nbinomial":
         phi = nuisance["dispersion"]
-        lam = rng.gamma(shape=phi, scale=mu / phi)
+        lam = rng.standard_gamma(phi, size=mu.shape) * (mu / phi)
         return rng.poisson(lam)
     raise DataGenError(f"unknown family {family!r}")
 

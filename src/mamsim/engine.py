@@ -33,6 +33,7 @@ on how many workers share the seeds.  ``run_trial`` is a block of one.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -295,7 +296,12 @@ class _Block:
             live = self.look(live, j)
             if not live.size:
                 break
-        return [self.result(r) for r in range(len(self.seeds))]
+        # each (R, arms) array becomes lists once, not number by number
+        arrays = (
+            self.count, self.efficacy, self.futility, self.decision_look, self.est_mean, self.est_sd
+        )
+        rows = zip(*(a.tolist() for a in arrays))
+        return [self.result(r, *row) for r, row in enumerate(rows)]
 
     def stream(self, r: int, j: int, purpose: str) -> np.random.Generator:
         """The block's generator, restarted at replicate ``r``'s stream
@@ -456,30 +462,35 @@ class _Block:
         arms, interventions = self.arms, range(1, len(self.arms))
         look_mean = np.where(converged[:, None], mean, np.nan)
         look_sd = np.where(converged[:, None], sd, np.nan)
-        for i, r in enumerate(live.tolist()):
-            counts = self.count[r].tolist()
+        # each (live, arms) array becomes lists once, not number by number
+        arrays = (
+            self.count[live], self.active[live], self.allocation[live],
+            p_eff, p_fut, p_rar, look_mean, look_sd, converged,
+        )
+        rows = zip(*(a.tolist() for a in arrays))
+        is_final = j == len(self.sizes) - 1
+        for r, row in zip(live.tolist(), rows):
+            counts, active, allocation, eff, fut, rar, est_mean, est_sd, fit_converged = row
             self.history[r].append(
                 LookRecord(
                     look_index=j,
-                    is_final=j == len(self.sizes) - 1,
+                    is_final=is_final,
                     n_total=sum(counts),
                     n_per_arm=dict(zip(arms, counts)),
-                    active=dict(zip(arms, self.active[r].tolist())),
-                    allocation=dict(zip(arms, self.allocation[r].tolist())),
-                    eff_posterior=_by_arm(arms, p_eff[i], interventions),
-                    fut_posterior=_by_arm(arms, p_fut[i], interventions),
-                    rar_posterior=_by_arm(arms, p_rar[i], interventions),
-                    estimate_mean=_by_arm(arms, look_mean[i], self.targets),
-                    estimate_sd=_by_arm(arms, look_sd[i], self.targets),
-                    fit_converged=bool(converged[i]),
+                    active=dict(zip(arms, active)),
+                    allocation=dict(zip(arms, allocation)),
+                    eff_posterior=_by_arm(arms, eff, interventions),
+                    fut_posterior=_by_arm(arms, fut, interventions),
+                    rar_posterior=_by_arm(arms, rar, interventions),
+                    estimate_mean=_by_arm(arms, est_mean, self.targets),
+                    estimate_sd=_by_arm(arms, est_sd, self.targets),
+                    fit_converged=fit_converged,
                 )
             )
 
-    def result(self, r: int) -> TrialResult:
-        """Row ``r``'s record."""
+    def result(self, r: int, counts, efficacy, futility, looks, est_mean, est_sd) -> TrialResult:
+        """Row ``r``'s record, given its rows of the block's arrays as lists."""
         arms, final = self.arms, len(self.sizes) - 1
-        looks = self.decision_look[r].tolist()
-        efficacy, futility = self.efficacy[r].tolist(), self.futility[r].tolist()
         decisions = {
             arm: ArmDecision(
                 efficacy_met=efficacy[t],
@@ -497,7 +508,6 @@ class _Block:
                 "covariates": {k: v.tolist() for k, v in data.covariates.items()},
                 "response": data.response.tolist(),
             }
-        counts = self.count[r].tolist()
         return TrialResult(
             seed=self.seeds[r],
             arms=self.model.interventions,
@@ -506,8 +516,8 @@ class _Block:
             total_size=sum(counts),
             stop_reason=STOP_REASONS[self.stop[r]],
             looks_performed=int(self.looks[r]),
-            estimate_mean=_by_arm(arms, self.est_mean[r], self.targets),
-            estimate_sd=_by_arm(arms, self.est_sd[r], self.targets),
+            estimate_mean=_by_arm(arms, est_mean, self.targets),
+            estimate_sd=_by_arm(arms, est_sd, self.targets),
             non_converged_fits=int(self.non_converged[r]),
             history=None if self.history is None else self.history[r],
             dataset=dataset,
@@ -521,12 +531,10 @@ def _arm_deltas(matrix, targets, n_arms: int) -> np.ndarray:
     return deltas
 
 
-def _by_arm(arms, values, index) -> dict[str, float | None]:
-    """Arm-name dict of ``values`` at the arm positions in ``index``."""
-    return {
-        arms[i]: None if np.isnan(values[i]) else float(values[i])
-        for i in index
-    }
+def _by_arm(arms, values: list[float], index) -> dict[str, float | None]:
+    """Arm-name dict of ``values`` at the arm positions in ``index``, with
+    None for NaN."""
+    return {arms[i]: None if math.isnan(values[i]) else values[i] for i in index}
 
 
 def _rescale(weights: np.ndarray, active: np.ndarray) -> np.ndarray:

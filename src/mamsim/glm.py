@@ -12,7 +12,8 @@ negative log-posterior Hessian at the mode.  Supported response families
 
 Nuisance parameters are plug-in values supplied by the caller; coefficient
 priors are independent gaussians.  ``fit_laplace`` fits one dataset;
-``fit_laplace_batch`` fits a block of replicates in one Newton iteration.
+``fit_laplace_batch`` fits a block of replicates in one Newton iteration
+over the rows still fitting.
 The independent quadrature oracle lives in :mod:`mamsim.oracle`;
 ``quadrature_oracle_prob`` is re-exported here.
 """
@@ -333,6 +334,11 @@ class ArmTotals:
         self.square = None if square is None else np.asarray(square, dtype=float)
         self.shape = self.count.shape
 
+    def take(self, rows):
+        """The totals of the replicates ``rows`` (indices or a mask)."""
+        square = None if self.square is None else self.square[rows]
+        return ArmTotals(self.count[rows], self.total[rows], square)
+
     def eta(self, beta):
         eta = beta.copy()
         eta[:, 1:] += beta[:, :1]
@@ -350,8 +356,7 @@ class ArmTotals:
         hess = np.zeros((n_rep, p, p))
         hess[:, 0, 0] = w.sum(axis=1)
         hess[:, 0, 1:] = hess[:, 1:, 0] = w[:, 1:]
-        arm = np.arange(1, p)
-        hess[:, arm, arm] = w[:, 1:]
+        hess.reshape(n_rep, p * p)[:, p + 1 :: p + 1] = w[:, 1:]  # the arms' diagonal
         return hess
 
 
@@ -367,6 +372,14 @@ class SubjectRows:
         self.count = np.ones_like(self.total)
         self.square = self.total * self.total
         self.shape = (self.x.shape[0], self.x.shape[2])
+
+    def take(self, rows):
+        """The rows of the replicates ``rows`` (indices or a mask)."""
+        part = object.__new__(SubjectRows)
+        part.x, part.xt = self.x[rows], self.xt[rows]
+        part.total, part.count, part.square = self.total[rows], self.count[rows], self.square[rows]
+        part.shape = (part.x.shape[0], self.shape[1])
+        return part
 
     def eta(self, beta):
         return (self.x * beta[:, None, :]).sum(axis=2)
@@ -447,11 +460,13 @@ def fit_laplace_batch(
 
     Each replicate follows ``fit_laplace``: a zero start, the same score and
     mode-change tolerances, up to 30 step halvings and the same iteration
-    cap.  A replicate leaves the iteration when it converges, when its
-    line search fails, or when its Hessian cannot be factorised; the last
-    two end non-converged, and the rest of the block carries on.  A
-    non-finite Hessian or score of an iterating replicate raises
-    ``ValueError``.
+    cap.  A replicate leaves the Newton iteration when it converges or
+    stops: when its line search fails, when its Hessian cannot be
+    factorised, or at the cap, the last three non-converged.  The block
+    iterates only the rows still fitting, and a row's result is kept as
+    it leaves.  Each of those rows evaluates its full step once; only the
+    rows that reject it go on to the halvings.  A non-finite Hessian or
+    score of an iterating replicate raises ``ValueError``.
 
     Every operation acts elementwise, on one replicate's row, or on one
     replicate's slice of a stack (``np.linalg.solve`` and ``np.matmul``
@@ -469,73 +484,108 @@ def fit_laplace_batch(
     tau = np.asarray(prior.precision, dtype=float)
     if pm.shape[0] != p or tau.shape[0] != p:
         raise FitError("prior dimensions do not match the design matrix")
-    diag = np.arange(p)
 
-    def posterior_terms(beta):
+    def posterior_terms(data, beta):
         ll, d1, w = _unit_terms(family, data.eta(beta), data, nuisance)
         return ll - 0.5 * (tau * (beta - pm) ** 2).sum(axis=1), d1, w
 
-    def neg_hessian(w):
-        hess = data.hessian(w)
-        hess[:, diag, diag] += tau
+    def neg_hessian(data, w):
+        hess = np.ascontiguousarray(data.hessian(w))
+        diagonal = hess.reshape(len(hess), p * p)[:, :: p + 1]  # a view
+        diagonal += tau
         return hess
 
+    block = data
     beta = np.zeros((n_rep, p))
-    lp, d1, w = posterior_terms(beta)
+    lp, d1, w = posterior_terms(data, beta)
     if not np.isfinite(lp).all():
         raise FitError("log posterior is not finite at the starting point")
 
+    # the block's results: a row's flags are set as it leaves the iteration,
+    # its mode and weights when it is dropped from the iterating rows
+    mode, unit_w = beta.copy(), w.copy()
     converged = np.zeros(n_rep, dtype=bool)
     iterations = np.zeros(n_rep, dtype=int)
-    live = np.ones(n_rep, dtype=bool)  # still iterating
-    for it in range(max_iterations):
-        iterations[live] = it + 1
+
+    # ``rows`` are the block rows still iterating, ``data``, ``beta``,
+    # ``lp``, ``d1`` and ``w`` hold theirs only; ``gone`` marks those that
+    # left at the last step and are dropped at the next
+    rows = np.arange(n_rep)
+    gone = np.zeros(n_rep, dtype=bool)
+    it = 0
+    while it < max_iterations:
+        it += 1
         score = data.score(d1) - tau * (beta - pm)
-        done = live & (np.abs(score).max(axis=1) < SCORE_TOL)
-        converged |= done
-        live &= ~done
-        if not live.any():
-            break
-        hess = neg_hessian(w)
-        if not (np.isfinite(hess[live]).all() and np.isfinite(score[live]).all()):
+        done = np.abs(score).max(axis=1) < SCORE_TOL
+        if done.any():
+            done &= ~gone
+            converged[rows[done]], iterations[rows[done]] = True, it
+            gone |= done
+        if gone.any():
+            index, keep = rows[gone], ~gone
+            mode[index], unit_w[index] = beta[gone], w[gone]
+            rows, data, score = rows[keep], data.take(keep), score[keep]
+            beta, lp, d1, w = beta[keep], lp[keep], d1[keep], w[keep]
+            gone = gone[keep]
+            if not rows.size:
+                break
+        hess = neg_hessian(data, w)
+        if not (np.isfinite(hess).all() and np.isfinite(score).all()):
             raise ValueError("array must not contain infs or NaNs")
         step = _solve_each(hess, score[:, :, None])[:, :, 0]
-        live &= np.isfinite(step).all(axis=1)  # singular: stop, not converged
-        step[~live] = 0.0
+        stop = None
+        if not np.isfinite(step).all():
+            stop = ~np.isfinite(step).all(axis=1)  # singular: stop, not converged
+            step[stop] = 0.0
 
-        scale = np.ones(n_rep)
-        pending = live.copy()
+        # the full step; rows that reject it halve it, from the same start
         floor = lp - 1e-12 * (1.0 + np.abs(lp))
-        beta_new, lp_new, d1_new, w_new = beta.copy(), lp.copy(), d1.copy(), w.copy()
-        for _ in range(MAX_HALVINGS + 1):
-            cand = beta + scale[:, None] * step
-            lp_cand, d1_cand, w_cand = posterior_terms(cand)
-            ok = pending & np.isfinite(lp_cand) & (lp_cand >= floor)
-            beta_new[ok], lp_new[ok] = cand[ok], lp_cand[ok]
-            d1_new[ok], w_new[ok] = d1_cand[ok], w_cand[ok]
-            pending &= ~ok
-            if not pending.any():
-                break
-            scale[pending] *= 0.5
-        live &= ~pending  # no acceptable step: stop, not converged
-        change = np.abs(beta_new - beta).max(axis=1) / np.maximum(
-            1.0, np.abs(beta).max(axis=1)
-        )
-        beta, lp, d1, w = beta_new, lp_new, d1_new, w_new
-        done = live & (change < MODE_CHANGE_TOL)
-        converged |= done
-        live &= ~done
-        if not live.any():
-            break
+        cand = beta + step
+        lp_cand, d1_cand, w_cand = posterior_terms(data, cand)
+        ok = np.isfinite(lp_cand) & (lp_cand >= floor)
+        if not ok.all():
+            pending = np.flatnonzero(~ok)
+            part = data.take(pending)
+            scale = np.full(pending.size, 0.5)
+            for _ in range(MAX_HALVINGS):
+                trial = beta[pending] + scale[:, None] * step[pending]
+                lp_t, d1_t, w_t = posterior_terms(part, trial)
+                found = np.isfinite(lp_t) & (lp_t >= floor[pending])
+                index = pending[found]
+                cand[index], lp_cand[index] = trial[found], lp_t[found]
+                d1_cand[index], w_cand[index] = d1_t[found], w_t[found]
+                ok[index] = True
+                pending, part, scale = pending[~found], part.take(~found), scale[~found]
+                if not pending.size:
+                    break
+                scale *= 0.5
+            else:
+                # no acceptable step: stop, not converged, at the last iterate
+                cand[pending], lp_cand[pending] = beta[pending], lp[pending]
+                d1_cand[pending], w_cand[pending] = d1[pending], w[pending]
+                stop = ~ok if stop is None else stop | ~ok
+        change = np.abs(cand - beta).max(axis=1) / np.maximum(1.0, np.abs(beta).max(axis=1))
+        beta, lp, d1, w = cand, lp_cand, d1_cand, w_cand
+        gone = change < MODE_CHANGE_TOL
+        if stop is not None:
+            gone &= ~stop
+        if gone.any():
+            converged[rows[gone]], iterations[rows[gone]] = True, it
+        if stop is not None:
+            iterations[rows[stop]] = it
+            gone |= stop
+    else:
+        iterations[rows[~gone]] = it  # the iteration cap
+    mode[rows], unit_w[rows] = beta, w  # the rows not dropped yet
 
-    hess = neg_hessian(w)
+    hess = neg_hessian(block, unit_w)
     if not np.isfinite(hess).all():
         raise ValueError("array must not contain infs or NaNs")
     cov = _solve_each(hess, np.broadcast_to(np.eye(p), hess.shape))
     var = np.diagonal(cov, axis1=1, axis2=2)
     converged &= np.isfinite(var).all(axis=1)
     return BatchFit(
-        mode=beta,
+        mode=mode,
         marginal_sd=np.sqrt(np.clip(var, 0.0, None)),
         converged=converged,
         iterations=iterations,

@@ -576,6 +576,26 @@ def test_singular_hessian_stops_only_its_replicate(monkeypatch):
     assert got[0] == alone[0] and got[2] == alone[2]
 
 
+def test_failed_line_search_stops_only_its_replicate(monkeypatch):
+    count, total = _mixed_arm_block(n_arms=4, replicates=3)
+    alone = _rows(glm.fit_laplace_batch(glm.ArmTotals(count, total), "poisson", {}))
+    real = glm._unit_terms
+
+    def no_ascent(family, eta, data, nuisance):
+        ll, d1, w = real(family, eta, data, nuisance)
+        # replicate 1 (told by its totals) has no finite likelihood off the start
+        lost = (data.total == total[1]).all(axis=1) & (eta != 0.0).any(axis=1)
+        return np.where(lost, -np.inf, ll), d1, w
+
+    monkeypatch.setattr(glm, "_unit_terms", no_ascent)
+    fit = glm.fit_laplace_batch(glm.ArmTotals(count, total), "poisson", {})
+    assert fit.converged.tolist() == [True, False, True]
+    assert fit.iterations[1] == 1
+    assert np.array_equal(fit.mode[1], np.zeros(4))
+    assert np.isfinite(fit.marginal_sd[1]).all()  # from the Hessian at the start
+    got = _rows(fit)
+    assert got[0] == alone[0] and got[2] == alone[2]
+
 def test_batch_non_finite_hessian_raises_value_error(monkeypatch):
     count, total = _mixed_arm_block(n_arms=3, replicates=3)
     real = glm._unit_terms
@@ -593,6 +613,103 @@ def test_batch_non_finite_hessian_raises_value_error(monkeypatch):
 def test_gaussian_arm_totals_need_squares():
     with pytest.raises(FitError, match="squared"):
         glm.fit_laplace_batch(glm.ArmTotals([[3, 4]], [[1.0, 2.0]]), "gaussian", {"sd": 1})
+
+
+def _six_arm_totals(rng):
+    """Six-arm binomial totals, some arms without a responder."""
+    count = rng.integers(3, 40, (40, 6)).astype(float)
+    total = rng.binomial(count.astype(int), rng.uniform(0.05, 0.6, (40, 6))).astype(float)
+    return glm.ArmTotals(count, total)
+
+
+def _count_totals(rng, phi=0.5):
+    """Four-arm negative binomial totals: a sum of c draws of dispersion phi
+    is one draw of dispersion c * phi."""
+    count = rng.integers(5, 70, (40, 4)).astype(float)
+    mu = np.array([4.0, 3.0, 2.2, 1.6]) * rng.uniform(0.7, 1.3, (40, 1))
+    total = rng.negative_binomial(count * phi, phi / (phi + mu)).astype(float)
+    return glm.ArmTotals(count, total)
+
+
+def _gaussian_totals(rng, sd=1.5):
+    count = rng.integers(2, 30, (20, 3))
+    y = [[rng.normal(m, sd, c) for m, c in zip([0.3, 0.8, -0.2], row)] for row in count]
+    total = [[v.sum() for v in row] for row in y]
+    square = [[(v * v).sum() for v in row] for row in y]
+    return glm.ArmTotals(count, total, square)
+
+
+def _binomial_subject_rows(rng):
+    """Intercept, two arm indicators and a normal covariate per subject."""
+    arm = rng.integers(0, 3, (12, 70))
+    x = np.stack(
+        [np.ones((12, 70)), arm == 1, arm == 2, rng.normal(0.0, 0.5, (12, 70))], axis=2
+    )
+    eta = x @ np.array([-0.4, 0.5, 0.9, 0.6])
+    y = rng.binomial(1, expit(eta)).astype(float)
+    return glm.SubjectRows(x, y)
+
+
+def _mixed_poisson_totals():
+    """Rows that converge after 6, 7 and 9 iterations, two of them with step
+    halvings, the last capped at 8 iterations below; and a row whose Hessian
+    is exactly singular at the start (the prior precision is lost in
+    counts of 1e14 that all sit in one arm and the intercept)."""
+    rng = np.random.default_rng(77)
+    count = rng.integers(1, 40, (6, 4)).astype(float)
+    rate = rng.uniform(0.5, 4.0, (6, 4))
+    rate[2] *= 30.0
+    rate[4] *= 300.0
+    total = rng.poisson(count * rate).astype(float)
+    count[5], total[5] = [0.0, 1e14, 0.0, 0.0], [0.0, 3e14, 0.0, 0.0]
+    return glm.ArmTotals(count, total)
+
+
+# name: (block maker, family, nuisance, max_iterations)
+BATCH_CASES = {
+    "six_arm_binomial_totals": (lambda: _six_arm_totals(np.random.default_rng(11)), "binomial", {}, 100),
+    "nbinomial_count_totals": (
+        lambda: _count_totals(np.random.default_rng(12)), "nbinomial", {"dispersion": 0.5}, 100
+    ),
+    "gaussian_totals": (lambda: _gaussian_totals(np.random.default_rng(13)), "gaussian", {"sd": 1.5}, 100),
+    "binomial_subject_rows": (
+        lambda: _binomial_subject_rows(np.random.default_rng(14)), "binomial", {}, 100
+    ),
+    "poisson_mixed_rows": (_mixed_poisson_totals, "poisson", {}, 8),
+}
+
+def test_mixed_poisson_rows_leave_each_their_own_way():
+    # the block behind the "poisson_mixed_rows" hash
+    fit = glm.fit_laplace_batch(_mixed_poisson_totals(), "poisson", {}, max_iterations=8)
+    assert fit.iterations.tolist() == [6, 6, 7, 6, 8, 1]
+    assert fit.converged.tolist() == [True, True, True, True, False, False]
+    assert np.isnan(fit.marginal_sd[5]).all() and not np.isnan(fit.marginal_sd[:5]).any()
+
+
+# Recorded with the Newton loop that iterated every row of the block until
+# all had stopped: a rewrite of fit_laplace_batch that keeps every float
+# keeps these hashes.
+BATCH_GOLDEN = {
+    "binomial_subject_rows": "a3bb18afd507f16243e3e0ba43b6b331dd3235dc3dbee421a969f5704e676b97",
+    "gaussian_totals": "b9ad698a69f6b4c41641dc4fc9dc639ae68f6dfb402e9ec9e839dc88299afb80",
+    "nbinomial_count_totals": "a655d8d96a3e415f1baf895235df56460df00444b94ec979fc752aa3ff297eb6",
+    "poisson_mixed_rows": "ccccb7187cd8a159498717af061a9086da91aeb1b8beb5603bb9b3410b6f0dc7",
+    "six_arm_binomial_totals": "a12a83d8ea8324688c96b2f0ab2553c6d0ca5e1091088e2506d32def858953d1",
+}
+
+
+def _batch_digest(fit):
+    h = hashlib.sha256()
+    for array in (fit.mode, fit.marginal_sd, fit.converged, fit.iterations):
+        h.update(np.ascontiguousarray(array).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_CASES))
+def test_batch_fit_matches_golden_hash(name):
+    data, family, nuisance, max_iterations = BATCH_CASES[name]
+    fit = glm.fit_laplace_batch(data(), family, nuisance, max_iterations=max_iterations)
+    assert _batch_digest(fit) == BATCH_GOLDEN[name]
 
 
 def test_tail_probabilities_are_clamped_gaussian_tails():

@@ -1,6 +1,7 @@
 """Block stream keys and block Philox draws: the same Philox streams, and
 the same uniforms, allocations and binomial responses, as ``substream``'s
-generators give."""
+generators give; and negative binomial responses drawn as numpy's
+``gamma(shape, scale)`` mixture draws them."""
 
 import numpy as np
 import pytest
@@ -216,3 +217,33 @@ class TestBlockDraws:
             datagen.allocate_simple(weights, np.ones((3, 2), dtype=bool), np.zeros((3, 4)))
         with pytest.raises(DataGenError, match=">= 1"):
             datagen.allocate_simple(np.ones((3, 2)), np.ones((3, 2), dtype=bool), np.zeros((3, 0)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=_seeds,
+    phi=st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.05, 50.0)),
+    means=st.lists(
+        st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1.6, 4.0]), st.floats(0.0, 1e3)),
+        min_size=1, max_size=40,
+    ),
+)
+def test_nbinomial_responses_draw_as_gamma_with_scale(seed, phi, means):
+    # zero and subnormal means included: numpy's gamma draws for them too
+    mu = np.array(means)
+    got_rng = substream(seed, "look", 0, "response")
+    got = datagen.draw_response(mu, "nbinomial", {"dispersion": phi}, got_rng)
+    want_rng = substream(seed, "look", 0, "response")
+    want = want_rng.poisson(want_rng.gamma(shape=phi, scale=mu / phi))
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    # both took the same words: the generators go on alike
+    assert _philox_state(got_rng) == _philox_state(want_rng)
+    assert got_rng.random() == want_rng.random()
+
+
+def _philox_state(rng):
+    state = rng.bit_generator.state
+    return (
+        state["state"]["counter"].tolist(), state["state"]["key"].tolist(),
+        state["buffer"].tolist(), state["buffer_pos"], state["has_uint32"], state["uinteger"],
+    )
