@@ -495,7 +495,6 @@ def fit_laplace_batch(
         diagonal += tau
         return hess
 
-    block = data
     beta = np.zeros((n_rep, p))
     lp, d1, w = posterior_terms(data, beta)
     if not np.isfinite(lp).all():
@@ -507,15 +506,15 @@ def fit_laplace_batch(
     converged = np.zeros(n_rep, dtype=bool)
     iterations = np.zeros(n_rep, dtype=int)
 
-    # ``rows`` are the block rows still iterating, ``data``, ``beta``,
-    # ``lp``, ``d1`` and ``w`` hold theirs only; ``gone`` marks those that
-    # left at the last step and are dropped at the next
-    rows = np.arange(n_rep)
+    # ``rows`` are the block rows still iterating; ``part``, ``beta``,
+    # ``lp``, ``d1`` and ``w`` hold theirs only, and ``gone`` marks those
+    # that left at the last step, to be dropped at the next
+    rows, part = np.arange(n_rep), data
     gone = np.zeros(n_rep, dtype=bool)
     it = 0
     while it < max_iterations:
         it += 1
-        score = data.score(d1) - tau * (beta - pm)
+        score = part.score(d1) - tau * (beta - pm)
         done = np.abs(score).max(axis=1) < SCORE_TOL
         if done.any():
             done &= ~gone
@@ -524,12 +523,12 @@ def fit_laplace_batch(
         if gone.any():
             index, keep = rows[gone], ~gone
             mode[index], unit_w[index] = beta[gone], w[gone]
-            rows, data, score = rows[keep], data.take(keep), score[keep]
+            rows, part, score = rows[keep], part.take(keep), score[keep]
             beta, lp, d1, w = beta[keep], lp[keep], d1[keep], w[keep]
             gone = gone[keep]
             if not rows.size:
                 break
-        hess = neg_hessian(data, w)
+        hess = neg_hessian(part, w)
         if not (np.isfinite(hess).all() and np.isfinite(score).all()):
             raise ValueError("array must not contain infs or NaNs")
         step = _solve_each(hess, score[:, :, None])[:, :, 0]
@@ -541,21 +540,21 @@ def fit_laplace_batch(
         # the full step; rows that reject it halve it, from the same start
         floor = lp - 1e-12 * (1.0 + np.abs(lp))
         cand = beta + step
-        lp_cand, d1_cand, w_cand = posterior_terms(data, cand)
+        lp_cand, d1_cand, w_cand = posterior_terms(part, cand)
         ok = np.isfinite(lp_cand) & (lp_cand >= floor)
         if not ok.all():
             pending = np.flatnonzero(~ok)
-            part = data.take(pending)
+            halving = part.take(pending)
             scale = np.full(pending.size, 0.5)
             for _ in range(MAX_HALVINGS):
                 trial = beta[pending] + scale[:, None] * step[pending]
-                lp_t, d1_t, w_t = posterior_terms(part, trial)
+                lp_t, d1_t, w_t = posterior_terms(halving, trial)
                 found = np.isfinite(lp_t) & (lp_t >= floor[pending])
                 index = pending[found]
                 cand[index], lp_cand[index] = trial[found], lp_t[found]
                 d1_cand[index], w_cand[index] = d1_t[found], w_t[found]
                 ok[index] = True
-                pending, part, scale = pending[~found], part.take(~found), scale[~found]
+                pending, halving, scale = pending[~found], halving.take(~found), scale[~found]
                 if not pending.size:
                     break
                 scale *= 0.5
@@ -578,7 +577,7 @@ def fit_laplace_batch(
         iterations[rows[~gone]] = it  # the iteration cap
     mode[rows], unit_w[rows] = beta, w  # the rows not dropped yet
 
-    hess = neg_hessian(block, unit_w)
+    hess = neg_hessian(data, unit_w)
     if not np.isfinite(hess).all():
         raise ValueError("array must not contain infs or NaNs")
     cov = _solve_each(hess, np.broadcast_to(np.eye(p), hess.shape))

@@ -667,16 +667,21 @@ def _mixed_poisson_totals():
 
 # name: (block maker, family, nuisance, max_iterations)
 BATCH_CASES = {
-    "six_arm_binomial_totals": (lambda: _six_arm_totals(np.random.default_rng(11)), "binomial", {}, 100),
+    "six_arm_binomial_totals": (
+        lambda: _six_arm_totals(np.random.default_rng(11)), "binomial", {}, 100
+    ),
     "nbinomial_count_totals": (
         lambda: _count_totals(np.random.default_rng(12)), "nbinomial", {"dispersion": 0.5}, 100
     ),
-    "gaussian_totals": (lambda: _gaussian_totals(np.random.default_rng(13)), "gaussian", {"sd": 1.5}, 100),
+    "gaussian_totals": (
+        lambda: _gaussian_totals(np.random.default_rng(13)), "gaussian", {"sd": 1.5}, 100
+    ),
     "binomial_subject_rows": (
         lambda: _binomial_subject_rows(np.random.default_rng(14)), "binomial", {}, 100
     ),
     "poisson_mixed_rows": (_mixed_poisson_totals, "poisson", {}, 8),
 }
+
 
 def test_mixed_poisson_rows_leave_each_their_own_way():
     # the block behind the "poisson_mixed_rows" hash

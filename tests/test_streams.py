@@ -219,6 +219,13 @@ class TestBlockDraws:
             datagen.allocate_simple(np.ones((3, 2)), np.ones((3, 2), dtype=bool), np.zeros((3, 0)))
 
 
+def _philox_state(rng):
+    state = rng.bit_generator.state
+    return (
+        state["state"]["counter"].tolist(), state["state"]["key"].tolist(),
+        state["buffer"].tolist(), state["buffer_pos"], state["has_uint32"], state["uinteger"],
+    )
+
 @settings(max_examples=100, deadline=None)
 @given(
     seed=_seeds,
@@ -239,11 +246,3 @@ def test_nbinomial_responses_draw_as_gamma_with_scale(seed, phi, means):
     # both took the same words: the generators go on alike
     assert _philox_state(got_rng) == _philox_state(want_rng)
     assert got_rng.random() == want_rng.random()
-
-
-def _philox_state(rng):
-    state = rng.bit_generator.state
-    return (
-        state["state"]["counter"].tolist(), state["state"]["key"].tolist(),
-        state["buffer"].tolist(), state["buffer_pos"], state["has_uint32"], state["uinteger"],
-    )
