@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -192,6 +193,8 @@ def parse_spec(text: str) -> TrialSpec:
         raise SpecError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise SpecError(f"unreadable number: {exc}") from None
     if not isinstance(doc, dict):
         raise SpecError("design document must be a JSON object")
 
@@ -206,8 +209,11 @@ def parse_spec(text: str) -> TrialSpec:
         raise SpecError(errors)
 
     model = _parse_model(doc["model"])
-    beta_true = tuple(float(b) for b in _as_list(doc["beta_true"], "beta_true"))
-    targets = tuple(int(t) for t in _as_list(doc["targets"], "targets"))
+    beta_true = tuple(
+        _as_number(b, f"beta_true[{i}]")
+        for i, b in enumerate(_as_list(doc["beta_true"], "beta_true"))
+    )
+    targets = tuple(_as_int(t, "targets") for t in _as_list(doc["targets"], "targets"))
 
     alternative = doc["alternative"]
     if isinstance(alternative, str):
@@ -223,7 +229,7 @@ def parse_spec(text: str) -> TrialSpec:
     prob0 = doc["prob0"]
     if not isinstance(prob0, dict):
         raise SpecError("prob0 must map arm names to weights")
-    prob0 = {str(k): float(v) for k, v in prob0.items()}
+    prob0 = {str(k): _as_number(v, f"prob0.{k}") for k, v in prob0.items()}
 
     if "replicates" in doc and "seeds" in doc:
         raise SpecError("specify either replicates or seeds, not both")
@@ -234,6 +240,9 @@ def parse_spec(text: str) -> TrialSpec:
         if r < 1:
             raise SpecError("replicates must be >= 1")
         seeds = tuple(range(1, r + 1))
+    h0_mode = doc.get("h0_mode", False)
+    if not isinstance(h0_mode, bool):
+        raise SpecError(f"h0_mode must be true or false, got {h0_mode!r}")
 
     spec = TrialSpec(
         model=model,
@@ -256,7 +265,7 @@ def parse_spec(text: str) -> TrialSpec:
         delta_fut=_expand_delta(doc.get("delta_fut", 0.0), len(targets), n_looks, "delta_fut"),
         delta_rar=_expand_delta(doc.get("delta_rar", 0.0), len(targets), n_looks, "delta_rar"),
         allocation=str(doc.get("allocation", "simple")),
-        h0_mode=bool(doc.get("h0_mode", False)),
+        h0_mode=h0_mode,
         seeds=seeds,
         extended=_as_int(doc.get("extended", 0), "extended"),
     )
@@ -267,6 +276,37 @@ def _as_list(value, key: str) -> list:
     if not isinstance(value, list):
         raise SpecError(f"{key} must be a list")
     return value
+
+
+def _as_dict(value, key: str) -> dict:
+    if not isinstance(value, dict):
+        raise SpecError(f"{key} must be an object")
+    return value
+
+
+def _as_number(value, key: str) -> float:
+    """A document number as a float: a finite JSON number, not a boolean."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer past the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise SpecError(f"{key} must be a finite number, got {value!r}")
+
+
+def _check_finite(value, key: str) -> None:
+    """Reject a non-finite number anywhere in ``value``, a JSON value whose
+    numbers are kept as they are (covariate generator parameters)."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _check_finite(v, f"{key}.{k}")
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            _check_finite(v, f"{key}[{i}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise SpecError(f"{key} must be a finite number, got {value!r}")
 
 
 def _as_int(value, key: str) -> int:
@@ -289,16 +329,15 @@ def _parse_model(doc) -> ModelSpec:
         raise SpecError(errors)
 
     covariates = []
-    for i, cov in enumerate(doc.get("covariates", [])):
+    for i, cov in enumerate(_as_list(doc.get("covariates", []), "model.covariates")):
         if not isinstance(cov, dict) or "name" not in cov or "generator" not in cov:
             raise SpecError(f"covariates[{i}] needs 'name' and 'generator'")
+        params = _as_dict(cov.get("params", {}), f"covariates[{i}].params")
+        _check_finite(params, f"covariates[{i}].params")
         covariates.append(
-            CovariateSpec(
-                name=str(cov["name"]),
-                generator=str(cov["generator"]),
-                params=dict(cov.get("params", {})),
-            )
+            CovariateSpec(name=str(cov["name"]), generator=str(cov["generator"]), params=params)
         )
+    nuisance = _as_dict(doc.get("nuisance", {}), "model.nuisance")
     return ModelSpec(
         response_name=str(doc["response"]),
         treatment_name=str(doc["treatment"]),
@@ -306,7 +345,7 @@ def _parse_model(doc) -> ModelSpec:
         family=str(doc["family"]),
         link=str(doc["link"]),
         covariates=tuple(covariates),
-        nuisance={str(k): float(v) for k, v in doc.get("nuisance", {}).items()},
+        nuisance={str(k): _as_number(v, f"model.nuisance.{k}") for k, v in nuisance.items()},
     )
 
 
@@ -320,7 +359,10 @@ def _parse_rule(doc, key: str) -> RuleSpec:
             f"{key}: unknown rule family {family!r}; "
             f"known: {', '.join(rules.known_families(kind))}"
         )
-    params = {str(k): float(v) for k, v in doc.get("params", {}).items()}
+    params = {
+        str(k): _as_number(v, f"{key}.params.{k}")
+        for k, v in _as_dict(doc.get("params", {}), f"{key}.params").items()
+    }
     required = rules.required_params(kind, family)
     missing = sorted(set(required) - set(params))
     extra = sorted(set(params) - set(required))
@@ -343,11 +385,7 @@ def _expand_delta(value, n_targets: int, n_looks: int, key: str) -> DeltaMatrix:
     """
 
     def cell(v):
-        if v is None:
-            return None
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise SpecError(f"{key}: entries must be numbers or null")
-        return float(v)
+        return None if v is None else _as_number(v, f"{key} entries")
 
     if value is None or isinstance(value, (int, float)):
         row = (cell(value),) * n_looks

@@ -28,7 +28,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -310,38 +309,6 @@ def binomial_responses(inversion: Inversion, codes: np.ndarray, u: np.ndarray) -
     return np.where(inversion.above[codes], u > threshold, u <= threshold).astype(np.int64)
 
 
-@dataclass
-class Cohort:
-    """Per-subject arm labels, covariate values, and responses."""
-
-    arm: np.ndarray
-    covariates: dict[str, np.ndarray]
-    response: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = len(self.arm)
-        if m < 1:
-            raise DataGenError("a cohort needs at least one subject")
-        bad = [k for k, v in self.covariates.items() if len(v) != m]
-        if bad or len(self.response) != m:
-            raise DataGenError("per-subject vectors have mismatched lengths")
-
-    @property
-    def size(self) -> int:
-        return len(self.arm)
-
-    @classmethod
-    def concat(cls, cohorts: Sequence["Cohort"]) -> "Cohort":
-        return cls(
-            arm=np.concatenate([c.arm for c in cohorts]),
-            covariates={
-                k: np.concatenate([c.covariates[k] for c in cohorts])
-                for k in cohorts[0].covariates
-            },
-            response=np.concatenate([c.response for c in cohorts]),
-        )
-
-
 def allocate_arms(
     m: int,
     weights: Mapping[str, float],
@@ -434,7 +401,7 @@ def _gen_normal(params, m, rng):
 
 
 def _gen_bernoulli(params, m, rng):
-    p = params["p"]
+    p = _required(params, "p", "bernoulli")
     if not 0.0 <= p <= 1.0:
         raise DataGenError(f"bernoulli p must lie in [0, 1], got {p}")
     return {None: rng.binomial(1, p, size=m).astype(float)}
@@ -445,13 +412,24 @@ def _gen_uniform(params, m, rng):
 
 
 def _gen_mvnormal(params, m, rng):
-    names = list(params["names"])
-    draws = rng.multivariate_normal(
-        np.asarray(params["mean"], dtype=float),
-        np.asarray(params["cov"], dtype=float),
-        size=m,
-    )
+    names = list(_required(params, "names", "mvnormal"))
+    mean = np.asarray(_required(params, "mean", "mvnormal"), dtype=float)
+    cov = np.asarray(_required(params, "cov", "mvnormal"), dtype=float)
+    k = len(names)
+    if mean.shape != (k,) or cov.shape != (k, k):
+        raise DataGenError(
+            f"mvnormal names {k} columns, so mean needs {k} entries and cov {k} x {k}; "
+            f"got mean of shape {mean.shape} and cov of shape {cov.shape}"
+        )
+    draws = rng.multivariate_normal(mean, cov, size=m)
     return {name: draws[:, i] for i, name in enumerate(names)}
+
+
+def _required(params, name: str, generator: str):
+    try:
+        return params[name]
+    except KeyError:
+        raise DataGenError(f"{generator} covariate needs parameter {name!r}") from None
 
 
 _GENERATORS = {

@@ -40,7 +40,6 @@ import numpy as np
 
 from . import datagen, glm, rules
 from .config import ValidatedSpec
-from .datagen import Cohort
 # not called here: the engine draws from stream keys, which give the same
 # streams; kept bound because benchmark/tracing.py wraps ``engine.substream``
 from .datagen import substream  # noqa: F401
@@ -287,6 +286,7 @@ class _Block:
         self.looks = np.zeros(len(seeds), dtype=int)
         self.non_converged = np.zeros(len(seeds), dtype=int)
         self.history = [[] for _ in seeds] if spec.extended >= 1 else None
+        # per row, each look's (arm codes, covariates, responses)
         self.cohorts = [[] for _ in seeds] if spec.extended >= 2 else None
 
     def run(self) -> list[TrialResult]:
@@ -351,7 +351,7 @@ class _Block:
             ys = np.array(ys)
         if self.cohorts is not None:
             for r, c, cov, y in zip(live.tolist(), codes, covs, ys):
-                self.cohorts[r].append(Cohort(arm=self.names[c], covariates=cov, response=y))
+                self.cohorts[r].append((c, cov, y))
         # one bincount for the block: row i's arms are bins i * arms + code
         n_arms = len(self.arms)
         bins = (codes + n_arms * np.arange(len(live))[:, None]).ravel()
@@ -502,11 +502,11 @@ class _Block:
         }
         dataset = None
         if self.cohorts is not None:
-            data = Cohort.concat(self.cohorts[r])
+            codes, covs, ys = zip(*self.cohorts[r])
             dataset = {
-                "arm": data.arm.tolist(),
-                "covariates": {k: v.tolist() for k, v in data.covariates.items()},
-                "response": data.response.tolist(),
+                "arm": self.names[np.concatenate(codes)].tolist(),
+                "covariates": {k: np.concatenate([c[k] for c in covs]).tolist() for k in covs[0]},
+                "response": np.concatenate(ys).tolist(),
             }
         return TrialResult(
             seed=self.seeds[r],

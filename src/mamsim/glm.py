@@ -14,8 +14,6 @@ Nuisance parameters are plug-in values supplied by the caller; coefficient
 priors are independent gaussians.  ``fit_laplace`` fits one dataset;
 ``fit_laplace_batch`` fits a block of replicates in one Newton iteration
 over the rows still fitting.
-The independent quadrature oracle lives in :mod:`mamsim.oracle`;
-``quadrature_oracle_prob`` is re-exported here.
 """
 
 from __future__ import annotations
@@ -154,7 +152,8 @@ def build_design_matrix(data, model) -> tuple[DesignMatrix, np.ndarray]:
     """Assemble the model matrix and response from accumulated subjects.
 
     ``data`` provides per-subject ``arm`` labels, a ``covariates`` mapping,
-    and ``response`` values (the shape of :class:`mamsim.datagen.Cohort`).
+    and ``response`` values as attributes: the fields of a replicate's
+    ``extended=2`` ``dataset``.
     """
     x = design_values(data.arm, data.covariates, model)
     y = np.asarray(data.response, dtype=float)
@@ -647,8 +646,3 @@ def tail_probabilities(mean, sd, delta, greater) -> np.ndarray:
     """
     z = (delta - mean) / sd
     return np.clip(ndtr(np.where(greater, -z, z)), _PROB_FLOOR, _PROB_CEIL)
-
-
-# Re-exported for callers of the documented ``mamsim.glm.quadrature_oracle_prob``;
-# imported last because the oracle module imports from this one.
-from .oracle import quadrature_oracle_prob  # noqa: E402,F401

@@ -340,14 +340,19 @@ def load_shard(path) -> BatchResult:
             header = _read_header(fh, path)
             records = _raw_records(fh, header, path)
         # the raw records are not kept
-        decoded = [d[:3] for d in _in_seed_order(records, path, header["has_null"])]
+        return _batch(header, [d[:3] for d in _in_seed_order(records, path, header["has_null"])])
+
+
+def _batch(header: dict, triples) -> BatchResult:
+    """The batch of a shard header and its ``(seed, result, null result)``
+    triples in seed order."""
     return BatchResult(
         fingerprint=header["fingerprint"],
-        seeds=tuple(d[0] for d in decoded),
+        seeds=tuple(t[0] for t in triples),
         extended=header["extended"],
         spec_document=header["spec_document"],
-        results=[d[1] for d in decoded],
-        results_null=[d[2] for d in decoded] if header["has_null"] else None,
+        results=[t[1] for t in triples],
+        results_null=[t[2] for t in triples] if header["has_null"] else None,
         engine_version=header["engine_version"],
         created_at=header["created_at"],
     )
@@ -358,9 +363,12 @@ def load_shard(path) -> BatchResult:
 # --------------------------------------------------------------------------
 
 
-def _check_compatible(headers_or_batches) -> None:
-    first = headers_or_batches[0]
-    for other in headers_or_batches[1:]:
+def _merged_header(headers) -> dict:
+    """The header of the union of shards from the same design: the first
+    header's, with the record count and seed range of them all and a new
+    timestamp."""
+    first = headers[0]
+    for other in headers[1:]:
         if other["fingerprint"] != first["fingerprint"]:
             paths = document_diff(first["spec_document"], other["spec_document"])
             raise ShardError(
@@ -369,6 +377,13 @@ def _check_compatible(headers_or_batches) -> None:
             )
         if other["extended"] != first["extended"]:
             raise ShardError("shards disagree on the extended level")
+    return {
+        **first,
+        "n_records": sum(h["n_records"] for h in headers),
+        "seed_min": min(h["seed_min"] for h in headers),
+        "seed_max": max(h["seed_max"] for h in headers),
+        "created_at": datetime.now(timezone.utc).isoformat(),
+    }
 
 
 def _preview(values, limit: int = 20) -> str:
@@ -383,23 +398,12 @@ def combine_shards(batches) -> BatchResult:
     batches = list(batches)
     if not batches:
         raise ShardError("no shards to combine")
-    _check_compatible([_header_doc(b) for b in batches])
+    header = _merged_header([_header_doc(b) for b in batches])
     streams = [
         sorted(zip(b.seeds, b.results, b.results_null or [None] * len(b.seeds)), key=itemgetter(0))
         for b in batches
     ]
-    triples = list(_disjoint(heapq.merge(*streams, key=itemgetter(0))))
-    has_null = batches[0].results_null is not None
-    return BatchResult(
-        fingerprint=batches[0].fingerprint,
-        seeds=tuple(t[0] for t in triples),
-        extended=batches[0].extended,
-        spec_document=batches[0].spec_document,
-        results=[t[1] for t in triples],
-        results_null=[t[2] for t in triples] if has_null else None,
-        engine_version=batches[0].engine_version,
-        created_at=datetime.now(timezone.utc).isoformat(),
-    )
+    return _batch(header, list(_disjoint(heapq.merge(*streams, key=itemgetter(0)))))
 
 
 def combine_shard_files(paths, out_path) -> dict:
@@ -417,12 +421,7 @@ def combine_shard_files(paths, out_path) -> dict:
     with ExitStack() as stack:
         files = [stack.enter_context(open(path, "rb")) for path in paths]
         headers = [_read_header(fh, path) for fh, path in zip(files, paths)]
-        _check_compatible(headers)
-        header = dict(headers[0])
-        header["n_records"] = sum(h["n_records"] for h in headers)
-        header["seed_min"] = min(h["seed_min"] for h in headers)
-        header["seed_max"] = max(h["seed_max"] for h in headers)
-        header["created_at"] = datetime.now(timezone.utc).isoformat()
+        header = _merged_header(headers)
         streams = (
             _in_seed_order(_raw_records(fh, h, path), path, h["has_null"])
             for fh, path, h in zip(files, paths, headers)

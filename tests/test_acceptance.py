@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import expit, ndtr
 
-from mamsim import glm
+from mamsim import glm, oracle
 from mamsim.engine import run_trial
 from mamsim.montecarlo import (
     combine_shards,
@@ -125,7 +125,7 @@ def test_criterion_02_oracle_equivalence():
         delta = float(fit.marginal_mean[k] + rng.uniform(-2, 2) * fit.marginal_sd[k])
         direction = "greater" if rng.random() < 0.5 else "less"
         lap = glm.marginal_posterior_prob(fit, k, delta, direction)
-        orc = glm.quadrature_oracle_prob(x, y, family, link, {}, prior, k, delta, direction)
+        orc = oracle.quadrature_oracle_prob(x, y, family, link, {}, prior, k, delta, direction)
         worst = max(worst, abs(lap - orc))
     elapsed = time.perf_counter() - start
     assert worst < 5e-3

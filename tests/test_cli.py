@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mamsim
 from mamsim import montecarlo
 from mamsim.cli import main
 from mamsim.rules import RuleError
@@ -341,3 +346,39 @@ def test_rule_error_reported(spec_path, tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == (
         "error: all RAR posteriors are zero; weights are degenerate\n"
     )
+
+
+def test_import_loads_no_test_reference():
+    # every ``mamsim run`` of a cluster job pays for the import: it must not
+    # load the quadrature oracle or the scipy modules only the oracle uses
+    src = str(Path(mamsim.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    probe = (
+        "import sys, mamsim; print(' '.join(m for m in ('mamsim.oracle', 'scipy.stats', "
+        "'scipy.optimize', 'scipy.integrate') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == []
+
+
+def test_malformed_design_number_reported(tmp_path, capsys):
+    doc = count_dose_design()
+    doc["beta_true"][3] = float("inf")  # written as the JSON extension Infinity
+    path, out = tmp_path / "inf.json", tmp_path / "inf.shard"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--workers", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: beta_true[3] must be a finite number, got inf\n"
+    assert not out.exists()
+
+
+def test_covariate_generator_parameter_reported(tmp_path, capsys):
+    doc = gaussian_two_stage_design(beta_true=[0.0, 0.8, 0.0, 0.5])
+    doc["model"] = {**doc["model"], "covariates": [{"name": "z", "generator": "bernoulli"}]}
+    path, out = tmp_path / "cov.json", tmp_path / "cov.shard"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--workers", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: bernoulli covariate needs parameter 'p'\n"
+    assert not out.exists()

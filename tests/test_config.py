@@ -90,6 +90,12 @@ def test_syntax_error_reports_position():
         config.parse_spec('{"model": }')
 
 
+def test_overlong_integer_reported():
+    text = json.dumps(count_dose_design()).replace('"n_max": 260', '"n_max": ' + "1" * 5000)
+    with pytest.raises(SpecError, match="unreadable number"):
+        config.parse_spec(text)
+
+
 def test_prob0_normalised():
     v = validated(count_dose_design())
     assert set(v.spec.prob0.values()) == {0.25}
@@ -246,3 +252,58 @@ def test_shipped_design_documents_match_builders():
     for name, doc in pairs.items():
         shipped = config.validate_spec(config.parse_spec((root / name).read_text()))
         assert shipped.fingerprint == validated(doc).fingerprint, name
+
+
+_BIG = "<1e400>"  # stands for the JSON number 1e400, which parses to inf
+_MALFORMED = [
+    # (case id, path to the mutated field, its value, what the error names)
+    ("beta_true-string", ("beta_true", 1), "a", "beta_true[1] must be a finite number"),
+    ("beta_true-null", ("beta_true", 1), None, "beta_true[1] must be a finite number"),
+    ("prob0-string", ("prob0", "A"), "x", "prob0.A must be a finite number"),
+    ("nuisance-list", ("model", "nuisance"), [1], "model.nuisance must be an object"),
+    ("nuisance-string", ("model", "nuisance", "dispersion"), "x",
+     "model.nuisance.dispersion must be a finite number"),
+    ("rule-params-list", ("eff_arm_rule", "params"), [1], "eff_arm_rule.params must be an object"),
+    ("rule-params-string", ("eff_arm_rule", "params"), {"b_e": "x"},
+     "eff_arm_rule.params.b_e must be a finite number"),
+    ("covariates-number", ("model", "covariates"), 5, "model.covariates must be a list"),
+    ("covariate-params-list", ("model", "covariates"),
+     [{"name": "age", "generator": "normal", "params": [1]}],
+     "covariates[0].params must be an object"),
+    ("covariate-params-nan", ("model", "covariates"),
+     [{"name": "age", "generator": "normal", "params": {"mean": math.nan}}],
+     "covariates[0].params.mean must be a finite number"),
+    ("delta-nan", ("delta_fut",), math.nan, "delta_fut entries must be a finite number"),
+    ("h0_mode-string", ("h0_mode",), "no", "h0_mode must be true or false"),
+    ("targets-fraction", ("targets", 0), 1.5, "targets must be an integer"),
+] + [
+    (f"{name}-{label}", path, value, f"{field} must be a finite number")
+    for name, path, field in [
+        ("beta_true", ("beta_true", 3), "beta_true[3]"),
+        ("prob0", ("prob0", "C"), "prob0.C"),
+        ("nuisance", ("model", "nuisance", "dispersion"), "model.nuisance.dispersion"),
+    ]
+    for label, value in [("nan", math.nan), ("inf", math.inf), ("1e400", _BIG)]
+]
+
+
+def malformed_document(path, value) -> str:
+    """The shipped count design with one field replaced, as JSON text."""
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent / "designs"
+    doc = json.loads((root / "count_dose_finding.json").read_text())
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return json.dumps(doc).replace(json.dumps(_BIG), "1e400")
+
+
+@pytest.mark.parametrize(
+    "path, value, message", [case[1:] for case in _MALFORMED], ids=[case[0] for case in _MALFORMED]
+)
+def test_malformed_field_is_a_spec_error(path, value, message):
+    with pytest.raises(SpecError) as info:
+        config.validate_spec(config.parse_spec(malformed_document(path, value)))
+    assert message in str(info.value)

@@ -130,6 +130,24 @@ class TestCovariates:
         with pytest.raises(DataGenError, match="weibull"):
             simulate_covariates([CovariateSpec("x", "weibull", {})], 5, substream(5, "cov"))
 
+    @pytest.mark.parametrize(
+        "generator, params, message",
+        [
+            ("bernoulli", {}, "bernoulli covariate needs parameter 'p'"),
+            ("mvnormal", {"mean": [0.0], "cov": [[1.0]]}, "needs parameter 'names'"),
+            ("mvnormal", {"names": ["u"], "cov": [[1.0]]}, "needs parameter 'mean'"),
+            ("mvnormal", {"names": ["u", "v", "w"], "mean": [0.0, 0.0], "cov": np.eye(2).tolist()},
+             "mean needs 3 entries and cov 3 x 3"),
+            ("mvnormal", {"names": ["u", "v"], "mean": [0.0, 0.0], "cov": np.eye(3).tolist()},
+             "mean needs 2 entries and cov 2 x 2"),
+        ],
+        ids=["bernoulli-without-p", "mvnormal-without-names", "mvnormal-without-mean",
+             "mvnormal-more-names", "mvnormal-larger-cov"],
+    )
+    def test_generator_parameters_fail_by_name(self, generator, params, message):
+        with pytest.raises(DataGenError, match=message):
+            simulate_covariates([CovariateSpec("x", generator, params)], 5, substream(6, "cov"))
+
 
 class TestResponses:
     def test_nbinomial_moments(self):

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from mamsim import engine, glm
+from mamsim import engine, glm, oracle
 from mamsim.engine import cohort_sizes, run_trial
 
 from test_golden import DESIGNS as GOLDEN_DESIGNS
@@ -267,7 +267,7 @@ def test_final_fit_agrees_with_quadrature_on_engine_data():
     assert fit.converged
     for delta in (0.0, 0.3):
         lap = glm.marginal_posterior_prob(fit, 1, delta, "greater")
-        orc = glm.quadrature_oracle_prob(
+        orc = oracle.quadrature_oracle_prob(
             design, y, "binomial", "logit", {}, glm.default_prior(2), 1, delta, "greater"
         )
         assert abs(lap - orc) < 5e-3

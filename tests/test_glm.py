@@ -18,8 +18,8 @@ from mamsim.glm import (
     default_prior,
     fit_laplace,
     marginal_posterior_prob,
-    quadrature_oracle_prob,
 )
+from mamsim.oracle import quadrature_oracle_prob
 
 from trial_designs import count_dose_design, validated
 

@@ -230,15 +230,24 @@ def test_record_skeleton_matches_hash(name, tmp_path):
 # layout.  The gaussian case carries null results, per-look histories and
 # datasets; the count case nbinomial records with histories only.  Recorded
 # before the shard writers and readers moved onto one record codec; they
-# must not be edited unless a change is set out to alter the export.
+# must not be edited unless a change is set out to alter the export.  The
+# six-arm case pins datasets of integer binomial responses drawn for the
+# whole block, the covariate case datasets with a covariate column; both
+# were recorded while datasets were still built from per-look cohort objects.
 EXPORT_CASES = {
     "gaussian_h0_extended2": lambda: gaussian_two_stage_design(h0_mode=True, extended=2),
     "count_dose_extended1": lambda: count_dose_design(extended=1),
+    "orr_six_arm_extended2": lambda: {**_shipped("orr_six_arm_alternative"), "extended": 2},
+    "gaussian_covariate_extended2": lambda: {**_gaussian_with_covariate(), "extended": 2},
 }
 
 EXPORT_GOLDEN = {
     "count_dose_extended1": "31aa1aea30075682c8602afaf59d66ca436e941fd966cde5b5a80f26f99ba6fe",
     "gaussian_h0_extended2": "2afd6ead928d888b6d4509338cbeeeabdf48f6150af277a07d84677e22b6cf2d",
+    "orr_six_arm_extended2": "e539a4df09b985bb55f777f9a0bb0d3e18b68eb62e7abe2f04adce3a835b1023",
+    "gaussian_covariate_extended2": (
+        "49d3fe20e18c8883f52417a47ec3c51e401ca56a82e3d6c78b4ed4e920cfee9a"
+    ),
 }
 
 
