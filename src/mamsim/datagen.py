@@ -28,13 +28,14 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import numbers
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .config import CovariateSpec
 from .glm import inverse_link, check_nuisance
-from .rules import _row_sums
+from .rules import row_sums
 
 
 class DataGenError(ValueError):
@@ -349,7 +350,7 @@ def _probabilities(weights: np.ndarray, mask: np.ndarray, m: int) -> np.ndarray:
     if m < 1:
         raise DataGenError(f"cohort size must be >= 1, got {m}")
     w = np.where(mask, np.abs(weights), 0.0)
-    total = _row_sums(w, mask)
+    total = row_sums(w, mask)
     if (total == 0.0).any():
         raise DataGenError("allocation weights are all zero")
     if not np.isfinite(total).all():
@@ -394,42 +395,67 @@ def balanced_counts(weights: np.ndarray, mask: np.ndarray, m: int) -> np.ndarray
 
 
 def _gen_normal(params, m, rng):
-    sd = params.get("sd", 1.0)
+    sd = _param(params, "sd", "normal", float, 1.0)
     if sd < 0:
         raise DataGenError("normal covariate sd must be >= 0")
-    return {None: rng.normal(params.get("mean", 0.0), sd, size=m)}
+    return {None: rng.normal(_param(params, "mean", "normal", float, 0.0), sd, size=m)}
 
 
 def _gen_bernoulli(params, m, rng):
-    p = _required(params, "p", "bernoulli")
+    p = _param(params, "p", "bernoulli", float)
     if not 0.0 <= p <= 1.0:
         raise DataGenError(f"bernoulli p must lie in [0, 1], got {p}")
     return {None: rng.binomial(1, p, size=m).astype(float)}
 
 
 def _gen_uniform(params, m, rng):
-    return {None: rng.uniform(params.get("low", 0.0), params.get("high", 1.0), size=m)}
+    low = _param(params, "low", "uniform", float, 0.0)
+    high = _param(params, "high", "uniform", float, 1.0)
+    if high < low:
+        raise DataGenError(f"uniform covariate needs low <= high, got low {low} and high {high}")
+    return {None: rng.uniform(low, high, size=m)}
 
 
 def _gen_mvnormal(params, m, rng):
-    names = list(_required(params, "names", "mvnormal"))
-    mean = np.asarray(_required(params, "mean", "mvnormal"), dtype=float)
-    cov = np.asarray(_required(params, "cov", "mvnormal"), dtype=float)
+    names = _param(params, "names", "mvnormal", list)
+    mean = _param(params, "mean", "mvnormal", list)
+    cov = _param(params, "cov", "mvnormal", list)
+    if not all(map(_is_number, mean)) or not all(
+        isinstance(row, list) and all(map(_is_number, row)) for row in cov
+    ):
+        raise DataGenError("mvnormal mean must be a list of numbers, and cov a list of such lists")
     k = len(names)
-    if mean.shape != (k,) or cov.shape != (k, k):
+    if len(mean) != k or len(cov) != k or any(len(row) != k for row in cov):
         raise DataGenError(
             f"mvnormal names {k} columns, so mean needs {k} entries and cov {k} x {k}; "
-            f"got mean of shape {mean.shape} and cov of shape {cov.shape}"
+            f"got mean of {len(mean)} entries and cov rows of lengths {[len(row) for row in cov]}"
         )
-    draws = rng.multivariate_normal(mean, cov, size=m)
+    try:
+        draws = rng.multivariate_normal(mean, cov, size=m, check_valid="raise")
+    except ValueError:
+        raise DataGenError("mvnormal cov must be symmetric positive semi-definite") from None
     return {name: draws[:, i] for i, name in enumerate(names)}
 
 
-def _required(params, name: str, generator: str):
-    try:
-        return params[name]
-    except KeyError:
-        raise DataGenError(f"{generator} covariate needs parameter {name!r}") from None
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _param(params, name: str, generator: str, kind, default=None):
+    """Generator parameter ``name``, of type ``kind``: ``float`` takes a real
+    number that is not a bool, ``list`` a list.  An absent parameter takes
+    ``default``, and is an error where there is none."""
+    if name not in params:
+        if default is None:
+            raise DataGenError(f"{generator} covariate needs parameter {name!r}")
+        return default
+    value = params[name]
+    if not (_is_number(value) if kind is float else isinstance(value, list)):
+        article = "a number" if kind is float else "a list"
+        raise DataGenError(
+            f"{generator} covariate parameter {name!r} must be {article}, got {value!r}"
+        )
+    return value
 
 
 _GENERATORS = {

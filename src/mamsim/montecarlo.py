@@ -112,11 +112,12 @@ def run_batch(
     seeds = sorted(seeds)
 
     null_spec = null_variant(validated) if spec.h0_mode else None
-    chunks = [c for c in _chunk(seeds, workers) if c]
-    if len(chunks) == 1 or workers == 1:
+    # no more chunks, or worker processes, than seeds
+    chunks = _chunk(seeds, min(workers, len(seeds)))
+    if len(chunks) == 1:
         pairs = [_run_chunk(validated, null_spec, seeds)]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             futures = [
                 pool.submit(_run_chunk, validated, null_spec, chunk)
                 for chunk in chunks

@@ -17,14 +17,12 @@ from scipy.integrate import simpson
 from .glm import (
     _PROB_CEIL,
     _PROB_FLOOR,
-    DesignMatrix,
     FitError,
     PriorSpec,
     check_nuisance,
     inverse_link,
 )
-
-
+from .reference import DesignMatrix
 
 
 def quadrature_oracle_prob(

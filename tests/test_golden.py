@@ -62,6 +62,21 @@ def _gaussian_with_covariate():
     return doc
 
 
+def _gaussian_with_covariate_generators():
+    doc = gaussian_two_stage_design(beta_true=[0.0, 0.8, 0.0, 0.3, -0.6, 0.4, 0.2])
+    doc["model"] = dict(doc["model"])
+    doc["model"]["covariates"] = [
+        {"name": "score", "generator": "uniform", "params": {"low": -1, "high": 2}},
+        {"name": "smoker", "generator": "bernoulli", "params": {"p": 0.3}},
+        {
+            "name": "labs",
+            "generator": "mvnormal",
+            "params": {"names": ["u", "v"], "mean": [0, 1], "cov": [[1, 0.5], [0.5, 2]]},
+        },
+    ]
+    return doc
+
+
 def _gaussian_interim_null_delta():
     return gaussian_two_stage_design(
         delta_eff=[None, 0.0, 0.0],
@@ -234,11 +249,17 @@ def test_record_skeleton_matches_hash(name, tmp_path):
 # six-arm case pins datasets of integer binomial responses drawn for the
 # whole block, the covariate case datasets with a covariate column; both
 # were recorded while datasets were still built from per-look cohort objects.
+# The covariate-generator case pins ``uniform``, ``bernoulli`` and
+# ``mvnormal`` columns; it was recorded before the generators checked their
+# parameter types and asked ``multivariate_normal`` to validate ``cov``.
 EXPORT_CASES = {
     "gaussian_h0_extended2": lambda: gaussian_two_stage_design(h0_mode=True, extended=2),
     "count_dose_extended1": lambda: count_dose_design(extended=1),
     "orr_six_arm_extended2": lambda: {**_shipped("orr_six_arm_alternative"), "extended": 2},
     "gaussian_covariate_extended2": lambda: {**_gaussian_with_covariate(), "extended": 2},
+    "covariate_generators_extended2": (
+        lambda: {**_gaussian_with_covariate_generators(), "extended": 2}
+    ),
 }
 
 EXPORT_GOLDEN = {
@@ -247,6 +268,9 @@ EXPORT_GOLDEN = {
     "orr_six_arm_extended2": "e539a4df09b985bb55f777f9a0bb0d3e18b68eb62e7abe2f04adce3a835b1023",
     "gaussian_covariate_extended2": (
         "49d3fe20e18c8883f52417a47ec3c51e401ca56a82e3d6c78b4ed4e920cfee9a"
+    ),
+    "covariate_generators_extended2": (
+        "4136be1c44ba9bbbeb970f0a497f2834e31eb9c611d984a9dcd670f39f9f320e"
     ),
 }
 

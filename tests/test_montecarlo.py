@@ -1,6 +1,7 @@
 """Batch execution, shard persistence, and combination safety."""
 
 import json
+from concurrent.futures import Future
 
 import pytest
 
@@ -47,6 +48,32 @@ def test_worker_count_does_not_change_bytes(small_spec, tmp_path):
         paths.append(path)
     blobs = [payload(p) for p in paths]
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_pool_is_sized_to_its_chunks(small_spec, small_batch, monkeypatch):
+    # a process pool starts all its workers at the first submit, so three
+    # seeds get three chunks and three processes whatever the worker count
+    sizes = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlineExecutor)
+    batch = run_batch(small_spec, seeds=[3, 1, 2], workers=8)
+    assert sizes == [3]
+    assert [r.seed for r in batch.results] == [1, 2, 3]
 
 
 def test_duplicate_seeds_rejected(small_spec):
