@@ -334,6 +334,12 @@ def _parse_model(doc) -> ModelSpec:
             raise SpecError(f"covariates[{i}] needs 'name' and 'generator'")
         params = _as_dict(cov.get("params", {}), f"covariates[{i}].params")
         _check_finite(params, f"covariates[{i}].params")
+        names = params.get("names", []) if cov["generator"] == "mvnormal" else []
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+            # they name design-matrix columns (``covariate_columns``)
+            raise SpecError(
+                f"covariates[{i}].params.names must be a list of column names, got {names!r}"
+            )
         covariates.append(
             CovariateSpec(name=str(cov["name"]), generator=str(cov["generator"]), params=params)
         )

@@ -451,9 +451,9 @@ def _param(params, name: str, generator: str, kind, default=None):
         return default
     value = params[name]
     if not (_is_number(value) if kind is float else isinstance(value, list)):
-        article = "a number" if kind is float else "a list"
+        expected = "a number" if kind is float else "a list"
         raise DataGenError(
-            f"{generator} covariate parameter {name!r} must be {article}, got {value!r}"
+            f"{generator} covariate parameter {name!r} must be {expected}, got {value!r}"
         )
     return value
 

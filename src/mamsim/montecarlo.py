@@ -112,7 +112,7 @@ def run_batch(
     seeds = sorted(seeds)
 
     null_spec = null_variant(validated) if spec.h0_mode else None
-    # no more chunks, or worker processes, than seeds
+    # a pool starts all its workers at the first submit: no more than seeds
     chunks = _chunk(seeds, min(workers, len(seeds)))
     if len(chunks) == 1:
         pairs = [_run_chunk(validated, null_spec, seeds)]

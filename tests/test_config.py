@@ -273,6 +273,13 @@ _MALFORMED = [
     ("covariate-params-nan", ("model", "covariates"),
      [{"name": "age", "generator": "normal", "params": {"mean": math.nan}}],
      "covariates[0].params.mean must be a finite number"),
+    ("mvnormal-names-number", ("model", "covariates"),
+     [{"name": "m", "generator": "mvnormal", "params": {"names": 5, "mean": [0], "cov": [[1]]}}],
+     "covariates[0].params.names must be a list of column names, got 5"),
+    ("mvnormal-names-nested", ("model", "covariates"),
+     [{"name": "m", "generator": "mvnormal",
+       "params": {"names": ["u", ["v"]], "mean": [0, 0], "cov": [[1, 0], [0, 1]]}}],
+     "covariates[0].params.names must be a list of column names"),
     ("delta-nan", ("delta_fut",), math.nan, "delta_fut entries must be a finite number"),
     ("h0_mode-string", ("h0_mode",), "no", "h0_mode must be true or false"),
     ("targets-fraction", ("targets", 0), 1.5, "targets must be an integer"),

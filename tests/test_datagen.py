@@ -130,6 +130,8 @@ class TestCovariates:
         with pytest.raises(DataGenError, match="weibull"):
             simulate_covariates([CovariateSpec("x", "weibull", {})], 5, substream(5, "cov"))
 
+    _MV = {"names": ["u", "v"], "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+
     @pytest.mark.parametrize(
         "generator, params, message",
         [
@@ -140,19 +142,6 @@ class TestCovariates:
              "mean needs 3 entries and cov 3 x 3"),
             ("mvnormal", {"names": ["u", "v"], "mean": [0.0, 0.0], "cov": np.eye(3).tolist()},
              "mean needs 2 entries and cov 2 x 2"),
-        ],
-        ids=["bernoulli-without-p", "mvnormal-without-names", "mvnormal-without-mean",
-             "mvnormal-more-names", "mvnormal-larger-cov"],
-    )
-    def test_generator_parameters_fail_by_name(self, generator, params, message):
-        with pytest.raises(DataGenError, match=message):
-            simulate_covariates([CovariateSpec("x", generator, params)], 5, substream(6, "cov"))
-
-    _MV = {"names": ["u", "v"], "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
-
-    @pytest.mark.parametrize(
-        "generator, params, message",
-        [
             # each of these raised a raw TypeError
             ("normal", {"sd": "x"}, "normal covariate parameter 'sd' must be a number, got 'x'"),
             ("bernoulli", {"p": "x"}, "parameter 'p' must be a number, got 'x'"),
@@ -171,12 +160,14 @@ class TestCovariates:
             ("mvnormal", {**_MV, "cov": [[1.0, 0.5], [0.0, 1.0]]},
              "cov must be symmetric positive semi-definite"),
         ],
-        ids=["normal-sd-string", "bernoulli-p-string", "bernoulli-p-list", "mvnormal-names-number",
+        ids=["bernoulli-without-p", "mvnormal-without-names", "mvnormal-without-mean",
+             "mvnormal-more-names", "mvnormal-larger-cov",
+             "normal-sd-string", "bernoulli-p-string", "bernoulli-p-list", "mvnormal-names-number",
              "normal-mean-string", "uniform-low-string", "uniform-high-below-low",
              "mvnormal-mean-string", "normal-sd-bool", "mvnormal-cov-negative",
              "mvnormal-cov-asymmetric"],
     )
-    def test_generator_parameter_types_fail_by_name(self, generator, params, message):
+    def test_generator_parameters_fail_by_name(self, generator, params, message):
         with pytest.raises(DataGenError, match=message):
             simulate_covariates([CovariateSpec("x", generator, params)], 5, substream(6, "cov"))
 
