@@ -15,17 +15,20 @@ import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping
+
+import numpy as np
 
 from . import rules
 from .rules import RuleSpec
 
-FAMILY_LINKS = {
-    "gaussian": "identity",
-    "binomial": "logit",
-    "poisson": "log",
-    "nbinomial": "log",
+# family -> (its link, the nuisance parameter it needs, > 0, or None)
+FAMILIES = {
+    "gaussian": ("identity", "sd"),
+    "binomial": ("logit", None),
+    "poisson": ("log", None),
+    "nbinomial": ("log", "dispersion"),
 }
 ALLOCATION_METHODS = ("balanced", "simple")
 DIRECTIONS = ("greater", "less")
@@ -38,41 +41,40 @@ _RULE_KINDS = {
     "rar_rule": "rar",
 }
 
-_TOP_KEYS = (
-    "model",
-    "beta_true",
-    "targets",
-    "alternative",
-    "n_max",
-    "interim_recruited",
-    "prob0",
-    "allocation",
-    "delta_eff",
-    "delta_fut",
-    "delta_rar",
-    "eff_arm_rule",
-    "fut_arm_rule",
-    "eff_trial_rule",
-    "fut_trial_rule",
-    "rar_rule",
-    "h0_mode",
-    "replicates",
-    "seeds",
-    "extended",
-)
-_REQUIRED_KEYS = (
-    "model",
-    "beta_true",
-    "targets",
-    "alternative",
-    "n_max",
-    "interim_recruited",
-    "prob0",
-    "eff_arm_rule",
-    "fut_arm_rule",
-)
-_MODEL_KEYS = ("response", "treatment", "arms", "family", "link", "nuisance", "covariates")
-_MODEL_REQUIRED = ("response", "treatment", "arms", "family", "link")
+# The keys of a design document and of its model, as the format
+# documentation lists them, each with the default an absent key takes;
+# ``...`` marks a required key.  ``seeds`` defaults to 1..replicates.
+_FIELDS = {
+    "model": ...,
+    "beta_true": ...,
+    "targets": ...,
+    "alternative": ...,
+    "n_max": ...,
+    "interim_recruited": ...,
+    "prob0": ...,
+    "allocation": "simple",
+    "delta_eff": 0.0,
+    "delta_fut": 0.0,
+    "delta_rar": 0.0,
+    "eff_arm_rule": ...,
+    "fut_arm_rule": ...,
+    "eff_trial_rule": {"family": "never"},
+    "fut_trial_rule": {"family": "never"},
+    "rar_rule": None,
+    "h0_mode": False,
+    "replicates": 1,
+    "seeds": None,
+    "extended": 0,
+}
+_MODEL_FIELDS = {
+    "response": ...,
+    "treatment": ...,
+    "arms": ...,
+    "family": ...,
+    "link": ...,
+    "nuisance": {},
+    "covariates": [],
+}
 
 
 class SpecError(ValueError):
@@ -89,7 +91,7 @@ class CovariateSpec:
 
     name: str
     generator: str
-    params: Mapping[str, Any] = field(default_factory=dict)
+    params: Mapping[str, Any]
 
 
 @dataclass(frozen=True)
@@ -101,8 +103,8 @@ class ModelSpec:
     arm_names: tuple[str, ...]  # control first
     family: str
     link: str
-    covariates: tuple[CovariateSpec, ...] = ()
-    nuisance: Mapping[str, float] = field(default_factory=dict)
+    covariates: tuple[CovariateSpec, ...]
+    nuisance: Mapping[str, float]
 
     @property
     def control(self) -> str:
@@ -132,13 +134,13 @@ class TrialSpec:
     delta_eff: DeltaMatrix
     delta_fut: DeltaMatrix
     delta_rar: DeltaMatrix
-    eff_trial_rule: RuleSpec = RuleSpec("never", {})
-    fut_trial_rule: RuleSpec = RuleSpec("never", {})
-    rar_rule: RuleSpec | None = None
-    allocation: str = "simple"
-    h0_mode: bool = False
-    seeds: tuple[int, ...] = (1,)
-    extended: int = 0
+    eff_trial_rule: RuleSpec
+    fut_trial_rule: RuleSpec
+    rar_rule: RuleSpec | None
+    allocation: str
+    h0_mode: bool
+    seeds: tuple[int, ...]
+    extended: int
 
     @property
     def n_looks(self) -> int:
@@ -183,9 +185,11 @@ def coefficient_names(model: ModelSpec) -> tuple[str, ...]:
 def parse_spec(text: str) -> TrialSpec:
     """Parse a JSON design document into a TrialSpec.
 
-    Optional fields take their documented defaults: delta_eff/delta_fut/
-    delta_rar 0 at every look, trial rules "never", no RAR, simple
-    allocation, extended 0, one replicate (seed 1).
+    ``_FIELDS`` and ``_MODEL_FIELDS`` give the keys a document and its model
+    may hold, which are required, and the default each absent optional key
+    takes.  Every rule is checked here by ``rules.check_rule``, so an unknown
+    family or a parameter that is missing, unexpected or out of range is a
+    ``SpecError`` naming the rule's key.
     """
     try:
         doc = json.loads(text)
@@ -197,79 +201,82 @@ def parse_spec(text: str) -> TrialSpec:
         raise SpecError(f"unreadable number: {exc}") from None
     if not isinstance(doc, dict):
         raise SpecError("design document must be a JSON object")
+    fields = _fields(doc, _FIELDS, "")
 
-    errors: list[str] = []
-    unknown = sorted(set(doc) - set(_TOP_KEYS))
-    if unknown:
-        errors.append("unknown field(s): " + ", ".join(unknown))
-    missing = [k for k in _REQUIRED_KEYS if k not in doc]
-    if missing:
-        errors.append("missing required key(s): " + ", ".join(missing))
-    if errors:
-        raise SpecError(errors)
-
-    model = _parse_model(doc["model"])
+    model = _parse_model(fields["model"])
     beta_true = tuple(
         _as_number(b, f"beta_true[{i}]")
-        for i, b in enumerate(_as_list(doc["beta_true"], "beta_true"))
+        for i, b in enumerate(_as_list(fields["beta_true"], "beta_true"))
     )
-    targets = tuple(_as_int(t, "targets") for t in _as_list(doc["targets"], "targets"))
+    targets = tuple(_as_int(t, "targets") for t in _as_list(fields["targets"], "targets"))
 
-    alternative = doc["alternative"]
+    alternative = fields["alternative"]
     if isinstance(alternative, str):
         alternative = [alternative] * len(targets)
-    alternative = tuple(str(a) for a in _as_list(alternative, "alternative"))
+    alternative = tuple(_as_str(a, "alternative") for a in _as_list(alternative, "alternative"))
 
     interims = tuple(
         _as_int(v, "interim_recruited")
-        for v in _as_list(doc["interim_recruited"], "interim_recruited")
+        for v in _as_list(fields["interim_recruited"], "interim_recruited")
     )
     n_looks = len(interims) + 1
 
-    prob0 = doc["prob0"]
+    prob0 = fields["prob0"]
     if not isinstance(prob0, dict):
         raise SpecError("prob0 must map arm names to weights")
     prob0 = {str(k): _as_number(v, f"prob0.{k}") for k, v in prob0.items()}
 
+    # the keys the document gave, not their defaults
     if "replicates" in doc and "seeds" in doc:
         raise SpecError("specify either replicates or seeds, not both")
     if "seeds" in doc:
         seeds = tuple(_as_int(s, "seeds") for s in _as_list(doc["seeds"], "seeds"))
     else:
-        r = _as_int(doc.get("replicates", 1), "replicates")
+        r = _as_int(fields["replicates"], "replicates")
         if r < 1:
             raise SpecError("replicates must be >= 1")
         seeds = tuple(range(1, r + 1))
-    h0_mode = doc.get("h0_mode", False)
+    h0_mode = fields["h0_mode"]
     if not isinstance(h0_mode, bool):
         raise SpecError(f"h0_mode must be true or false, got {h0_mode!r}")
 
-    spec = TrialSpec(
+    rar_rule = fields["rar_rule"]
+    return TrialSpec(
         model=model,
         beta_true=beta_true,
         which_targets=targets,
         alternative=alternative,
-        n_max=_as_int(doc["n_max"], "n_max"),
+        n_max=_as_int(fields["n_max"], "n_max"),
         interim_recruited=interims,
         prob0=prob0,
-        eff_arm_rule=_parse_rule(doc["eff_arm_rule"], "eff_arm_rule"),
-        fut_arm_rule=_parse_rule(doc["fut_arm_rule"], "fut_arm_rule"),
-        eff_trial_rule=_parse_rule(doc.get("eff_trial_rule", {"family": "never"}), "eff_trial_rule"),
-        fut_trial_rule=_parse_rule(doc.get("fut_trial_rule", {"family": "never"}), "fut_trial_rule"),
-        rar_rule=(
-            _parse_rule(doc["rar_rule"], "rar_rule")
-            if doc.get("rar_rule") is not None
-            else None
-        ),
-        delta_eff=_expand_delta(doc.get("delta_eff", 0.0), len(targets), n_looks, "delta_eff"),
-        delta_fut=_expand_delta(doc.get("delta_fut", 0.0), len(targets), n_looks, "delta_fut"),
-        delta_rar=_expand_delta(doc.get("delta_rar", 0.0), len(targets), n_looks, "delta_rar"),
-        allocation=str(doc.get("allocation", "simple")),
+        eff_arm_rule=_parse_rule(fields["eff_arm_rule"], "eff_arm_rule"),
+        fut_arm_rule=_parse_rule(fields["fut_arm_rule"], "fut_arm_rule"),
+        eff_trial_rule=_parse_rule(fields["eff_trial_rule"], "eff_trial_rule"),
+        fut_trial_rule=_parse_rule(fields["fut_trial_rule"], "fut_trial_rule"),
+        rar_rule=None if rar_rule is None else _parse_rule(rar_rule, "rar_rule"),
+        delta_eff=_expand_delta(fields["delta_eff"], len(targets), n_looks, "delta_eff"),
+        delta_fut=_expand_delta(fields["delta_fut"], len(targets), n_looks, "delta_fut"),
+        delta_rar=_expand_delta(fields["delta_rar"], len(targets), n_looks, "delta_rar"),
+        allocation=_as_str(fields["allocation"], "allocation"),
         h0_mode=h0_mode,
         seeds=seeds,
-        extended=_as_int(doc.get("extended", 0), "extended"),
+        extended=_as_int(fields["extended"], "extended"),
     )
-    return spec
+
+
+def _fields(doc: dict, table: dict, prefix: str) -> dict:
+    """Every key of ``table`` with its value in ``doc``, or its default where
+    ``doc`` leaves it out; a SpecError names unknown and missing keys."""
+    errors = []
+    unknown = sorted(doc.keys() - table.keys())
+    if unknown:
+        errors.append(f"{prefix}unknown field(s): " + ", ".join(unknown))
+    missing = [k for k, default in table.items() if default is ... and k not in doc]
+    if missing:
+        errors.append(f"{prefix}missing required key(s): " + ", ".join(missing))
+    if errors:
+        raise SpecError(errors)
+    return {k: doc.get(k, default) for k, default in table.items()}
 
 
 def _as_list(value, key: str) -> list:
@@ -281,6 +288,12 @@ def _as_list(value, key: str) -> list:
 def _as_dict(value, key: str) -> dict:
     if not isinstance(value, dict):
         raise SpecError(f"{key} must be an object")
+    return value
+
+
+def _as_str(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise SpecError(f"{key} must be a string, got {value!r}")
     return value
 
 
@@ -316,70 +329,47 @@ def _as_int(value, key: str) -> int:
 
 
 def _parse_model(doc) -> ModelSpec:
-    if not isinstance(doc, dict):
-        raise SpecError("model must be an object")
-    errors = []
-    unknown = sorted(set(doc) - set(_MODEL_KEYS))
-    if unknown:
-        errors.append("model: unknown field(s): " + ", ".join(unknown))
-    missing = [k for k in _MODEL_REQUIRED if k not in doc]
-    if missing:
-        errors.append("model: missing required key(s): " + ", ".join(missing))
-    if errors:
-        raise SpecError(errors)
-
+    fields = _fields(_as_dict(doc, "model"), _MODEL_FIELDS, "model: ")
     covariates = []
-    for i, cov in enumerate(_as_list(doc.get("covariates", []), "model.covariates")):
+    for i, cov in enumerate(_as_list(fields["covariates"], "model.covariates")):
         if not isinstance(cov, dict) or "name" not in cov or "generator" not in cov:
             raise SpecError(f"covariates[{i}] needs 'name' and 'generator'")
+        name = _as_str(cov["name"], f"covariates[{i}].name")
+        generator = _as_str(cov["generator"], f"covariates[{i}].generator")
         params = _as_dict(cov.get("params", {}), f"covariates[{i}].params")
         _check_finite(params, f"covariates[{i}].params")
-        names = params.get("names", []) if cov["generator"] == "mvnormal" else []
+        names = params.get("names", []) if generator == "mvnormal" else []
         if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
             # they name design-matrix columns (``covariate_columns``)
             raise SpecError(
                 f"covariates[{i}].params.names must be a list of column names, got {names!r}"
             )
-        covariates.append(
-            CovariateSpec(name=str(cov["name"]), generator=str(cov["generator"]), params=params)
-        )
-    nuisance = _as_dict(doc.get("nuisance", {}), "model.nuisance")
+        covariates.append(CovariateSpec(name=name, generator=generator, params=params))
+    nuisance = _as_dict(fields["nuisance"], "model.nuisance")
     return ModelSpec(
-        response_name=str(doc["response"]),
-        treatment_name=str(doc["treatment"]),
-        arm_names=tuple(str(a) for a in _as_list(doc["arms"], "model.arms")),
-        family=str(doc["family"]),
-        link=str(doc["link"]),
+        response_name=_as_str(fields["response"], "model.response"),
+        treatment_name=_as_str(fields["treatment"], "model.treatment"),
+        arm_names=tuple(_as_str(a, "model.arms") for a in _as_list(fields["arms"], "model.arms")),
+        family=_as_str(fields["family"], "model.family"),
+        link=_as_str(fields["link"], "model.link"),
         covariates=tuple(covariates),
         nuisance={str(k): _as_number(v, f"model.nuisance.{k}") for k, v in nuisance.items()},
     )
 
 
 def _parse_rule(doc, key: str) -> RuleSpec:
-    kind = _RULE_KINDS[key]
     if not isinstance(doc, dict) or "family" not in doc:
         raise SpecError(f"{key} must be an object with a 'family' field")
-    family = str(doc["family"])
-    if family not in rules.known_families(kind):
-        raise SpecError(
-            f"{key}: unknown rule family {family!r}; "
-            f"known: {', '.join(rules.known_families(kind))}"
-        )
     params = {
         str(k): _as_number(v, f"{key}.params.{k}")
         for k, v in _as_dict(doc.get("params", {}), f"{key}.params").items()
     }
-    required = rules.required_params(kind, family)
-    missing = sorted(set(required) - set(params))
-    extra = sorted(set(params) - set(required))
-    problems = []
-    if missing:
-        problems.append(f"{key}: missing parameter(s): " + ", ".join(missing))
-    if extra:
-        problems.append(f"{key}: unexpected parameter(s): " + ", ".join(extra))
-    if problems:
-        raise SpecError(problems)
-    return RuleSpec(family, params)
+    rule = RuleSpec(_as_str(doc["family"], f"{key}.family"), params)
+    try:
+        rules.check_rule(_RULE_KINDS[key], rule)
+    except rules.RuleError as exc:
+        raise SpecError(f"{key}: {exc}") from None
+    return rule
 
 
 def _expand_delta(value, n_targets: int, n_looks: int, key: str) -> DeltaMatrix:
@@ -423,28 +413,42 @@ def _expand_delta(value, n_targets: int, n_looks: int, key: str) -> DeltaMatrix:
 def validate_spec(spec: TrialSpec) -> ValidatedSpec:
     """Verify every invariant; collect all violations before reporting.
 
+    The family's link and nuisance come from ``FAMILIES``, each rule is
+    checked by ``rules.check_rule`` as in ``parse_spec`` (for specs built
+    in code), and one throwaway draw runs the covariate generators' checks.
     On success the returned spec has prob0 normalised to sum 1 and carries
     the canonical fingerprint (a hash of the design excluding its seeds).
     """
+    # config -> datagen -> glm -> config: a cycle at module level
+    from .datagen import DataGenError, simulate_covariates
+    from .glm import FitError, check_nuisance
+
     errors: list[str] = []
     model = spec.model
 
-    if model.family not in FAMILY_LINKS:
-        errors.append(f"unknown family {model.family!r}")
-    elif FAMILY_LINKS[model.family] != model.link:
-        errors.append(
-            f"family {model.family!r} requires link {FAMILY_LINKS[model.family]!r}, "
-            f"got {model.link!r}"
-        )
-    if model.family == "gaussian" and not model.nuisance.get("sd", 0) > 0:
-        errors.append("gaussian family requires nuisance sd > 0")
-    if model.family == "nbinomial" and not model.nuisance.get("dispersion", 0) > 0:
-        errors.append("nbinomial family requires nuisance dispersion > 0")
+    link = FAMILIES[model.family][0] if model.family in FAMILIES else model.link
+    if link != model.link:
+        errors.append(f"family {model.family!r} requires link {link!r}, got {model.link!r}")
+    try:
+        check_nuisance(model.family, model.nuisance)  # or names an unknown family
+    except FitError as exc:
+        errors.append(str(exc))
 
     if len(model.arm_names) < 2:
         errors.append("at least two arms (control + intervention) are required")
     if len(set(model.arm_names)) != len(model.arm_names):
         errors.append("arm names must be unique")
+
+    columns = covariate_columns(model)
+    repeated = sorted({c for c in columns if columns.count(c) > 1})
+    if repeated:
+        errors.append("covariate column names must be unique; repeated: " + ", ".join(repeated))
+    if model.covariates:
+        # one throwaway draw runs every generator's parameter checks
+        try:
+            simulate_covariates(model.covariates, 1, np.random.Generator(np.random.Philox(0)))
+        except DataGenError as exc:
+            errors.append(str(exc))
 
     n_coef = len(coefficient_names(model))
     if len(spec.beta_true) != n_coef:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, ndtr
 
-from .config import covariate_columns
+from .config import FAMILIES, covariate_columns
 
 SCORE_TOL = 1e-8
 MODE_CHANGE_TOL = 1e-10
@@ -70,13 +70,13 @@ def inverse_link(link: str, eta: np.ndarray) -> np.ndarray:
 
 
 def check_nuisance(family: str, nuisance) -> None:
-    """Reject invalid plug-in nuisance parameters for the family."""
-    if family == "gaussian" and not nuisance.get("sd", 0.0) > 0.0:
-        raise FitError("gaussian family requires nuisance sd > 0")
-    if family == "nbinomial" and not nuisance.get("dispersion", 0.0) > 0.0:
-        raise FitError("nbinomial family requires nuisance dispersion > 0")
-    if family not in ("gaussian", "binomial", "poisson", "nbinomial"):
+    """Reject an unknown family, or invalid plug-in nuisance parameters for
+    it (``config.FAMILIES``)."""
+    if family not in FAMILIES:
         raise FitError(f"unknown family {family!r}")
+    needed = FAMILIES[family][1]
+    if needed is not None and not nuisance.get(needed, 0.0) > 0.0:
+        raise FitError(f"{family} family requires nuisance {needed} > 0")
 
 
 def design_values(arm_labels, covariates, model) -> np.ndarray:

@@ -148,17 +148,6 @@ def register_family(
     _REGISTRY[kind][name] = (required, fn)
 
 
-def known_families(kind: str) -> tuple[str, ...]:
-    return tuple(sorted(_REGISTRY[kind]))
-
-
-def required_params(kind: str, name: str) -> tuple[str, ...]:
-    try:
-        return _REGISTRY[kind][name][0]
-    except KeyError:
-        raise RuleError(f"unknown {kind} rule family {name!r}") from None
-
-
 # Threshold parameters lie in (0, 1) and exponents are >= 0, whichever
 # family takes them.
 _UNIT_INTERVAL = ("b_e", "b", "b_f")
@@ -167,20 +156,23 @@ _NONNEGATIVE = ("p", "p_f")
 
 def check_rule(kind: str, rule: RuleSpec) -> _BlockFn:
     """The block form of a ``kind`` rule; ``RuleError`` unless the family is
-    known and every parameter it requires is given and within range."""
+    known and its parameters are exactly those it requires, each within
+    range.  This is the one check of a rule, at parsing, validation and
+    evaluation alike."""
     try:
         required, fn = _REGISTRY[kind][rule.family_id]
     except KeyError:
-        raise RuleError(
-            f"unknown {kind} rule family {rule.family_id!r}; "
-            f"known: {', '.join(known_families(kind))}"
-        ) from None
-    missing = [k for k in required if k not in rule.params]
-    if missing:
-        raise RuleError(
-            f"{kind} rule {rule.family_id!r} missing parameter(s): "
-            + ", ".join(missing)
-        )
+        known = ", ".join(sorted(_REGISTRY[kind]))
+        raise RuleError(f"unknown rule family {rule.family_id!r}; known: {known}") from None
+    if rule.params.keys() != set(required):
+        missing = sorted(set(required) - rule.params.keys())
+        unexpected = sorted(rule.params.keys() - set(required))
+        problems = []
+        if missing:
+            problems.append("missing parameter(s): " + ", ".join(missing))
+        if unexpected:
+            problems.append("unexpected parameter(s): " + ", ".join(unexpected))
+        raise RuleError("; ".join(problems))
     for name in required:
         value = rule.params[name]
         if name in _UNIT_INTERVAL and not 0.0 < value < 1.0:

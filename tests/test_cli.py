@@ -386,6 +386,20 @@ def test_covariate_generator_parameter_reported(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_repeated_covariate_column_reported(tmp_path, capsys):
+    # a repeated name would put one column in both covariate positions
+    doc = gaussian_two_stage_design(beta_true=[0.0, 0.8, 0.0, 0.5, 0.0])
+    age = {"name": "age", "generator": "normal", "params": {"mean": 0, "sd": 1}}
+    uniform = {"name": "age", "generator": "uniform", "params": {"low": 5, "high": 6}}
+    doc["model"] = {**doc["model"], "covariates": [age, uniform]}
+    path, out = tmp_path / "cov.json", tmp_path / "cov.shard"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--workers", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: covariate column names must be unique; repeated: age\n"
+    assert not out.exists()
+
+
 def test_covariate_generator_parameter_type_reported(tmp_path, capsys):
     doc = gaussian_two_stage_design(beta_true=[0.0, 0.8, 0.0, 0.5])
     covariate = {"name": "z", "generator": "normal", "params": {"sd": "x"}}

@@ -28,6 +28,70 @@ def test_parse_count_dose_document():
     assert spec.extended == 0
 
 
+_REQUIRED_ONLY = {
+    "model": {
+        "response": "y", "treatment": "arm", "arms": ["ctrl", "T1"],
+        "family": "binomial", "link": "logit",
+    },
+    "beta_true": [0.0, 0.5],
+    "targets": [1],
+    "alternative": "greater",
+    "n_max": 100,
+    "interim_recruited": [50],
+    "prob0": {"ctrl": 1, "T1": 3},
+    "eff_arm_rule": {"family": "fixed", "params": {"b_e": 0.05}},
+    "fut_arm_rule": {"family": "fixed", "params": {"b_f": 0.1}},
+}
+
+
+def test_required_keys_alone_take_the_documented_defaults():
+    spec = config.validate_spec(config.parse_spec(json.dumps(_REQUIRED_ONLY))).spec
+    never = {"family": "never", "params": {}}
+    assert config.canonical_document(spec) == {
+        "model": {**_REQUIRED_ONLY["model"], "nuisance": {}, "covariates": []},
+        "beta_true": [0.0, 0.5],
+        "targets": [1],
+        "alternative": ["greater"],
+        "n_max": 100,
+        "interim_recruited": [50],
+        "prob0": {"ctrl": 0.25, "T1": 0.75},
+        "allocation": "simple",
+        "delta_eff": [[0.0, 0.0]],
+        "delta_fut": [[0.0, 0.0]],
+        "delta_rar": [[0.0, 0.0]],
+        "eff_arm_rule": {"family": "fixed", "params": {"b_e": 0.05}},
+        "fut_arm_rule": {"family": "fixed", "params": {"b_f": 0.1}},
+        "eff_trial_rule": never,
+        "fut_trial_rule": never,
+        "rar_rule": None,
+        "h0_mode": False,
+        "extended": 0,
+        "seeds": [1],
+    }
+
+
+def _documented_keys(heading: str) -> dict:
+    """Key -> required, from the key table under ``heading`` in
+    docs/design-format.md; ``family-dependent`` counts as not required."""
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parent.parent / "docs" / "design-format.md").read_text()
+    section = text.split(f"\n{heading}\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+    return {key.strip().strip("`"): required.strip() == "yes" for key, required in rows}
+
+
+@pytest.mark.parametrize(
+    "heading, table",
+    [("## Top-level keys", "_FIELDS"), ("## `model`", "_MODEL_FIELDS")],
+    ids=["top-level", "model"],
+)
+def test_documented_keys_match_the_field_tables(heading, table):
+    # ``...`` marks a required key in the tables
+    fields = getattr(config, table).items()
+    assert _documented_keys(heading) == {key: default is ... for key, default in fields}
+
+
 def test_missing_required_key_reported():
     doc = gaussian_two_stage_design()
     del doc["interim_recruited"]
@@ -71,6 +135,13 @@ def test_rule_parameter_ranges_checked_by_validation(key, family, params, name, 
             config.validate_spec(spec_with(value))
         assert f"{key}: parameter {name} must" in str(info.value)
         assert f"got {value}" in str(info.value)
+
+
+def test_rule_parameter_range_checked_by_parsing():
+    doc = gaussian_two_stage_design(fut_arm_rule={"family": "fixed", "params": {"b_f": 1.5}})
+    with pytest.raises(SpecError) as info:
+        config.parse_spec(json.dumps(doc))
+    assert str(info.value) == "fut_arm_rule: parameter b_f must lie in (0, 1), got 1.5"
 
 
 def test_unknown_rule_family():
@@ -280,6 +351,21 @@ _MALFORMED = [
      [{"name": "m", "generator": "mvnormal",
        "params": {"names": ["u", ["v"]], "mean": [0, 0], "cov": [[1, 0], [0, 1]]}}],
      "covariates[0].params.names must be a list of column names"),
+    ("arms-null", ("model", "arms", 0), None, "model.arms must be a string, got None"),
+    ("response-number", ("model", "response"), 5, "model.response must be a string, got 5"),
+    ("treatment-bool", ("model", "treatment"), True, "model.treatment must be a string, got True"),
+    ("family-list", ("model", "family"), ["nbinomial"], "model.family must be a string"),
+    ("link-null", ("model", "link"), None, "model.link must be a string, got None"),
+    ("allocation-null", ("allocation",), None, "allocation must be a string, got None"),
+    ("alternative-entry-null", ("alternative",), ["less", None, "less"],
+     "alternative must be a string, got None"),
+    ("covariate-name-number", ("model", "covariates"),
+     [{"name": 3, "generator": "normal", "params": {"mean": 0, "sd": 1}}],
+     "covariates[0].name must be a string, got 3"),
+    ("covariate-generator-null", ("model", "covariates"), [{"name": "age", "generator": None}],
+     "covariates[0].generator must be a string, got None"),
+    ("rule-family-number", ("eff_arm_rule", "family"), 1,
+     "eff_arm_rule.family must be a string, got 1"),
     ("delta-nan", ("delta_fut",), math.nan, "delta_fut entries must be a finite number"),
     ("h0_mode-string", ("h0_mode",), "no", "h0_mode must be true or false"),
     ("targets-fraction", ("targets", 0), 1.5, "targets must be an integer"),
@@ -314,3 +400,46 @@ def test_malformed_field_is_a_spec_error(path, value, message):
     with pytest.raises(SpecError) as info:
         config.validate_spec(config.parse_spec(malformed_document(path, value)))
     assert message in str(info.value)
+
+
+def _with_covariates(*covariates):
+    """The gaussian two-stage design with extra predictors and a zero
+    coefficient for each column they give."""
+    doc = gaussian_two_stage_design()
+    doc["model"] = {**doc["model"], "covariates": list(covariates)}
+    n_columns = sum(len(c["params"].get("names", [None])) for c in covariates)
+    doc["beta_true"] = doc["beta_true"] + [0.0] * n_columns
+    return doc
+
+
+_AGE_NORMAL = {"name": "age", "generator": "normal", "params": {"mean": 0, "sd": 1}}
+
+
+@pytest.mark.parametrize(
+    "covariates",
+    [
+        [_AGE_NORMAL, {"name": "age", "generator": "uniform", "params": {"low": 5, "high": 6}}],
+        [_AGE_NORMAL, {"name": "m", "generator": "mvnormal",
+                       "params": {"names": ["age", "v"], "mean": [0, 0], "cov": [[1, 0], [0, 1]]}}],
+    ],
+    ids=["two-covariates", "mvnormal-name"],
+)
+def test_repeated_covariate_columns_rejected(covariates):
+    with pytest.raises(SpecError, match="covariate column names must be unique; repeated: age"):
+        validated(_with_covariates(*covariates))
+
+
+@pytest.mark.parametrize(
+    "covariate, message",
+    [
+        ({"name": "z", "generator": "bogus", "params": {}},
+         "unknown covariate generator id 'bogus'"),
+        ({"name": "z", "generator": "normal", "params": {"mean": 0, "sd": -1}},
+         "normal covariate sd must be >= 0"),
+    ],
+    ids=["unknown-generator", "negative-sd"],
+)
+def test_covariate_generator_errors_refused_by_validation(covariate, message):
+    spec = config.parse_spec(json.dumps(_with_covariates(covariate)))
+    with pytest.raises(SpecError, match=message):
+        config.validate_spec(spec)

@@ -87,6 +87,13 @@ class TestEfficacyArm:
         with pytest.raises(RuleError, match="unknown"):
             efficacy_arm(ctx, RuleSpec("nope", {}))
 
+    def test_parameters_must_be_exactly_the_required_ones(self):
+        both = r"^missing parameter\(s\): eta, nu; unexpected parameter\(s\): x$"
+        with pytest.raises(RuleError, match=both):
+            rules.check_rule("rar", RuleSpec("trippa", {"gamma": 3.0, "x": 1.0}))
+        with pytest.raises(RuleError, match=r"^unexpected parameter\(s\): b$"):
+            rules.check_rule("eff_arm", RuleSpec("fixed", {"b_e": 0.05, "b": 0.1}))
+
 
 class TestFutilityArm:
     def test_fixed_boundary(self):
