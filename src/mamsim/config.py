@@ -75,6 +75,9 @@ _MODEL_FIELDS = {
     "nuisance": {},
     "covariates": [],
 }
+# the keys of a rule object and of a covariate object, in the same form
+_RULE_FIELDS = {"family": ..., "params": {}}
+_COVARIATE_FIELDS = {"name": ..., "generator": ..., "params": {}}
 
 
 class SpecError(ValueError):
@@ -185,11 +188,12 @@ def coefficient_names(model: ModelSpec) -> tuple[str, ...]:
 def parse_spec(text: str) -> TrialSpec:
     """Parse a JSON design document into a TrialSpec.
 
-    ``_FIELDS`` and ``_MODEL_FIELDS`` give the keys a document and its model
-    may hold, which are required, and the default each absent optional key
-    takes.  Every rule is checked here by ``rules.check_rule``, so an unknown
-    family or a parameter that is missing, unexpected or out of range is a
-    ``SpecError`` naming the rule's key.
+    ``_FIELDS``, ``_MODEL_FIELDS``, ``_RULE_FIELDS`` and
+    ``_COVARIATE_FIELDS`` give the keys a document, its model, a rule and a
+    covariate may hold, which are required, and the default each absent
+    optional key takes.  Every rule is checked here by ``rules.check_rule``,
+    so an unknown family or a parameter that is missing, unexpected or out
+    of range is a ``SpecError`` naming the rule's key.
     """
     try:
         doc = json.loads(text)
@@ -332,11 +336,10 @@ def _parse_model(doc) -> ModelSpec:
     fields = _fields(_as_dict(doc, "model"), _MODEL_FIELDS, "model: ")
     covariates = []
     for i, cov in enumerate(_as_list(fields["covariates"], "model.covariates")):
-        if not isinstance(cov, dict) or "name" not in cov or "generator" not in cov:
-            raise SpecError(f"covariates[{i}] needs 'name' and 'generator'")
+        cov = _fields(_as_dict(cov, f"covariates[{i}]"), _COVARIATE_FIELDS, f"covariates[{i}]: ")
         name = _as_str(cov["name"], f"covariates[{i}].name")
         generator = _as_str(cov["generator"], f"covariates[{i}].generator")
-        params = _as_dict(cov.get("params", {}), f"covariates[{i}].params")
+        params = _as_dict(cov["params"], f"covariates[{i}].params")
         _check_finite(params, f"covariates[{i}].params")
         names = params.get("names", []) if generator == "mvnormal" else []
         if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
@@ -358,13 +361,12 @@ def _parse_model(doc) -> ModelSpec:
 
 
 def _parse_rule(doc, key: str) -> RuleSpec:
-    if not isinstance(doc, dict) or "family" not in doc:
-        raise SpecError(f"{key} must be an object with a 'family' field")
+    fields = _fields(_as_dict(doc, key), _RULE_FIELDS, f"{key}: ")
     params = {
         str(k): _as_number(v, f"{key}.params.{k}")
-        for k, v in _as_dict(doc.get("params", {}), f"{key}.params").items()
+        for k, v in _as_dict(fields["params"], f"{key}.params").items()
     }
-    rule = RuleSpec(_as_str(doc["family"], f"{key}.family"), params)
+    rule = RuleSpec(_as_str(fields["family"], f"{key}.family"), params)
     try:
         rules.check_rule(_RULE_KINDS[key], rule)
     except rules.RuleError as exc:

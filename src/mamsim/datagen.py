@@ -214,13 +214,15 @@ _LOW32, _SHIFT32 = np.uint64(_MASK), np.uint64(32)
 
 def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """High and low words of the 128-bit products of the constant m with
-    the uint64 array x, from the products of their 32-bit halves."""
+    the uint64 array x.  The high word sums the products of their 32-bit
+    halves with the carries of Hacker's Delight's ``mulhu``, none of whose
+    partial sums can wrap; the low word is the wrapping uint64 product."""
     m_hi, m_lo = np.uint64(m >> 32), np.uint64(m & _MASK)
     x_hi, x_lo = x >> _SHIFT32, x & _LOW32
-    lo_lo, hi_lo, lo_hi = m_lo * x_lo, m_hi * x_lo, m_lo * x_hi
-    mid = (lo_lo >> _SHIFT32) + (hi_lo & _LOW32) + (lo_hi & _LOW32)
-    hi = m_hi * x_hi + (hi_lo >> _SHIFT32) + (lo_hi >> _SHIFT32) + (mid >> _SHIFT32)
-    return hi, mid << _SHIFT32 | lo_lo & _LOW32
+    lo_lo = m_lo * x_lo
+    mid = m_hi * x_lo + (lo_lo >> _SHIFT32)
+    low_mid = m_lo * x_hi + (mid & _LOW32)
+    return m_hi * x_hi + (mid >> _SHIFT32) + (low_mid >> _SHIFT32), x * np.uint64(m)
 
 
 def _philox(key: np.ndarray, counter: np.ndarray) -> np.ndarray:
@@ -304,8 +306,9 @@ def binomial_responses(inversion: Inversion, codes: np.ndarray, u: np.ndarray) -
     """``Generator.binomial(1, p[codes[i]])`` for each row i of a block of
     cohorts, from the uniforms ``u[i]`` of its response stream: a subject
     takes the next uniform unless its mean is 0."""
-    taken = inversion.draws[codes].cumsum(axis=1) - 1
-    u = np.take_along_axis(u, np.maximum(taken, 0), axis=1)
+    if not inversion.draws.all():  # else subject i takes uniform i
+        taken = inversion.draws[codes].cumsum(axis=1) - 1
+        u = np.take_along_axis(u, np.maximum(taken, 0), axis=1)
     threshold = inversion.threshold[codes]
     return np.where(inversion.above[codes], u > threshold, u <= threshold).astype(np.int64)
 
@@ -371,7 +374,9 @@ def allocate_simple(weights: np.ndarray, mask: np.ndarray, u: np.ndarray) -> np.
     """
     cdf = _probabilities(weights, mask, u.shape[1]).cumsum(axis=1)
     cdf = cdf / cdf[:, -1:]
-    return np.count_nonzero(cdf[:, None, :] <= u[:, :, None], axis=2)
+    # counted arm by arm, over (arm, row, subject): a short last axis would
+    # make the count a loop of tiny reductions
+    return np.count_nonzero(cdf.T[:, :, None] <= u, axis=0)
 
 
 def balanced_counts(weights: np.ndarray, mask: np.ndarray, m: int) -> np.ndarray:
@@ -425,6 +430,8 @@ def _gen_mvnormal(params, m, rng):
     ):
         raise DataGenError("mvnormal mean must be a list of numbers, and cov a list of such lists")
     k = len(names)
+    if not k:
+        raise DataGenError("mvnormal covariate names no column: names is empty")
     if len(mean) != k or len(cov) != k or any(len(row) != k for row in cov):
         raise DataGenError(
             f"mvnormal names {k} columns, so mean needs {k} entries and cov {k} x {k}; "

@@ -1,16 +1,17 @@
 """Trial execution in lockstep blocks of replicates.
 
 ``run_block`` walks a block of simulated trials through the schedule
-together, look by look, holding their state in arrays with a row per
-replicate and a column per arm.  At each look every replicate still
-running simulates its new cohort, the block refits the model on each live
-row's accumulated data in one batched Newton solve
+together, look by look, holding the state of the replicates still running
+in arrays with a row per running replicate and a column per arm.  At each
+look every running replicate simulates its new cohort, the block refits
+the model on each one's accumulated data in one batched Newton solve
 (:func:`mamsim.glm.fit_laplace_batch`), and the block forms of the arm and
-trial rules (:mod:`mamsim.rules`) act on all live rows at once: they drop
+trial rules (:mod:`mamsim.rules`) act on all of them at once: they drop
 decided arms from recruitment (their data stay in the fit) and set the
 allocation probabilities of the rows that go on (response-adaptive or
-rescaled fixed weights).  A replicate leaves the block when it stops; the
-others go on to the final analysis at the maximum sample size.
+rescaled fixed weights).  A replicate leaves the block when it stops: its
+record is built and its rows are dropped from the state.  The others go
+on to the final analysis at the maximum sample size.
 
 Arm-only models are fitted on per-arm sufficient statistics (subjects and
 response sums per arm, kept up to date with ``np.bincount`` of each
@@ -218,10 +219,12 @@ def run_block(validated: ValidatedSpec, seeds) -> list[TrialResult]:
 
 
 class _Block:
-    """A block of replicates of one design, run in lockstep, with its trial
-    state in arrays of one row per replicate and one column per arm, control
-    first.  Target ``t`` is the coefficient of arm ``t``, so arm columns
-    serve the targets too.  Records are built from the rows at the end."""
+    """A block of replicates of one design, run in lockstep.  The trial
+    state of the rows still running (``live``, their block row indices) is
+    held in arrays of one row per live replicate and one column per arm,
+    control first; a row's record is built once, at the look it stops, and
+    its state rows are then dropped.  Target ``t`` is the coefficient of
+    arm ``t``, so arm columns serve the targets too."""
 
     def __init__(self, spec, seeds: list[int]) -> None:
         model = spec.model
@@ -232,16 +235,34 @@ class _Block:
         self.targets = list(spec.which_targets)
         self.greater = np.zeros(shape[1], dtype=bool)
         self.greater[self.targets] = [a == "greater" for a in spec.alternative]
-        self.delta_eff = _arm_deltas(spec.delta_eff, self.targets, shape[1])
-        self.delta_fut = _arm_deltas(spec.delta_fut, self.targets, shape[1])
-        self.delta_rar = _arm_deltas(spec.delta_rar, self.targets, shape[1])
         self.ref = np.arange(shape[1]) == 0  # the control, the rules' reference
         self.prob0 = np.array([spec.prob0[a] for a in self.arms])
         self.sizes = cohort_sizes(spec)
         self.recruited = np.cumsum(self.sizes).tolist()
+        # each rule's block form, checked once for the block
+        self.rules = {
+            kind: (rules.check_rule(kind, rule), rule.params)
+            for kind, rule in [
+                ("eff_arm", spec.eff_arm_rule), ("fut_arm", spec.fut_arm_rule),
+                ("eff_trial", spec.eff_trial_rule), ("fut_trial", spec.fut_trial_rule),
+                ("rar", spec.rar_rule),
+            ]
+            if rule is not None
+        }
+        # each tail margin's deltas, as (look, margin, 1, arm) for one
+        # tail_probabilities call per look, and per look the margins in use:
+        # those with a delta for some arm (the others decide nothing)
+        margins = {"eff": spec.delta_eff, "fut": spec.delta_fut}
+        if spec.rar_rule is not None:
+            margins["rar"] = spec.delta_rar
+        self.margin_names = list(margins)
+        deltas = np.array([_arm_deltas(m, self.targets, shape[1]) for m in margins.values()])
+        self.deltas = deltas.transpose(2, 0, 1)[:, :, None]
+        self.has_delta = ~np.isnan(self.deltas)
+        self.in_use = self.has_delta.any(axis=(2, 3)).tolist()
         self.beta_true = np.asarray(spec.beta_true, dtype=float)
         self.gaussian = model.family == "gaussian"
-        if model.covariates:  # per-subject design rows and responses
+        if model.covariates:  # per-subject design rows and responses, by block row
             self.x = np.empty((len(seeds), spec.n_max, len(self.beta_true)))
             self.y = np.empty((len(seeds), spec.n_max))
         else:
@@ -272,49 +293,54 @@ class _Block:
         # generator, re-keyed per stream
         self.rng = np.random.Generator(np.random.Philox(0))
 
+        # the live rows' state; ``keep`` drops the rows that stop
+        self.live = np.arange(len(seeds))
         self.active = np.ones(shape, dtype=bool)
         self.count = np.zeros(shape, dtype=int)
         self.total = np.zeros(shape)  # response sums per arm
-        self.square = np.zeros(shape)  # squared-response sums (gaussian)
+        self.square = np.zeros(shape) if self.gaussian else None  # squared-response sums
         self.allocation = np.tile(self.prob0, (len(seeds), 1))
         self.efficacy = np.zeros(shape, dtype=bool)
         self.futility = np.zeros(shape, dtype=bool)
         self.decision_look = np.full(shape, -1)  # -1 while undecided
         self.est_mean = np.full(shape, np.nan)
         self.est_sd = np.full(shape, np.nan)
-        self.stop = np.zeros(len(seeds), dtype=int)  # index into STOP_REASONS
-        self.looks = np.zeros(len(seeds), dtype=int)
         self.non_converged = np.zeros(len(seeds), dtype=int)
+        # by block row
+        self.results: list[TrialResult | None] = [None] * len(seeds)
         self.history = [[] for _ in seeds] if spec.extended >= 1 else None
         # per row, each look's (arm codes, covariates, responses)
         self.cohorts = [[] for _ in seeds] if spec.extended >= 2 else None
 
     def run(self) -> list[TrialResult]:
-        live = np.arange(len(self.seeds))
         for j, m in enumerate(self.sizes):
-            self.recruit(live, j, m)
-            live = self.look(live, j)
-            if not live.size:
+            self.recruit(j, m)
+            self.look(j)
+            if not self.live.size:
                 break
-        # each (R, arms) array becomes lists once, not number by number
-        arrays = (
-            self.count, self.efficacy, self.futility, self.decision_look, self.est_mean, self.est_sd
-        )
-        rows = zip(*(a.tolist() for a in arrays))
-        return [self.result(r, *row) for r, row in enumerate(rows)]
+        return self.results
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep the state of the live rows at positions ``rows`` only."""
+        self.live = self.live[rows]
+        for name in _LIVE_STATE:
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, value[rows])
 
     def stream(self, r: int, j: int, purpose: str) -> np.random.Generator:
         """The block's generator, restarted at replicate ``r``'s stream
         ``substream(seed, "look", j, purpose)``."""
         return datagen.rekey(self.rng, self.keys[r, j, self.purposes.index(purpose)])
 
-    def uniforms(self, live: np.ndarray, j: int) -> dict[str, np.ndarray]:
+    def uniforms(self, j: int) -> dict[str, np.ndarray]:
         """The live rows' uniforms of look ``j``, by purpose in ``drawn``.
 
         A look with none drawn yet starts a run: the uniforms of its own and
         the next looks' streams come from one Philox pass over the live rows,
         as many looks as fit in ``BLOCK_BYTES``.
         """
+        live = self.live
         if j not in self.run_draws:
             per_subject = 8 * len(live) * len(self.drawn)
             end = j + 1
@@ -328,29 +354,31 @@ class _Block:
             draws = datagen.stream_uniforms(keys, self.sizes[j:end])
             self.run_draws = {j + k: (live, u) for k, u in enumerate(draws)}
         rows, u = self.run_draws.pop(j)
-        u = u[np.searchsorted(rows, live)]
+        if len(rows) != len(live):  # rows stopped since the run's draws
+            u = u[np.searchsorted(rows, live)]
         return {k: u[:, i] for i, k in enumerate(self.drawn)}
 
-    def recruit(self, live: np.ndarray, j: int, m: int) -> None:
+    def recruit(self, j: int, m: int) -> None:
         """Simulate look ``j``'s cohort of ``m`` subjects in each live row."""
-        u = self.uniforms(live, j) if self.drawn else {}
+        live = self.live.tolist()
+        u = self.uniforms(j) if self.drawn else {}
         if "alloc" in u:
-            codes = datagen.allocate_simple(self.allocation[live], self.active[live], u["alloc"])
+            codes = datagen.allocate_simple(self.allocation, self.active, u["alloc"])
         else:
-            counts = datagen.balanced_counts(self.allocation[live], self.active[live], m)
+            counts = datagen.balanced_counts(self.allocation, self.active, m)
             arms = np.arange(len(self.arms))
             codes = np.array([
                 self.stream(r, j, "alloc").permutation(np.repeat(arms, c))
-                for r, c in zip(live.tolist(), counts)
+                for r, c in zip(live, counts)
             ])
         if "response" in u:
             ys = datagen.binomial_responses(self.inversion, codes, u["response"])
             covs = [{}] * len(live)
         else:
-            ys, covs = zip(*[self.respond(r, j, c) for r, c in zip(live.tolist(), codes)])
+            ys, covs = zip(*[self.respond(r, j, c) for r, c in zip(live, codes)])
             ys = np.array(ys)
         if self.cohorts is not None:
-            for r, c, cov, y in zip(live.tolist(), codes, covs, ys):
+            for r, c, cov, y in zip(live, codes, covs, ys):
                 self.cohorts[r].append((c, cov, y))
         # one bincount for the block: row i's arms are bins i * arms + code
         n_arms = len(self.arms)
@@ -359,10 +387,10 @@ class _Block:
         def per_arm(weights=None):
             return np.bincount(bins, weights, len(live) * n_arms).reshape(len(live), n_arms)
 
-        self.count[live] += per_arm()
-        self.total[live] += per_arm(ys.ravel())
+        self.count += per_arm()
+        self.total += per_arm(ys.ravel())
         if self.gaussian:
-            self.square[live] += per_arm((ys * ys).ravel())
+            self.square += per_arm((ys * ys).ravel())
 
     def respond(self, r: int, j: int, codes: np.ndarray) -> tuple[np.ndarray, dict]:
         """Row ``r``'s look ``j`` responses and covariates for subjects in
@@ -384,92 +412,111 @@ class _Block:
         self.y[r, start : start + m] = y
         return y, covs
 
-    def rule_block(self, rows: np.ndarray) -> rules.RuleBlock:
-        return rules.RuleBlock(self.active[rows], self.count[rows], self.ref, self.spec.n_max)
+    def rule_block(self) -> rules.RuleBlock:
+        return rules.RuleBlock(self.active, self.count, self.ref, self.spec.n_max)
 
-    def look(self, live: np.ndarray, j: int) -> np.ndarray:
+    def look(self, j: int) -> None:
         """Look ``j`` of the live rows: one batched fit of their data so far,
-        the tails of their active arms, the arm and trial rules, and the
-        next allocation of the rows that go on, which are returned."""
+        the tails of their active arms, the arm and trial rules, the records
+        of the rows that stop, and the next allocation of the others."""
         spec, model, n_arms = self.spec, self.model, len(self.arms)
         if model.covariates:
             n = self.recruited[j]
-            data = glm.SubjectRows(self.x[live, :n], self.y[live, :n])
+            data = glm.SubjectRows(self.x[self.live, :n], self.y[self.live, :n])
         else:
-            square = self.square[live] if self.gaussian else None
-            data = glm.ArmTotals(self.count[live], self.total[live], square)
+            data = glm.ArmTotals(self.count, self.total, self.square)
         fit = glm.fit_laplace_batch(data, model.family, model.nuisance)
         converged = fit.converged
         mean, sd = fit.mode[:, :n_arms], fit.marginal_sd[:, :n_arms]
-        evaluated = self.active[live] & converged[:, None]
+        evaluated = self.active & converged[:, None]
 
-        def tails(deltas):
-            delta = deltas[:, j]
-            probs = glm.tail_probabilities(mean, sd, delta, self.greater)
-            return np.where(evaluated & ~np.isnan(delta), probs, np.nan)
-
-        p_eff, p_fut = tails(self.delta_eff), tails(self.delta_fut)
-        p_rar = tails(self.delta_rar) if spec.rar_rule is not None else np.full(mean.shape, np.nan)
+        # the tails of every margin in use at this look, NaN where an arm is
+        # not evaluated or has no delta; those not in use are all NaN
+        used = [i for i, flag in enumerate(self.in_use[j]) if flag]
+        tails = {}
+        if used:
+            probs = glm.tail_probabilities(mean, sd, self.deltas[j, used], self.greater)
+            probs = np.where(evaluated & self.has_delta[j, used], probs, np.nan)
+            tails = {self.margin_names[i]: p for i, p in zip(used, probs)}
+        unused = np.full(mean.shape, np.nan)
+        p_eff, p_fut, p_rar = (tails.get(k, unused) for k in ("eff", "fut", "rar"))
 
         # arm rules; a non-converged row has no tails, so no decisions
-        block = self.rule_block(live)
-        hit_eff = rules.evaluate("eff_arm", spec.eff_arm_rule, p_eff, block) & ~np.isnan(p_eff)
-        hit_fut = rules.evaluate("fut_arm", spec.fut_arm_rule, p_fut, block) & ~np.isnan(p_fut)
+        block = self.rule_block()
+
+        def hits(kind, margin):
+            if margin not in tails:
+                return np.zeros(mean.shape, dtype=bool)
+            fn, params = self.rules[kind]
+            return fn(tails[margin], block, params) & ~np.isnan(tails[margin])
+
+        hit_eff, hit_fut = hits("eff_arm", "eff"), hits("fut_arm", "fut")
         decided = hit_eff | hit_fut
-        self.efficacy[live] |= hit_eff
-        self.futility[live] |= hit_fut
-        self.decision_look[live] = np.where(decided, j, self.decision_look[live])
+        self.efficacy |= hit_eff
+        self.futility |= hit_fut
+        self.decision_look[decided] = j
         # decided arms keep the estimate of their decision look, the others
         # that of the last converged fit
-        self.est_mean[live] = np.where(evaluated, mean, self.est_mean[live])
-        self.est_sd[live] = np.where(evaluated, sd, self.est_sd[live])
-        active = self.active[live] & ~decided
-        self.active[live] = active
+        np.copyto(self.est_mean, mean, where=evaluated)
+        np.copyto(self.est_sd, sd, where=evaluated)
+        self.active = active = self.active & ~decided
 
         # trial rules see the decisions so far; the efficacy rule comes first
-        interventions = ~self.ref
-        flags = self.efficacy[live][:, interventions], self.futility[live][:, interventions]
-        stop_eff = converged & rules.evaluate("eff_trial", spec.eff_trial_rule, *flags)
-        stop_fut = converged & ~stop_eff & rules.evaluate("fut_trial", spec.fut_trial_rule, *flags)
-        self.non_converged[live] += ~converged
-        self.looks[live] = j + 1
+        flags = self.efficacy[:, 1:], self.futility[:, 1:]  # the interventions
+        (eff_trial, eff_params), (fut_trial, fut_params) = (
+            self.rules["eff_trial"], self.rules["fut_trial"]
+        )
+        stop_eff = converged & eff_trial(*flags, eff_params)
+        stop_fut = converged & ~stop_eff & fut_trial(*flags, fut_params)
+        self.non_converged += ~converged
         if self.history is not None:
-            self.record_look(live, j, converged, mean, sd, p_eff, p_fut, p_rar)
-        if j == len(self.sizes) - 1:
-            return live[:0]
+            self.record_look(j, converged, mean, sd, p_eff, p_fut, p_rar)
+        if j == len(self.sizes) - 1:  # every row reached the maximum sample size
+            self.finish(np.arange(len(self.live)), np.zeros(len(self.live), dtype=int), j)
+            return
 
-        stopped = stop_eff | stop_fut | ~active[:, interventions].any(axis=1)
-        # codes are indices into STOP_REASONS
-        self.stop[live] = np.select([stop_eff, stop_fut, stopped], [2, 3, 1])
-        go = ~stopped
-        rows, active = live[go], active[go]
+        stopped = stop_eff | stop_fut | ~active[:, 1:].any(axis=1)
+        if stopped.any():
+            # codes are indices into STOP_REASONS
+            codes = np.where(stop_eff, 2, np.where(stop_fut, 3, 1))
+            ends, go = np.flatnonzero(stopped), np.flatnonzero(~stopped)
+            self.finish(ends, codes, j)
+            self.keep(go)
+            if not go.size:
+                return
+            active, p_rar = self.active, p_rar[go]
         if spec.rar_rule is None:
-            self.allocation[rows] = _rescale(self.prob0, active)
-            return rows
+            self.allocation = _rescale(self.prob0, active)
+            return
         # RAR where every recruiting intervention has a tail at this look;
         # elsewhere (non-converged fit or margin disabled) the current
         # allocation, restricted to the arms still recruiting
-        rar = ~(np.isnan(p_rar[go]) & active & interventions).any(axis=1)
-        self.allocation[rows] = _rescale(self.allocation[rows], active)
+        rar = ~(np.isnan(p_rar) & active & ~self.ref).any(axis=1)
+        rar_fn, rar_params = self.rules["rar"]
+        if rar.all():
+            block = self.rule_block()
+            self.allocation = rules.normalize_rows(rar_fn(p_rar, block, rar_params), active)
+            return
+        self.allocation = _rescale(self.allocation, active)
         if rar.any():
-            block = self.rule_block(rows[rar])
-            weights = rules.evaluate("rar", spec.rar_rule, p_rar[go][rar], block)
-            self.allocation[rows[rar]] = rules.normalize_rows(weights, block.active)
-        return rows
+            rows = np.flatnonzero(rar)
+            block = rules.RuleBlock(active[rows], self.count[rows], self.ref, spec.n_max)
+            weights = rar_fn(p_rar[rows], block, rar_params)
+            self.allocation[rows] = rules.normalize_rows(weights, block.active)
 
-    def record_look(self, live, j, converged, mean, sd, p_eff, p_fut, p_rar) -> None:
+    def record_look(self, j, converged, mean, sd, p_eff, p_fut, p_rar) -> None:
         """Append look ``j``'s ``LookRecord`` to each live row's history."""
         arms, interventions = self.arms, range(1, len(self.arms))
         look_mean = np.where(converged[:, None], mean, np.nan)
         look_sd = np.where(converged[:, None], sd, np.nan)
         # each (live, arms) array becomes lists once, not number by number
         arrays = (
-            self.count[live], self.active[live], self.allocation[live],
+            self.count, self.active, self.allocation,
             p_eff, p_fut, p_rar, look_mean, look_sd, converged,
         )
         rows = zip(*(a.tolist() for a in arrays))
         is_final = j == len(self.sizes) - 1
-        for r, row in zip(live.tolist(), rows):
+        for r, row in zip(self.live.tolist(), rows):
             counts, active, allocation, eff, fut, rar, est_mean, est_sd, fit_converged = row
             self.history[r].append(
                 LookRecord(
@@ -488,15 +535,30 @@ class _Block:
                 )
             )
 
-    def result(self, r: int, counts, efficacy, futility, looks, est_mean, est_sd) -> TrialResult:
+    def finish(self, rows: np.ndarray, stop: np.ndarray, j: int) -> None:
+        """The records of the live rows at positions ``rows``, which stop at
+        look ``j``; ``stop`` holds each live row's ``STOP_REASONS`` code."""
+        # each array becomes lists once, not number by number
+        arrays = (
+            self.live, stop, self.non_converged, self.count, self.efficacy, self.futility,
+            self.decision_look, self.est_mean, self.est_sd,
+        )
+        for r, *row in zip(*(a[rows].tolist() for a in arrays)):
+            self.results[r] = self.result(r, j + 1, *row)
+
+    def result(
+        self, r: int, looks: int, stop: int, non_converged: int,
+        counts, efficacy, futility, decision_look, est_mean, est_sd,
+    ) -> TrialResult:
         """Row ``r``'s record, given its rows of the block's arrays as lists."""
         arms, final = self.arms, len(self.sizes) - 1
         decisions = {
             arm: ArmDecision(
                 efficacy_met=efficacy[t],
                 futility_met=futility[t],
-                timing="none" if looks[t] < 0 else "last" if looks[t] == final else "early",
-                look_index=None if looks[t] < 0 else looks[t],
+                timing="none" if decision_look[t] < 0
+                else "last" if decision_look[t] == final else "early",
+                look_index=None if decision_look[t] < 0 else decision_look[t],
             )
             for t, arm in enumerate(self.model.interventions, 1)
         }
@@ -514,14 +576,21 @@ class _Block:
             decisions=decisions,
             sample_sizes=dict(zip(arms, counts)),
             total_size=sum(counts),
-            stop_reason=STOP_REASONS[self.stop[r]],
-            looks_performed=int(self.looks[r]),
+            stop_reason=STOP_REASONS[stop],
+            looks_performed=looks,
             estimate_mean=_by_arm(arms, est_mean, self.targets),
             estimate_sd=_by_arm(arms, est_sd, self.targets),
-            non_converged_fits=int(self.non_converged[r]),
+            non_converged_fits=non_converged,
             history=None if self.history is None else self.history[r],
             dataset=dataset,
         )
+
+
+# the per-row trial state of a block's live rows (``_Block.keep``)
+_LIVE_STATE = (
+    "active", "count", "total", "square", "allocation", "efficacy", "futility",
+    "decision_look", "est_mean", "est_sd", "non_converged",
+)
 
 
 def _arm_deltas(matrix, targets, n_arms: int) -> np.ndarray:

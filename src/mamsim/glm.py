@@ -132,15 +132,21 @@ class ArmTotals:
         self.total = np.asarray(total, dtype=float)
         self.square = None if square is None else np.asarray(square, dtype=float)
         self.shape = self.count.shape
+        # ``hessian`` fills the arrowhead's entries in place; the others stay 0
+        self._hessians = np.zeros(self.shape + self.shape[1:])
 
     def take(self, rows):
-        """The totals of the replicates ``rows`` (indices or a mask)."""
-        square = None if self.square is None else self.square[rows]
-        return ArmTotals(self.count[rows], self.total[rows], square)
+        """The totals of the replicates at the indices ``rows``; they share
+        this block's Hessian buffer."""
+        part = object.__new__(ArmTotals)
+        part.count, part.total = self.count.take(rows, 0), self.total.take(rows, 0)
+        part.square = None if self.square is None else self.square.take(rows, 0)
+        part.shape, part._hessians = part.count.shape, self._hessians
+        return part
 
     def eta(self, beta):
-        eta = beta.copy()
-        eta[:, 1:] += beta[:, :1]
+        eta = beta + beta[:, :1]
+        eta[:, 0] = beta[:, 0]
         return eta
 
     def score(self, d1):
@@ -150,12 +156,15 @@ class ArmTotals:
         return score
 
     def hessian(self, w):
-        """X' W X, an arrowhead: the intercept row and column plus a diagonal."""
+        """X' W X, an arrowhead: the intercept row and column plus a diagonal.
+        It is written into the block's buffer, which the next call
+        overwrites."""
         n_rep, p = w.shape
-        hess = np.zeros((n_rep, p, p))
-        hess[:, 0, 0] = w.sum(axis=1)
-        hess[:, 0, 1:] = hess[:, 1:, 0] = w[:, 1:]
-        hess.reshape(n_rep, p * p)[:, p + 1 :: p + 1] = w[:, 1:]  # the arms' diagonal
+        hess = self._hessians[:n_rep]
+        flat = hess.reshape(n_rep, p * p)  # a view: the buffer is C-contiguous
+        flat[:, 0] = w.sum(axis=1)
+        # the intercept row and column, and the arms' diagonal
+        flat[:, 1:p] = flat[:, p::p] = flat[:, p + 1 :: p + 1] = w[:, 1:]
         return hess
 
 
@@ -173,10 +182,11 @@ class SubjectRows:
         self.shape = (self.x.shape[0], self.x.shape[2])
 
     def take(self, rows):
-        """The rows of the replicates ``rows`` (indices or a mask)."""
+        """The rows of the replicates at the indices ``rows``."""
         part = object.__new__(SubjectRows)
-        part.x, part.xt = self.x[rows], self.xt[rows]
-        part.total, part.count, part.square = self.total[rows], self.count[rows], self.square[rows]
+        part.x, part.xt = self.x.take(rows, 0), self.xt.take(rows, 0)
+        part.total, part.count = self.total.take(rows, 0), self.count.take(rows, 0)
+        part.square = self.square.take(rows, 0)
         part.shape = (part.x.shape[0], self.shape[1])
         return part
 
@@ -200,21 +210,23 @@ def _unit_terms(family, eta, data, nuisance):
     c, s = data.count, data.total
     if family == "gaussian":
         sigma2 = nuisance["sd"] ** 2
-        units = -0.5 * (data.square - 2.0 * eta * s + c * eta * eta) / sigma2
-        return units.sum(axis=1), (s - c * eta) / sigma2, c / sigma2
+        ce = c * eta
+        units = -0.5 * (data.square - 2.0 * eta * s + ce * eta) / sigma2
+        return units.sum(axis=1), (s - ce) / sigma2, c / sigma2
     if family == "binomial":
         mu = expit(eta)
         units = s * eta - c * np.logaddexp(0.0, eta)
-        return units.sum(axis=1), s - c * mu, c * mu * (1.0 - mu)
+        cmu = c * mu
+        return units.sum(axis=1), s - cmu, cmu * (1.0 - mu)
     if family == "poisson":
-        mu = np.exp(eta)
-        return (s * eta - c * mu).sum(axis=1), s - c * mu, c * mu
+        cmu = c * np.exp(eta)
+        return (s * eta - cmu).sum(axis=1), s - cmu, cmu
     if family == "nbinomial":
         phi = nuisance["dispersion"]
         mu = np.exp(eta)
-        a = s + c * phi
-        units = s * eta - a * np.log(phi + mu)
-        return units.sum(axis=1), s - a * mu / (phi + mu), a * phi * mu / (phi + mu) ** 2
+        a, shifted = s + c * phi, phi + mu
+        units = s * eta - a * np.log(shifted)
+        return units.sum(axis=1), s - a * mu / shifted, a * phi * mu / shifted**2
     raise FitError(f"unknown family {family!r}")
 
 
@@ -231,6 +243,11 @@ def _solve_each(a, b):
             except np.linalg.LinAlgError:
                 pass
         return out
+
+
+def _all_finite(a) -> bool:
+    """``np.isfinite(a).all()``, counted rather than reduced: one call less."""
+    return np.count_nonzero(np.isfinite(a)) == a.size
 
 
 @dataclass
@@ -286,17 +303,19 @@ def fit_laplace_batch(
         raise FitError("prior dimensions do not match the design matrix")
 
     def posterior_terms(data, beta):
+        """The log posterior, d ll / d eta and w per unit, and the prior's
+        gradient, which the next score reuses."""
         ll, d1, w = _unit_terms(family, data.eta(beta), data, nuisance)
-        return ll - 0.5 * (tau * (beta - pm) ** 2).sum(axis=1), d1, w
+        diff = beta - pm
+        return ll - 0.5 * (tau * diff**2).sum(axis=1), d1, w, tau * diff
 
     def neg_hessian(data, w):
-        hess = np.ascontiguousarray(data.hessian(w))
-        diagonal = hess.reshape(len(hess), p * p)[:, :: p + 1]  # a view
-        diagonal += tau
+        hess = data.hessian(w)  # C-contiguous, so the flat rows are a view
+        hess.reshape(len(hess), p * p)[:, :: p + 1] += tau  # the diagonal
         return hess
 
     beta = np.zeros((n_rep, p))
-    lp, d1, w = posterior_terms(data, beta)
+    lp, d1, w, grad = posterior_terms(data, beta)
     if not np.isfinite(lp).all():
         raise FitError("log posterior is not finite at the starting point")
 
@@ -306,55 +325,56 @@ def fit_laplace_batch(
     converged = np.zeros(n_rep, dtype=bool)
     iterations = np.zeros(n_rep, dtype=int)
 
-    # ``rows`` are the block rows still iterating; ``part``, ``beta``,
-    # ``lp``, ``d1`` and ``w`` hold theirs only, and ``gone`` marks those
-    # that left at the last step, to be dropped at the next
+    # ``rows`` are the block rows still iterating; ``part`` and the state
+    # (``beta``, ``lp``, ``d1``, ``w``, ``grad`` and ``score``) hold theirs
+    # only.  ``leave`` marks those that left at the last iteration's step;
+    # one index drops them together with those whose score vanishes, and
+    # the loop ends as soon as the last row has left
     rows, part = np.arange(n_rep), data
-    gone = np.zeros(n_rep, dtype=bool)
-    it = 0
-    while it < max_iterations:
-        it += 1
-        score = part.score(d1) - tau * (beta - pm)
-        done = np.abs(score).max(axis=1) < SCORE_TOL
-        if done.any():
-            done &= ~gone
+    leave = np.zeros(n_rep, dtype=bool)
+    score = part.score(d1) - grad
+    for it in range(1, max_iterations + 1):
+        # max |score| < SCORE_TOL, row by row (NaN fails both)
+        done = (np.abs(score) < SCORE_TOL).all(axis=1) & ~leave
+        if np.count_nonzero(done):
             converged[rows[done]], iterations[rows[done]] = True, it
-            gone |= done
-        if gone.any():
-            index, keep = rows[gone], ~gone
-            mode[index], unit_w[index] = beta[gone], w[gone]
-            rows, part, score = rows[keep], part.take(keep), score[keep]
-            beta, lp, d1, w = beta[keep], lp[keep], d1[keep], w[keep]
-            gone = gone[keep]
+            leave |= done
+        if np.count_nonzero(leave):
+            gone, keep = leave.nonzero()[0], (~leave).nonzero()[0]
+            mode[rows[gone]], unit_w[rows[gone]] = beta.take(gone, 0), w.take(gone, 0)
+            rows, lp, part = rows[keep], lp[keep], part.take(keep)
+            beta, d1, w, grad, score = (a.take(keep, 0) for a in (beta, d1, w, grad, score))
             if not rows.size:
                 break
         hess = neg_hessian(part, w)
-        if not (np.isfinite(hess).all() and np.isfinite(score).all()):
+        if not (_all_finite(hess) and _all_finite(score)):
             raise ValueError("array must not contain infs or NaNs")
         step = _solve_each(hess, score[:, :, None])[:, :, 0]
         stop = None
-        if not np.isfinite(step).all():
+        if not _all_finite(step):
             stop = ~np.isfinite(step).all(axis=1)  # singular: stop, not converged
             step[stop] = 0.0
 
         # the full step; rows that reject it halve it, from the same start
         floor = lp - 1e-12 * (1.0 + np.abs(lp))
         cand = beta + step
-        lp_cand, d1_cand, w_cand = posterior_terms(part, cand)
+        lp_cand, d1_cand, w_cand, grad_cand = posterior_terms(part, cand)
         ok = np.isfinite(lp_cand) & (lp_cand >= floor)
-        if not ok.all():
-            pending = np.flatnonzero(~ok)
+        if np.count_nonzero(ok) < ok.size:
+            pending = (~ok).nonzero()[0]
             halving = part.take(pending)
             scale = np.full(pending.size, 0.5)
             for _ in range(MAX_HALVINGS):
                 trial = beta[pending] + scale[:, None] * step[pending]
-                lp_t, d1_t, w_t = posterior_terms(halving, trial)
+                lp_t, d1_t, w_t, grad_t = posterior_terms(halving, trial)
                 found = np.isfinite(lp_t) & (lp_t >= floor[pending])
                 index = pending[found]
                 cand[index], lp_cand[index] = trial[found], lp_t[found]
                 d1_cand[index], w_cand[index] = d1_t[found], w_t[found]
+                grad_cand[index] = grad_t[found]
                 ok[index] = True
-                pending, halving, scale = pending[~found], halving.take(~found), scale[~found]
+                lost = (~found).nonzero()[0]
+                pending, halving, scale = pending[lost], halving.take(lost), scale[lost]
                 if not pending.size:
                     break
                 scale *= 0.5
@@ -362,23 +382,30 @@ def fit_laplace_batch(
                 # no acceptable step: stop, not converged, at the last iterate
                 cand[pending], lp_cand[pending] = beta[pending], lp[pending]
                 d1_cand[pending], w_cand[pending] = d1[pending], w[pending]
+                grad_cand[pending] = grad[pending]
                 stop = ~ok if stop is None else stop | ~ok
-        change = np.abs(cand - beta).max(axis=1) / np.maximum(1.0, np.abs(beta).max(axis=1))
-        beta, lp, d1, w = cand, lp_cand, d1_cand, w_cand
-        gone = change < MODE_CHANGE_TOL
+        # max |cand - beta| / max(1, max |beta|) < MODE_CHANGE_TOL, row by
+        # row: division by a positive number keeps the order of the
+        # numerators, so the largest ratio is the ratio of the largest
+        norm = np.maximum(1.0, np.abs(beta).max(axis=1))
+        leave = (np.abs(cand - beta) / norm[:, None] < MODE_CHANGE_TOL).all(axis=1)
+        beta, lp, d1, w, grad = cand, lp_cand, d1_cand, w_cand, grad_cand
         if stop is not None:
-            gone &= ~stop
-        if gone.any():
-            converged[rows[gone]], iterations[rows[gone]] = True, it
+            leave &= ~stop
+        if np.count_nonzero(leave):
+            converged[rows[leave]], iterations[rows[leave]] = True, it
         if stop is not None:
             iterations[rows[stop]] = it
-            gone |= stop
+            leave |= stop
+        if np.count_nonzero(leave) == leave.size:
+            break
+        score = part.score(d1) - grad  # the next iteration's
     else:
-        iterations[rows[~gone]] = it  # the iteration cap
-    mode[rows], unit_w[rows] = beta, w  # the rows not dropped yet
+        iterations[rows[~leave]] = max_iterations  # the iteration cap
+    mode[rows], unit_w[rows] = beta, w  # the rows not dropped
 
     hess = neg_hessian(data, unit_w)
-    if not np.isfinite(hess).all():
+    if not _all_finite(hess):
         raise ValueError("array must not contain infs or NaNs")
     cov = _solve_each(hess, np.broadcast_to(np.eye(p), hess.shape))
     var = np.diagonal(cov, axis1=1, axis2=2)

@@ -208,8 +208,9 @@ def row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     right, as a running sum of the zero-padded row does, and more in a
     pairwise tree, so such rows are compacted and summed by numpy."""
     sums = np.where(mask, values, 0.0).cumsum(axis=1)[:, -1]
-    for r in np.flatnonzero(mask.sum(axis=1) >= 8).tolist():
-        sums[r] = values[r, mask[r]].sum()
+    if mask.shape[1] >= 8:
+        for r in np.flatnonzero(mask.sum(axis=1) >= 8).tolist():
+            sums[r] = values[r, mask[r]].sum()
     return sums
 
 

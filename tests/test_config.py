@@ -150,6 +150,49 @@ def test_unknown_rule_family():
         config.parse_spec(json.dumps(doc))
 
 
+_COVARIATE = {"name": "age", "generator": "normal", "params": {"mean": 50, "sd": 5}}
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("fut_arm_rule", {"family": "fixed", "params": {"b_f": 0.1}, "paramz": {}},
+         "fut_arm_rule: unknown field(s): paramz"),
+        ("eff_trial_rule", {"family": "never", "paramz": {"x": 1}},
+         "eff_trial_rule: unknown field(s): paramz"),
+        ("fut_arm_rule", {"params": {"b_f": 0.1}}, "fut_arm_rule: missing required key(s): family"),
+        ("fut_arm_rule", "fixed", "fut_arm_rule must be an object"),
+        ("covariates", [{"name": "age", "generator": "normal", "parms": {"sd": 5}}],
+         "covariates[0]: unknown field(s): parms"),
+        ("covariates", [_COVARIATE, {"name": "sex"}],
+         "covariates[1]: missing required key(s): generator"),
+        ("covariates", [5], "covariates[0] must be an object"),
+    ],
+    ids=["rule-paramz", "trial-rule-paramz", "rule-without-family", "rule-string",
+         "covariate-parms", "covariate-without-generator", "covariate-number"],
+)
+def test_rule_and_covariate_keys_checked_by_their_tables(key, value, message):
+    # before, the unknown keys were ignored: a misspelt "parms" ran the
+    # generator's defaults
+    doc = gaussian_two_stage_design()
+    if key == "covariates":
+        doc["model"]["covariates"] = value
+    else:
+        doc[key] = value
+    with pytest.raises(SpecError) as info:
+        config.parse_spec(json.dumps(doc))
+    assert str(info.value) == message
+
+
+def test_rule_and_covariate_params_may_be_left_out():
+    doc = gaussian_two_stage_design(eff_trial_rule={"family": "never"})
+    doc["model"]["covariates"] = [{"name": "z", "generator": "bernoulli", "params": {"p": 0.5}}]
+    spec = config.parse_spec(json.dumps(doc))
+    assert spec.eff_trial_rule.params == {}
+    doc["model"]["covariates"] = [{"name": "z", "generator": "normal"}]
+    assert config.parse_spec(json.dumps(doc)).model.covariates[0].params == {}
+
+
 def test_unknown_field_rejected():
     doc = gaussian_two_stage_design(); doc["n_min"] = 5
     with pytest.raises(SpecError, match="n_min"):

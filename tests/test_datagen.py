@@ -159,13 +159,15 @@ class TestCovariates:
              "cov must be symmetric positive semi-definite"),
             ("mvnormal", {**_MV, "cov": [[1.0, 0.5], [0.0, 1.0]]},
              "cov must be symmetric positive semi-definite"),
+            # this one was reported as a cov that is not positive semi-definite
+            ("mvnormal", {"names": [], "mean": [], "cov": []}, "names no column"),
         ],
         ids=["bernoulli-without-p", "mvnormal-without-names", "mvnormal-without-mean",
              "mvnormal-more-names", "mvnormal-larger-cov",
              "normal-sd-string", "bernoulli-p-string", "bernoulli-p-list", "mvnormal-names-number",
              "normal-mean-string", "uniform-low-string", "uniform-high-below-low",
              "mvnormal-mean-string", "normal-sd-bool", "mvnormal-cov-negative",
-             "mvnormal-cov-asymmetric"],
+             "mvnormal-cov-asymmetric", "mvnormal-no-names"],
     )
     def test_generator_parameters_fail_by_name(self, generator, params, message):
         with pytest.raises(DataGenError, match=message):

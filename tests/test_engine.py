@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from mamsim import engine, glm, oracle, reference
+from mamsim import engine, glm, oracle, reference, rules
 from mamsim.engine import cohort_sizes, run_trial
 
 from test_golden import DESIGNS as GOLDEN_DESIGNS
@@ -401,3 +401,42 @@ def test_block_draws_cut_into_runs_of_looks(monkeypatch, budget, first_run):
     passes.clear()
     assert _record_texts(engine.run_block(v, seeds)) == whole
     assert passes[0] == first_run and len(passes) > 1
+
+
+def test_one_solve_per_newton_step_and_one_check_per_rule(monkeypatch):
+    # the fixed cost of a block, guarded by call counts rather than timers:
+    # a look-fit solves once per Newton step of its slowest row and once for
+    # the covariances, and each rule is checked once for the whole block
+    v = validated(binary_six_arm_design("alternative"))
+    real_solve, real_fit, real_check = np.linalg.solve, glm.fit_laplace_batch, rules.check_rule
+    solves, checks, looks = [0], [], []
+
+    def solve(a, b):
+        solves[0] += 1
+        return real_solve(a, b)
+
+    def solves_of(data):
+        start = solves[0]
+        real_fit(data, "binomial", {})
+        return solves[0] - start
+
+    def fit(data, *args, **kwargs):
+        start = solves[0]
+        result = real_fit(data, *args, **kwargs)
+        block = solves[0] - start
+        # each row alone: its Newton steps, plus one solve at its mode
+        steps = [solves_of(data.take([r])) - 1 for r in range(data.shape[0])]
+        looks.append((block, max(steps) + 1))
+        return result
+
+    def check(kind, rule):
+        checks.append(kind)
+        return real_check(kind, rule)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    monkeypatch.setattr(engine.glm, "fit_laplace_batch", fit)
+    monkeypatch.setattr(rules, "check_rule", check)
+    engine.run_block(v, range(1, 9))
+    assert sorted(checks) == ["eff_arm", "eff_trial", "fut_arm", "fut_trial", "rar"]
+    assert len(looks) >= len(v.spec.interim_recruited)
+    assert all(block == expected for block, expected in looks)

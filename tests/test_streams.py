@@ -148,6 +148,16 @@ class TestBlockDraws:
             want = substream(seed, "response").binomial(1, means[codes[0]])
             assert got.dtype == want.dtype and np.array_equal(got[0], want)
 
+    def test_positive_means_take_one_uniform_each(self):
+        # no mean of 0, so subject i takes uniform i
+        means = np.array(EDGE_MEANS[1:])
+        inversion = datagen.binomial_inversion(means)
+        for seed in range(1, 41):
+            codes = np.random.default_rng(seed).integers(0, len(means), size=(1, 37))
+            u = datagen.stream_uniforms(datagen.stream_keys([seed], [("response",)]), [37])[0]
+            got = datagen.binomial_responses(inversion, codes, u)
+            assert np.array_equal(got[0], substream(seed, "response").binomial(1, means[codes[0]]))
+
     @settings(max_examples=60, deadline=None)
     @given(
         seed=_seeds,
