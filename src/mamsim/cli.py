@@ -51,7 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     seeds = run.add_mutually_exclusive_group()
     seeds.add_argument("--seeds", type=_parse_seed_range, help="seed range a..b or comma list")
     seeds.add_argument("--replicates", type=int, help="run seeds 1..R")
-    run.add_argument("--workers", type=int, default=None, help="worker processes")
+    run.add_argument("--workers", type=int, default=None,
+                     help="processes that simulate: this one plus a pool of N-1")
     run.add_argument("--out", type=Path, default=None, help="output shard path")
     run.add_argument("--extended", type=int, choices=(0, 1, 2), default=None,
                      help="override the document's persistence depth")

@@ -33,6 +33,8 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from operator import itemgetter
 
+import numpy as np
+
 from . import __version__
 from .config import (
     ValidatedSpec,
@@ -79,6 +81,8 @@ def resolve_workers(flag: int | None) -> int:
         cap = int(text)
     except ValueError:
         raise ShardError(f"{WORKER_CAP_ENV} must be an integer, got {text!r}") from None
+    if cap < 0:
+        raise ShardError(f"{WORKER_CAP_ENV} must not be negative, got {text!r}")
     return min(available, cap) if cap > 0 else available
 
 
@@ -89,14 +93,21 @@ def run_batch(
 ) -> BatchResult:
     """Run one replicate per seed, distributed over worker processes.
 
-    The result is independent of ``workers``: replicates are keyed by seed
-    and merged in seed order, so parallelism never changes the output.
-    When the design sets ``h0_mode`` each seed is also run under the
-    matched global-null variant.
+    ``workers`` counts every process that simulates: the seeds are split
+    into up to ``workers`` chunks, the calling process runs the first and
+    a pool of one process fewer runs the rest.  The result is independent
+    of ``workers``: replicates are keyed by seed and joined in seed order,
+    so parallelism never changes the output.  When the design sets
+    ``h0_mode`` each seed is also run under the matched global-null
+    variant.
     """
     spec = validated.spec
     if seeds is None:
         seeds = spec.seeds
+    seeds = list(seeds)
+    not_ints = [s for s in seeds if isinstance(s, bool) or not isinstance(s, (int, np.integer))]
+    if not_ints:
+        raise ShardError(f"seeds must be integers, got {_preview([repr(s) for s in not_ints])}")
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ShardError("no seeds to run")
@@ -117,12 +128,15 @@ def run_batch(
     if len(chunks) == 1:
         pairs = [_run_chunk(validated, null_spec, seeds)]
     else:
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        # the caller runs chunk 0 rather than wait idle on the pool; leaving
+        # the block waits for the pool's processes, also when a chunk raised
+        with ProcessPoolExecutor(max_workers=len(chunks) - 1) as pool:
             futures = [
                 pool.submit(_run_chunk, validated, null_spec, chunk)
-                for chunk in chunks
+                for chunk in chunks[1:]
             ]
-            pairs = [f.result() for f in futures]
+            pairs = [_run_chunk(validated, null_spec, chunks[0])]
+            pairs += [f.result() for f in futures]
 
     results = [r for res, _ in pairs for r in res]
     nulls = [r for _, res in pairs for r in (res or [])]

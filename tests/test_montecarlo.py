@@ -1,11 +1,16 @@
 """Batch execution, shard persistence, and combination safety."""
 
 import json
+import multiprocessing
+import os
 from concurrent.futures import Future
 
+import numpy as np
 import pytest
 
 from mamsim import montecarlo
+from mamsim.engine import run_block
+from mamsim.glm import FitError
 from mamsim.montecarlo import (
     ShardError,
     combine_shard_files,
@@ -40,20 +45,24 @@ def test_scalar_replicates_become_seed_range(small_batch):
 
 
 def test_worker_count_does_not_change_bytes(small_spec, tmp_path):
-    paths = []
-    for workers in (1, 2, 4):
-        batch = run_batch(small_spec, workers=workers)
-        path = tmp_path / f"w{workers}.shard"
-        save_shard(batch, path)
-        paths.append(path)
-    blobs = [payload(p) for p in paths]
-    assert blobs[0] == blobs[1] == blobs[2]
+    # null results come from the caller's chunk and from the pool's chunks
+    null_spec = validated(gaussian_two_stage_design(replicates=12, h0_mode=True))
+    for name, spec in (("plain", small_spec), ("h0", null_spec)):
+        blobs = []
+        for workers in (1, 2, 3, 4):
+            batch = run_batch(spec, workers=workers)
+            path = tmp_path / f"{name}{workers}.shard"
+            save_shard(batch, path)
+            blobs.append(payload(path))
+        assert (batch.results_null is not None) == (name == "h0")
+        assert blobs[1:] == blobs[:1] * 3
 
 
 def test_pool_is_sized_to_its_chunks(small_spec, small_batch, monkeypatch):
     # a process pool starts all its workers at the first submit, so three
-    # seeds get three chunks and three processes whatever the worker count
-    sizes = []
+    # seeds get three chunks whatever the worker count: the caller runs the
+    # first and a pool of two processes the others
+    sizes, submitted = [], []
 
     class InlineExecutor:
         def __init__(self, max_workers):
@@ -66,14 +75,52 @@ def test_pool_is_sized_to_its_chunks(small_spec, small_batch, monkeypatch):
             return False
 
         def submit(self, fn, *args):
+            submitted.append(args[-1])
             future = Future()
             future.set_result(fn(*args))
             return future
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlineExecutor)
     batch = run_batch(small_spec, seeds=[3, 1, 2], workers=8)
-    assert sizes == [3]
+    assert sizes == [2]
+    assert submitted == [[2], [3]]
     assert [r.seed for r in batch.results] == [1, 2, 3]
+
+
+def test_caller_runs_the_first_chunk(small_spec, small_batch, monkeypatch):
+    # what the pool's processes record stays in their own memory
+    ran = []
+
+    def recording(spec, seeds):
+        ran.append((os.getpid(), list(seeds)))
+        return run_block(spec, seeds)
+
+    monkeypatch.setattr(montecarlo, "run_block", recording)
+    batch = run_batch(small_spec, seeds=range(12, 0, -1), workers=3)
+    assert ran == [(os.getpid(), [1, 2, 3, 4])]
+    assert batch.seeds == small_batch.seeds
+    assert [r.to_dict() for r in batch.results] == [
+        r.to_dict() for r in small_batch.results
+    ]
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the pool's processes must inherit the patched run_block",
+)
+@pytest.mark.parametrize("bad_seed", [1, 12], ids=["caller", "pool"])
+def test_a_failing_chunk_raises_its_error_and_leaves_no_process(
+    small_spec, monkeypatch, bad_seed
+):
+    def failing(spec, seeds):
+        if bad_seed in seeds:
+            raise FitError(f"no fit for seed {bad_seed}")
+        return run_block(spec, seeds)
+
+    monkeypatch.setattr(montecarlo, "run_block", failing)
+    with pytest.raises(FitError, match=f"^no fit for seed {bad_seed}$"):
+        run_batch(small_spec, workers=3)
+    assert multiprocessing.active_children() == []
 
 
 def test_duplicate_seeds_rejected(small_spec):
@@ -229,6 +276,31 @@ def test_extended_payloads_survive_persistence(tmp_path):
     assert again.results[0].dataset is not None
 
 
+@pytest.mark.parametrize(
+    "seeds, shown",
+    [
+        ([1.7, 2.2], "1.7, 2.2"),
+        ([True, "3"], "True, '3'"),
+        ([1.2, 1.9], "1.2, 1.9"),
+        ([4, np.float64(5.0), np.True_], "np.float64(5.0), np.True_"),
+    ],
+    ids=["floats", "bool-and-text", "floats-truncating-to-one", "numpy-non-integers"],
+)
+def test_non_integer_seeds_rejected(small_spec, seeds, shown):
+    with pytest.raises(ShardError) as info:
+        run_batch(small_spec, seeds=seeds, workers=1)
+    assert str(info.value) == f"seeds must be integers, got {shown}"
+
+
+def test_numpy_integer_seeds_accepted(small_spec, small_batch):
+    batch = run_batch(small_spec, seeds=np.arange(12, 0, -1, dtype=np.int32), workers=1)
+    assert batch.seeds == small_batch.seeds
+    assert all(type(s) is int for s in batch.seeds)
+    assert [r.to_dict() for r in batch.results] == [
+        r.to_dict() for r in small_batch.results
+    ]
+
+
 def test_negative_seeds_rejected_before_any_run(small_spec):
     with pytest.raises(ShardError, match="non-negative: -3, -1"):
         run_batch(small_spec, seeds=[2, -1, -3], workers=2)
@@ -237,6 +309,12 @@ def test_negative_seeds_rejected_before_any_run(small_spec):
 def test_resolve_workers_rejects_a_non_integer_cap(monkeypatch):
     monkeypatch.setenv(montecarlo.WORKER_CAP_ENV, "abc")
     with pytest.raises(ShardError, match="MAMSIM_MAX_WORKERS must be an integer, got 'abc'"):
+        montecarlo.resolve_workers(None)
+
+
+def test_resolve_workers_rejects_a_negative_cap(monkeypatch):
+    monkeypatch.setenv(montecarlo.WORKER_CAP_ENV, "-2")
+    with pytest.raises(ShardError, match="MAMSIM_MAX_WORKERS must not be negative, got '-2'"):
         montecarlo.resolve_workers(None)
 
 
