@@ -35,7 +35,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from . import __version__
+from . import __version__, glm
 from .config import (
     ValidatedSpec,
     canonical_document,
@@ -128,8 +128,11 @@ def run_batch(
     if len(chunks) == 1:
         pairs = [_run_chunk(validated, null_spec, seeds)]
     else:
-        # the caller runs chunk 0 rather than wait idle on the pool; leaving
-        # the block waits for the pool's processes, also when a chunk raised
+        # loaded here, scipy.special is inherited by the pool's forked
+        # processes, not imported by each.  The caller runs chunk 0 rather
+        # than wait idle on the pool; leaving the block waits for the pool's
+        # processes, also when a chunk raised
+        glm.load_special()
         with ProcessPoolExecutor(max_workers=len(chunks) - 1) as pool:
             futures = [
                 pool.submit(_run_chunk, validated, null_spec, chunk)
@@ -305,11 +308,27 @@ def _raw_records(fh, header: dict, path):
         yield _read_exact(fh, length, path)
 
 
-def _decode(record, path, has_null: bool) -> tuple:
+def _design_arms(header: dict, path) -> tuple[tuple[str, ...], frozenset]:
+    """The interventions and the set of all arms of a shard header's design."""
+    try:
+        arms = header["spec_document"]["model"]["arms"]
+    except (KeyError, TypeError):
+        arms = None
+    if not (isinstance(arms, list) and all(isinstance(arm, str) for arm in arms)):
+        raise ShardError(f"corrupt shard {path}: header without the design's arms")
+    return tuple(arms[1:]), frozenset(arms)
+
+
+_INT_ONLY = frozenset({int})
+
+
+def _decode(record, path, has_null: bool, design) -> tuple:
     """Seed, result and null result (None unless ``has_null``) of a record,
     given as raw bytes from a binary shard or as an object from a JSON
-    export; a record the codec rejects, or whose results belong to another
-    seed, is corrupt."""
+    export.  A record is corrupt when the codec rejects it, or when a result
+    belongs to another seed or does not fit the shard's ``design`` (its
+    ``_design_arms``): the arms it decides on must be the interventions, and
+    its sample sizes integers keyed by exactly the arms."""
     if isinstance(record, bytes):
         try:
             record = json.loads(record)
@@ -325,11 +344,23 @@ def _decode(record, path, has_null: bool) -> tuple:
         null = TrialResult.from_dict(record["null_result"]) if has_null else None
     except RecordError as exc:
         raise ShardError(f"corrupt shard {path}: record {seed}: {exc}") from None
+    interventions, arms = design
     for res in (result, null):
-        if res is not None and res.seed != seed:
+        if res is None:
+            continue
+        if res.seed != seed:
             raise ShardError(
                 f"corrupt shard {path}: record {seed} holds a result of seed {res.seed}"
             )
+        if res.arms != interventions:
+            problem = "arms are not the design's interventions"
+        elif res.sample_sizes.keys() != arms:
+            problem = "sample_sizes are not keyed by exactly the design's arms"
+        elif set(map(type, res.sample_sizes.values())) != _INT_ONLY:
+            problem = "sample sizes must be integers"
+        else:
+            continue
+        raise ShardError(f"corrupt shard {path}: record {seed}: {problem}")
     return seed, result, null
 
 
@@ -355,7 +386,7 @@ def load_shard(path) -> BatchResult:
             header = _read_header(fh, path)
             records = _raw_records(fh, header, path)
         # the raw records are not kept
-        return _batch(header, [d[:3] for d in _in_seed_order(records, path, header["has_null"])])
+        return _batch(header, [d[:3] for d in _in_seed_order(records, path, header)])
 
 
 def _batch(header: dict, triples) -> BatchResult:
@@ -438,7 +469,7 @@ def combine_shard_files(paths, out_path) -> dict:
         headers = [_read_header(fh, path) for fh, path in zip(files, paths)]
         header = _merged_header(headers)
         streams = (
-            _in_seed_order(_raw_records(fh, h, path), path, h["has_null"])
+            _in_seed_order(_raw_records(fh, h, path), path, h)
             for fh, path, h in zip(files, paths, headers)
         )
         merged = heapq.merge(*streams, key=itemgetter(0))
@@ -446,13 +477,14 @@ def combine_shard_files(paths, out_path) -> dict:
     return header
 
 
-def _in_seed_order(records, path, has_null: bool):
+def _in_seed_order(records, path, header: dict):
     """``(seed, result, null result, record)`` for each of a shard's
-    ``records``, each checked by the record decoder, in strictly increasing
-    seed order."""
+    ``records``, each checked by the record decoder against the shard's
+    ``header``, in strictly increasing seed order."""
+    has_null, design = header["has_null"], _design_arms(header, path)
     last = None
     for record in records:
-        seed, result, null = _decode(record, path, has_null)
+        seed, result, null = _decode(record, path, has_null, design)
         if last is not None and seed <= last:
             raise ShardError(f"corrupt shard {path}: record {seed} out of seed order")
         last = seed

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -173,6 +174,46 @@ def _delete(path):
     return edit
 
 
+def _without_arm(doc, arm):
+    """A record document whose result leaves out the intervention ``arm``
+    from its arms and decisions, so that the two still agree."""
+    result = dict(doc["result"], arms=[a for a in doc["result"]["arms"] if a != arm])
+    result["decisions"] = {a: d for a, d in result["decisions"].items() if a != arm}
+    return dict(doc, result=result)
+
+
+def _null_result(edit):
+    """Edit of a record document: add a null result, the record's result
+    changed by ``edit``."""
+    def add(doc):
+        null = json.loads(json.dumps(doc))
+        edit(null)
+        doc["null_result"] = null["result"]
+    return add
+
+
+# Records that the codec accepts but that do not fit the shard header's
+# design (arms control, T1, T2); the report verbs index them by its arms.
+RECORDS_OFF_THE_DESIGN = {
+    "sizes-missing-arm": (
+        _delete(("result", "sample_sizes", "T1")),
+        "record 5: sample_sizes are not keyed by exactly the design's arms",
+    ),
+    "arms-not-interventions": (
+        lambda doc: [doc, _without_arm(_relabelled(doc, 6), "T2")],
+        "record 6: arms are not the design's interventions",
+    ),
+    "size-str": (
+        _set(("result", "sample_sizes", "control"), "x"),
+        "record 5: sample sizes must be integers",
+    ),
+    "size-bool": (
+        _set(("result", "sample_sizes", "T2"), True),
+        "record 5: sample sizes must be integers",
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "raw, message",
     [
@@ -219,6 +260,10 @@ def _delete(path):
             "TrialResult total_size of the wrong type (str)",
             id="total-size-str",
         ),
+        *(
+            pytest.param(edit, message, id=name)
+            for name, (edit, message) in RECORDS_OFF_THE_DESIGN.items()
+        ),
     ],
 )
 def test_corrupt_record_reported_by_every_verb(spec_path, tmp_path, capsys, raw, message):
@@ -240,6 +285,53 @@ def test_corrupt_record_reported_by_every_verb(spec_path, tmp_path, capsys, raw,
         assert err.startswith("error: corrupt shard")
         assert message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        *(pytest.param(e, m, id=name) for name, (e, m) in RECORDS_OFF_THE_DESIGN.items()),
+        pytest.param(
+            _null_result(_delete(("result", "sample_sizes", "control"))),
+            "record 5: sample_sizes are not keyed by exactly the design's arms",
+            id="null-sizes-missing-arm",
+        ),
+    ],
+)
+def test_record_off_the_design_is_corrupt_in_every_container(
+    spec_path, tmp_path, capsys, edit, message
+):
+    """A binary shard and a JSON export holding the records ``edit`` makes of
+    seed 5's good record are corrupt to ``load_shard``, to
+    ``combine_shard_files`` and to ``summary``."""
+    good, bad, out = (tmp_path / n for n in ("good.shard", "bad.shard", "out.shard"))
+    export = tmp_path / "bad.json"
+    assert main(["run", str(spec_path), "--seeds", "1..2", "--workers", "1", "--out", str(good)]) == 0
+    assert main(["run", str(spec_path), "--seeds", "5", "--workers", "1", "--out", str(bad)]) == 0
+    batch = montecarlo.load_shard(bad)
+    montecarlo.save_shard_json(batch, export)
+    doc = json.loads(montecarlo._record_bytes(batch, 0))
+    docs = edit(doc) or [doc]
+    has_null = "null_result" in docs[0]
+    _shard_with_record(bad, good, *(json.dumps(d).encode() for d in docs), has_null=has_null)
+    exported = json.loads(export.read_text())
+    exported["header"].update(has_null=has_null, n_records=len(docs))
+    exported["records"] = docs
+    export.write_text(json.dumps(exported))
+
+    for read in (
+        lambda: montecarlo.load_shard(bad),
+        lambda: montecarlo.load_shard(export),
+        lambda: montecarlo.combine_shard_files([good, bad], out),
+    ):
+        with pytest.raises(montecarlo.ShardError, match=re.escape(message)):
+            read()
+    assert not out.exists()
+    capsys.readouterr()
+    for shard in (bad, export):
+        assert main(["summary", str(shard)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: corrupt shard") and message in err
 
 
 def test_combine_refuses_out_of_order_input(spec_path, tmp_path, capsys):
@@ -289,8 +381,9 @@ def test_record_without_null_result_is_corrupt(spec_path, tmp_path, capsys):
         (("records",), "without header and records"),
         (("header", "fingerprint"), "header without fingerprint"),
         (("records", 0, "result"), "record 1 without a result"),
+        (("header", "spec_document", "model", "arms"), "header without the design's arms"),
     ],
-    ids=["not-json", "no-header", "no-records", "no-fingerprint", "no-result"],
+    ids=["not-json", "no-header", "no-records", "no-fingerprint", "no-result", "no-arms"],
 )
 def test_corrupt_json_export_reported(spec_path, tmp_path, capsys, removed, message):
     """``removed`` is the key path deleted from a good export; None writes
@@ -348,22 +441,80 @@ def test_rule_error_reported(spec_path, tmp_path, capsys, monkeypatch):
     )
 
 
+def _fresh_interpreter(code: str) -> str:
+    """The last line ``code`` prints when run in a new interpreter that
+    imports this ``mamsim``."""
+    src = str(Path(mamsim.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.splitlines()[-1] if out.stdout.strip() else ""
+
+
+DESIGNS_DIR = Path(mamsim.__file__).resolve().parents[2] / "designs"
+SCIPY_LOADED = (
+    "print(' '.join(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+)
+
+
 def test_import_loads_no_test_reference():
     # every ``mamsim run`` of a cluster job pays for the import: it must not
     # load the quadrature oracle, the per-replicate reference fit, or the
     # scipy modules only they use
-    src = str(Path(mamsim.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     probe = (
         "import sys, mamsim; print(' '.join(m for m in ('mamsim.oracle', 'mamsim.reference', "
         "'scipy.stats', 'scipy.optimize', 'scipy.integrate', 'scipy.linalg') "
         "if m in sys.modules))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    assert _fresh_interpreter(probe).split() == []
+
+
+def test_report_verbs_load_no_scipy(spec_path, tmp_path):
+    # the cluster flow's combine, summary and plot-data processes fit nothing,
+    # and neither do parsing and validating a design
+    a, b = tmp_path / "a.shard", tmp_path / "b.shard"
+    for seeds, out in (("1..3", a), ("4..6", b)):
+        assert main(["run", str(spec_path), "--seeds", seeds, "--workers", "1", "--out", str(out)]) == 0
+    ab, est, size = (str(tmp_path / n) for n in ("ab.shard", "est.csv", "size.csv"))
+    verbs = [
+        ["combine", str(a), str(b), "--out", ab],
+        ["summary", ab, "--full"],
+        ["plot-data", ab, "--kind", "estimates", "--out", est],
+        ["plot-data", ab, "--kind", "size", "--out", size],
+    ]
+    designs = sorted(str(p) for p in DESIGNS_DIR.glob("*.json"))
+    assert len(designs) == 5
+    probe = (
+        "import sys, pathlib, mamsim\n"
+        "from mamsim.cli import main\n"
+        f"for path in {designs!r}:\n"
+        "    mamsim.validate_spec(mamsim.parse_spec(pathlib.Path(path).read_text()))\n"
+        f"assert [main(argv) for argv in {verbs!r}] == [0, 0, 0, 0]\n"
+        + SCIPY_LOADED
     )
-    assert out.stdout.split() == []
+    assert _fresh_interpreter(probe).split() == []
+
+
+def test_pool_starts_after_scipy_special_loads():
+    # the pool's processes fork from the caller and inherit the module, so
+    # none of them imports it at its first fit
+    design = DESIGNS_DIR / "count_dose_finding.json"
+    probe = (
+        "import sys, pathlib, mamsim\n"
+        "from mamsim import montecarlo\n"
+        "seen = []\n"
+        "class Pool(montecarlo.ProcessPoolExecutor):\n"
+        "    def __init__(self, *args, **kwargs):\n"
+        "        seen.append('scipy.special' in sys.modules)\n"
+        "        super().__init__(*args, **kwargs)\n"
+        "montecarlo.ProcessPoolExecutor = Pool\n"
+        f"spec = mamsim.validate_spec(mamsim.parse_spec(pathlib.Path({str(design)!r}).read_text()))\n"
+        "montecarlo.run_batch(spec, seeds=range(1, 5), workers=2)\n"
+        "print(seen)"
+    )
+    assert _fresh_interpreter(probe) == "[True]"
 
 
 def test_malformed_design_number_reported(tmp_path, capsys):
