@@ -59,30 +59,19 @@ BLOCK_SIZE = 256
 BLOCK_BYTES = 1 << 19
 
 
-# The v1 record format, defined once: a ``TrialResult``, ``LookRecord`` or
-# ``ArmDecision`` is the JSON object of its dataclass fields, except that an
-# unset (None) ``history`` or ``dataset`` is left out.  ``encode`` writes it,
-# ``TrialResult.from_dict`` reads it back and fills in no defaults.
+# The v1 record format.  ``encode`` writes a ``TrialResult``, ``LookRecord``
+# or ``ArmDecision`` as the JSON object of its dataclass fields, except that
+# an unset (None) ``history`` or ``dataset`` is left out; ``RecordSchema``
+# says what such an object holds in a shard of a design, and reads it back.
 OMITTED_WHEN_UNSET = frozenset({"history", "dataset"})
 
 
 class RecordError(ValueError):
-    """A document that is not a v1 record."""
-
-
-class _Record:
-    """``to_dict`` and ``from_dict`` of a record dataclass, by the codec."""
-
-    def to_dict(self) -> dict:
-        return json.loads(encode(self))
-
-    @classmethod
-    def from_dict(cls, doc):
-        return _build(cls, doc)
+    """A shard header or record that does not fit the v1 format."""
 
 
 @dataclass
-class LookRecord(_Record):
+class LookRecord:
     """State captured at one look (stored when extended >= 1).
 
     ``allocation`` holds the probabilities that recruited this look's
@@ -104,7 +93,7 @@ class LookRecord(_Record):
 
 
 @dataclass
-class TrialResult(_Record):
+class TrialResult:
     """Outcome of one simulated trial replicate."""
 
     seed: int
@@ -120,68 +109,96 @@ class TrialResult(_Record):
     history: list[LookRecord] | None = None
     dataset: dict | None = None
 
-    @classmethod
-    def from_dict(cls, doc) -> "TrialResult":
-        """``RecordError`` unless every object in ``doc`` has exactly its
-        fields, each of its JSON type, and ``decisions`` is keyed by exactly
-        ``arms``."""
-        result = _build(cls, doc)
-        arms, decisions, history = result.arms, result.decisions, result.history
-        if not (all(isinstance(arm, str) for arm in arms) and decisions.keys() == set(arms)):
-            raise RecordError("decisions are not keyed by exactly the arms")
-        result.arms = tuple(arms)
-        result.decisions = {arm: _build(ArmDecision, d) for arm, d in decisions.items()}
-        if history is not None:
-            result.history = [_build(LookRecord, look) for look in history]
-        return result
-
-
-# The JSON type of each field of a record, a tuple where it may be null.
-# Only the field itself is checked, not the elements of a list or object.
-_NULL = type(None)
-_TYPES = {
-    TrialResult: dict(
-        seed=int, arms=list, decisions=dict, sample_sizes=dict, total_size=int,
-        stop_reason=str, looks_performed=int, estimate_mean=dict, estimate_sd=dict,
-        non_converged_fits=int, history=(list, _NULL), dataset=(dict, _NULL),
-    ),
-    LookRecord: dict(
-        look_index=int, is_final=bool, n_total=int, n_per_arm=dict, active=dict,
-        allocation=dict, eff_posterior=dict, fut_posterior=dict, rar_posterior=dict,
-        estimate_mean=dict, estimate_sd=dict, fit_converged=bool,
-    ),
-    ArmDecision: dict(efficacy_met=bool, futility_met=bool, timing=str, look_index=(int, _NULL)),
-}
-_FIELDS = {cls: frozenset(types) for cls, types in _TYPES.items()}
-
 
 def _fields(record) -> dict:
     """The JSON object of a record dataclass (the encoder's ``default``),
     from its instance dict, which holds exactly its fields."""
-    if type(record) not in _FIELDS:
+    if type(record) not in (TrialResult, LookRecord, ArmDecision):
         raise TypeError(f"Object of type {type(record).__name__} is not JSON serializable")
     doc = vars(record)
     unset = [name for name in OMITTED_WHEN_UNSET if doc.get(name, 0) is None]
     return {k: v for k, v in doc.items() if k not in unset} if unset else doc
 
 
-def _build(cls, doc):
-    """``cls`` from a JSON object holding exactly its fields."""
+class RecordSchema:
+    """The records of one design: each object's key set and field types, each
+    per-arm object's key set, ``history`` (one entry per look performed) from
+    ``extended`` 1 on and ``dataset`` at 2.  Of the values in per-arm
+    objects and ``dataset``, only the sample sizes are checked: integers."""
+
+    def __init__(self, validated: ValidatedSpec) -> None:
+        spec = validated.spec
+        arms = spec.model.arm_names
+        self.interventions = list(arms[1:])
+        # each per-arm object's key set, named for messages
+        by_arm = frozenset(arms), "design's arms"
+        by_intervention = frozenset(arms[1:]), "design's interventions"
+        by_target = frozenset(arms[t] for t in spec.which_targets), "design's targets"
+        estimates = dict(estimate_mean=by_target, estimate_sd=by_target)
+        self.result_keys = dict(
+            decisions=(by_intervention[0], "arms"), sample_sizes=by_arm, **estimates
+        )
+        self.look_keys = dict(
+            n_per_arm=by_arm, active=by_arm, allocation=by_arm, eff_posterior=by_intervention,
+            fut_posterior=by_intervention, rar_posterior=by_intervention, **estimates,
+        )
+        optional = [("history", list), ("dataset", dict)][: spec.extended]
+        self.result_types = dict(
+            seed=int, arms=list, total_size=int, stop_reason=str, looks_performed=int,
+            non_converged_fits=int, **dict.fromkeys(self.result_keys, dict), **dict(optional),
+        )
+        self.look_types = dict(
+            look_index=int, is_final=bool, n_total=int, fit_converged=bool,
+            **dict.fromkeys(self.look_keys, dict),
+        )
+
+    def result(self, doc) -> TrialResult:
+        """The ``TrialResult`` of a JSON object, or ``RecordError``."""
+        # before the key sets: decisions that follow foreign arms are an arms fault
+        if isinstance(doc, dict) and doc.get("arms", self.interventions) != self.interventions:
+            raise RecordError("arms are not the design's interventions")
+        _check("TrialResult", doc, self.result_types, self.result_keys.items())
+        if set(map(type, doc["sample_sizes"].values())) != {int}:
+            raise RecordError("sample sizes must be integers")
+        result = TrialResult(**doc)
+        result.arms = tuple(result.arms)
+        result.decisions = {
+            arm: ArmDecision(**_check("ArmDecision", d, _DECISION_TYPES))
+            for arm, d in result.decisions.items()
+        }
+        history, looks = result.history, result.looks_performed
+        if history is not None:
+            if len(history) != looks:
+                raise RecordError(f"TrialResult history of {len(history)} looks, not {looks}")
+            keys = self.look_keys.items()
+            result.history = [
+                LookRecord(**_check("LookRecord", look, self.look_types, keys)) for look in history
+            ]
+        return result
+
+
+_DECISION_TYPES = dict(
+    efficacy_met=bool, futility_met=bool, timing=str, look_index=(int, type(None))
+)
+
+
+def _check(name: str, doc, types: dict, keys=()) -> dict:
+    """``doc``, a JSON object of the keys and types of ``types`` and the per-arm
+    ``(key set, label)`` of ``keys``; ``RecordError`` otherwise."""
     if not isinstance(doc, dict):
-        raise RecordError(f"{cls.__name__} is not a JSON object")
-    names = _FIELDS[cls]
-    if doc.keys() != names:
-        missing = names - OMITTED_WHEN_UNSET - doc.keys()
+        raise RecordError(f"{name} is not a JSON object")
+    if doc.keys() != types.keys():
+        missing = ", ".join(sorted(types.keys() - doc.keys()))
         if missing:
-            raise RecordError(f"{cls.__name__} without {', '.join(sorted(missing))}")
-        extra = doc.keys() - names
-        if extra:
-            raise RecordError(f"{cls.__name__} with unexpected {', '.join(sorted(extra))}")
-    types = _TYPES[cls]
-    for name, value in doc.items():
-        if not isinstance(value, types[name]):
-            raise RecordError(f"{cls.__name__} {name} of the wrong type ({type(value).__name__})")
-    return cls(**doc)
+            raise RecordError(f"{name} without {missing}")
+        raise RecordError(f"{name} with unexpected {', '.join(sorted(doc.keys() - types.keys()))}")
+    for key, kind in types.items():
+        if not isinstance(doc[key], kind):
+            raise RecordError(f"{name} {key} of the wrong type ({type(doc[key]).__name__})")
+    for key, (arms, label) in keys:
+        if doc[key].keys() != arms:
+            raise RecordError(f"{key} are not keyed by exactly the {label}")
+    return doc
 
 
 def encode(doc) -> bytes:

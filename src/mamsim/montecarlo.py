@@ -11,10 +11,12 @@ one JSON record per replicate.  All integers are little-endian.
     n_records        u64
     records          n_records x (u32 length + UTF-8 JSON record)
 
-Records are sorted by seed and written by the record codec of
-:mod:`mamsim.engine`, so the bytes after the header depend only on (design,
-seed set): batches produced with different worker counts are
-byte-identical.  ``combine_shard_files`` streams records straight from
+Records are sorted by seed and written by ``engine.encode``, so the bytes
+after the header depend only on (design, seed set): batches produced with
+different worker counts are byte-identical.  As a shard is read, its
+header's design is validated by :mod:`mamsim.config` and each result is
+checked by the ``engine.RecordSchema`` of that design; this module checks
+the container only.  ``combine_shard_files`` streams records straight from
 input shards to the output, checking design fingerprints, seed order,
 seed disjointness and every record on the way.  A JSON export of the same
 content is provided for interoperability.
@@ -37,14 +39,14 @@ import numpy as np
 
 from . import __version__, glm
 from .config import (
-    ValidatedSpec,
-    canonical_document,
-    document_diff,
-    null_variant,
+    SpecError, ValidatedSpec, canonical_document, document_diff, null_variant, parse_spec,
+    validate_spec,
 )
 # run_trial is unused here but stays bound: benchmark/tracing.py wraps
 # ``montecarlo.run_trial`` by name
-from .engine import RecordError, TrialResult, _fields, encode, run_block, run_trial  # noqa: F401
+from .engine import (  # noqa: F401
+    RecordError, RecordSchema, TrialResult, _check, _fields, encode, run_block, run_trial,
+)
 
 MAGIC = b"MAMSHD01"
 FORMAT_VERSION = 1
@@ -187,10 +189,10 @@ def _record_bytes(batch: BatchResult, i: int) -> bytes:
     return encode(_record_doc(batch, i))
 
 
-_HEADER_KEYS = frozenset({
-    "format_version", "engine_version", "fingerprint", "spec_document",
-    "seed_min", "seed_max", "n_records", "extended", "has_null", "created_at",
-})
+_HEADER_TYPES = dict(
+    format_version=int, engine_version=str, fingerprint=str, spec_document=dict, seed_min=int,
+    seed_max=int, n_records=int, extended=int, has_null=bool, created_at=str,
+)
 
 
 def _header_doc(batch: BatchResult) -> dict:
@@ -255,7 +257,7 @@ def _read_exact(fh, n, path):
     return data
 
 
-def _read_header(fh, path) -> dict:
+def _read_header(fh, path) -> tuple[dict, RecordSchema]:
     magic = fh.read(len(MAGIC))
     if magic != MAGIC:
         raise ShardError(f"corrupt shard {path}: bad magic bytes")
@@ -267,34 +269,33 @@ def _read_header(fh, path) -> dict:
     return _check_header(header, path)
 
 
-def _check_header(header, path) -> dict:
-    """A header must be a ``_header_doc`` of this format version."""
-    if not isinstance(header, dict):
-        raise ShardError(f"corrupt shard {path}: header is not a JSON object")
-    if header.get("format_version") != FORMAT_VERSION:
-        raise ShardError(
-            f"shard {path} has format version {header.get('format_version')}, "
-            f"expected {FORMAT_VERSION}"
-        )
-    missing = _HEADER_KEYS - header.keys()
-    if missing:
-        raise ShardError(
-            f"corrupt shard {path}: header without {', '.join(sorted(missing))}"
-        )
-    return header
+def _check_header(header, path) -> tuple[dict, RecordSchema]:
+    """A header must be a ``_header_doc`` of this format version whose
+    design validates and has the header's fingerprint and extended level;
+    returns it with the schema of its records."""
+    if isinstance(header, dict) and header.get("format_version") != FORMAT_VERSION:
+        version = header.get("format_version")
+        raise ShardError(f"shard {path} has format version {version}, expected {FORMAT_VERSION}")
+    try:
+        _check("header", header, _HEADER_TYPES)
+        validated = validate_spec(parse_spec(json.dumps(header["spec_document"])))
+    except RecordError as exc:
+        raise ShardError(f"corrupt shard {path}: {exc}") from None
+    except SpecError as exc:
+        raise ShardError(f"corrupt shard {path}: header design: {exc}") from None
+    design = {"fingerprint": validated.fingerprint, "extended": validated.spec.extended}
+    for key, value in design.items():
+        if header[key] != value:
+            raise ShardError(f"corrupt shard {path}: header {key} is not its design's")
+    return header, RecordSchema(validated)
 
 
 def read_shard_sections(path) -> tuple[dict, bytes]:
     """Header dict plus the raw record region (used for byte comparisons)."""
     with open(path, "rb") as fh:
-        header = _read_header(fh, path)
+        header, _ = _read_header(fh, path)
         payload = fh.read()
     return header, payload
-
-
-def read_shard_header(path) -> dict:
-    with open(path, "rb") as fh:
-        return _read_header(fh, path)
 
 
 def _raw_records(fh, header: dict, path):
@@ -308,27 +309,16 @@ def _raw_records(fh, header: dict, path):
         yield _read_exact(fh, length, path)
 
 
-def _design_arms(header: dict, path) -> tuple[tuple[str, ...], frozenset]:
-    """The interventions and the set of all arms of a shard header's design."""
-    try:
-        arms = header["spec_document"]["model"]["arms"]
-    except (KeyError, TypeError):
-        arms = None
-    if not (isinstance(arms, list) and all(isinstance(arm, str) for arm in arms)):
-        raise ShardError(f"corrupt shard {path}: header without the design's arms")
-    return tuple(arms[1:]), frozenset(arms)
+# a record's keys, indexed by the header's ``has_null``
+_ENVELOPE = (frozenset({"seed", "result"}), frozenset({"seed", "result", "null_result"}))
 
 
-_INT_ONLY = frozenset({int})
-
-
-def _decode(record, path, has_null: bool, design) -> tuple:
+def _decode(record, path, has_null: bool, schema: RecordSchema) -> tuple:
     """Seed, result and null result (None unless ``has_null``) of a record,
     given as raw bytes from a binary shard or as an object from a JSON
-    export.  A record is corrupt when the codec rejects it, or when a result
-    belongs to another seed or does not fit the shard's ``design`` (its
-    ``_design_arms``): the arms it decides on must be the interventions, and
-    its sample sizes integers keyed by exactly the arms."""
+    export.  A record is corrupt when it is not the JSON object
+    ``{seed, result[, null_result]}``, when ``schema`` rejects a result, or
+    when a result belongs to another seed."""
     if isinstance(record, bytes):
         try:
             record = json.loads(record)
@@ -336,36 +326,27 @@ def _decode(record, path, has_null: bool, design) -> tuple:
             raise ShardError(f"corrupt shard {path}: bad record ({exc})") from None
     if not isinstance(record, dict) or not isinstance(record.get("seed"), int):
         raise ShardError(f"corrupt shard {path}: record without an integer seed")
-    seed = record["seed"]
-    if "result" not in record or (has_null and "null_result" not in record):
-        raise ShardError(f"corrupt shard {path}: record {seed} without a result")
+    seed, envelope = record["seed"], _ENVELOPE[has_null]
+    if record.keys() != envelope:
+        if envelope - record.keys():
+            raise ShardError(f"corrupt shard {path}: record {seed} without a result")
+        extra = ", ".join(sorted(record.keys() - envelope))
+        raise ShardError(f"corrupt shard {path}: record {seed} with unexpected {extra}")
     try:
-        result = TrialResult.from_dict(record["result"])
-        null = TrialResult.from_dict(record["null_result"]) if has_null else None
+        result = schema.result(record["result"])
+        null = schema.result(record["null_result"]) if has_null else None
     except RecordError as exc:
         raise ShardError(f"corrupt shard {path}: record {seed}: {exc}") from None
-    interventions, arms = design
     for res in (result, null):
-        if res is None:
-            continue
-        if res.seed != seed:
+        if res is not None and res.seed != seed:
             raise ShardError(
                 f"corrupt shard {path}: record {seed} holds a result of seed {res.seed}"
             )
-        if res.arms != interventions:
-            problem = "arms are not the design's interventions"
-        elif res.sample_sizes.keys() != arms:
-            problem = "sample_sizes are not keyed by exactly the design's arms"
-        elif set(map(type, res.sample_sizes.values())) != _INT_ONLY:
-            problem = "sample sizes must be integers"
-        else:
-            continue
-        raise ShardError(f"corrupt shard {path}: record {seed}: {problem}")
     return seed, result, null
 
 
-def _read_json_export(fh, path) -> tuple[dict, list]:
-    """Header and records of a ``save_shard_json`` export open in ``fh``."""
+def _read_json_export(fh, path) -> tuple[tuple[dict, RecordSchema], list]:
+    """Header, record schema and records of a ``save_shard_json`` export."""
     try:
         doc = json.load(fh)
     except ValueError as exc:
@@ -381,12 +362,12 @@ def load_shard(path) -> BatchResult:
         export = fh.read(len(MAGIC)) != MAGIC and str(path).endswith(".json")
         fh.seek(0)
         if export:
-            header, records = _read_json_export(fh, path)
+            (header, schema), records = _read_json_export(fh, path)
         else:
-            header = _read_header(fh, path)
+            header, schema = _read_header(fh, path)
             records = _raw_records(fh, header, path)
         # the raw records are not kept
-        return _batch(header, [d[:3] for d in _in_seed_order(records, path, header)])
+        return _batch(header, [d[:3] for d in _in_seed_order(records, path, header, schema)])
 
 
 def _batch(header: dict, triples) -> BatchResult:
@@ -416,13 +397,9 @@ def _merged_header(headers) -> dict:
     first = headers[0]
     for other in headers[1:]:
         if other["fingerprint"] != first["fingerprint"]:
-            paths = document_diff(first["spec_document"], other["spec_document"])
-            raise ShardError(
-                "shards come from different designs; differing field(s): "
-                + (", ".join(paths) if paths else "<none; header mismatch?>")
-            )
-        if other["extended"] != first["extended"]:
-            raise ShardError("shards disagree on the extended level")
+            # a checked header's document hashes to its fingerprint: they differ
+            paths = ", ".join(document_diff(first["spec_document"], other["spec_document"]))
+            raise ShardError(f"shards come from different designs; differing field(s): {paths}")
     return {
         **first,
         "n_records": sum(h["n_records"] for h in headers),
@@ -466,25 +443,24 @@ def combine_shard_files(paths, out_path) -> dict:
         raise ShardError("no shards to combine")
     with ExitStack() as stack:
         files = [stack.enter_context(open(path, "rb")) for path in paths]
-        headers = [_read_header(fh, path) for fh, path in zip(files, paths)]
-        header = _merged_header(headers)
+        checked = [_read_header(fh, path) for fh, path in zip(files, paths)]
+        header = _merged_header([h for h, _ in checked])
         streams = (
-            _in_seed_order(_raw_records(fh, h, path), path, h)
-            for fh, path, h in zip(files, paths, headers)
+            _in_seed_order(_raw_records(fh, h, path), path, h, schema)
+            for fh, path, (h, schema) in zip(files, paths, checked)
         )
         merged = heapq.merge(*streams, key=itemgetter(0))
         _write_atomic(out_path, _shard_bytes(header, (d[-1] for d in _disjoint(merged))))
     return header
 
 
-def _in_seed_order(records, path, header: dict):
+def _in_seed_order(records, path, header: dict, schema: RecordSchema):
     """``(seed, result, null result, record)`` for each of a shard's
     ``records``, each checked by the record decoder against the shard's
-    ``header``, in strictly increasing seed order."""
-    has_null, design = header["has_null"], _design_arms(header, path)
-    last = None
+    ``header`` and record ``schema``, in strictly increasing seed order."""
+    has_null, last = header["has_null"], None
     for record in records:
-        seed, result, null = _decode(record, path, has_null, design)
+        seed, result, null = _decode(record, path, has_null, schema)
         if last is not None and seed <= last:
             raise ShardError(f"corrupt shard {path}: record {seed} out of seed order")
         last = seed

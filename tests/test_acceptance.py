@@ -14,7 +14,7 @@ import pytest
 from scipy.special import expit, ndtr
 
 from mamsim import glm, oracle, reference
-from mamsim.engine import run_trial
+from mamsim.engine import encode, run_trial
 from mamsim.montecarlo import (
     combine_shards,
     read_shard_sections,
@@ -289,8 +289,8 @@ def test_criterion_08_parallel_determinism_and_partition(tmp_path):
         right = run_batch(v, seeds=right_seeds, workers=4)
         combined = combine_shards([left, right])
         assert combined.seeds == mono.seeds
-        assert [r.to_dict() for r in combined.results] == [
-            r.to_dict() for r in mono.results
+        assert [encode(r) for r in combined.results] == [
+            encode(r) for r in mono.results
         ]
     _pass(
         "criterion 8 (determinism)",

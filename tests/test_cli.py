@@ -141,9 +141,14 @@ def test_combine_onto_an_input_matches_monolithic_run(spec_path, tmp_path, capsy
 
 def _shard_with_record(path, source, *raws, **header_changes):
     """Copy ``source``'s header onto a shard holding the records ``raws``."""
-    header = montecarlo.read_shard_header(source)
+    header = montecarlo.read_shard_sections(source)[0]
     header["n_records"] = len(raws)
     header.update(header_changes)
+    _write_shard(path, header, raws)
+
+
+def _write_shard(path, header, raws):
+    """A binary shard holding ``header`` and the records ``raws``, unchecked."""
     blob = json.dumps(header).encode()
     path.write_bytes(
         montecarlo.MAGIC + struct.pack("<I", len(blob)) + blob + struct.pack("<Q", len(raws))
@@ -260,6 +265,25 @@ RECORDS_OFF_THE_DESIGN = {
             "TrialResult total_size of the wrong type (str)",
             id="total-size-str",
         ),
+        pytest.param(_set(("junk",), 1), "record 5 with unexpected junk", id="envelope-extra-key"),
+        pytest.param(
+            lambda doc: [dict(doc, null_result=doc["result"])],
+            "record 5 with unexpected null_result",
+            id="null-result-without-has-null",
+        ),
+        pytest.param(
+            _delete(("result", "history")), "TrialResult without history", id="no-history"
+        ),
+        pytest.param(
+            _delete(("result", "history", -1)),
+            "TrialResult history of 2 looks, not 3",
+            id="history-short",
+        ),
+        pytest.param(
+            _set(("result", "history", 0, "n_per_arm"), {"zzz": 1}),
+            "n_per_arm are not keyed by exactly the design's arms",
+            id="history-sizes-foreign-arm",
+        ),
         *(
             pytest.param(edit, message, id=name)
             for name, (edit, message) in RECORDS_OFF_THE_DESIGN.items()
@@ -374,37 +398,68 @@ def test_record_without_null_result_is_corrupt(spec_path, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "removed, message",
+    "edit, message",
     [
         (None, "not JSON"),
-        (("header",), "header is not a JSON object"),
-        (("records",), "without header and records"),
-        (("header", "fingerprint"), "header without fingerprint"),
-        (("records", 0, "result"), "record 1 without a result"),
-        (("header", "spec_document", "model", "arms"), "header without the design's arms"),
+        (_delete(("header",)), "header is not a JSON object"),
+        (_delete(("records",)), "without header and records"),
+        (_delete(("header", "fingerprint")), "header without fingerprint"),
+        (_delete(("records", 0, "result")), "record 1 without a result"),
+        (
+            _delete(("header", "spec_document", "model", "arms")),
+            "header design: model: missing required key(s): arms",
+        ),
+        (
+            _delete(("header", "spec_document", "n_max")),
+            "header design: missing required key(s): n_max",
+        ),
+        (_set(("header", "extended"), "x"), "header extended of the wrong type (str)"),
+        (_set(("header", "seed_min"), "a"), "header seed_min of the wrong type (str)"),
+        (
+            _set(("header", "spec_document", "n_max"), "x"),
+            "header design: n_max must be an integer, got 'x'",
+        ),
+        (_set(("header", "fingerprint"), "0" * 64), "header fingerprint is not its design's"),
     ],
-    ids=["not-json", "no-header", "no-records", "no-fingerprint", "no-result", "no-arms"],
+    ids=[
+        "not-json", "no-header", "no-records", "no-fingerprint", "no-result", "no-arms",
+        "no-n-max", "extended-str", "seed-min-str", "n-max-str", "foreign-fingerprint",
+    ],
 )
-def test_corrupt_json_export_reported(spec_path, tmp_path, capsys, removed, message):
-    """``removed`` is the key path deleted from a good export; None writes
-    text that is not JSON."""
-    shard, export = tmp_path / "s.shard", tmp_path / "s.json"
+def test_corrupt_json_export_reported(spec_path, tmp_path, capsys, edit, message):
+    """``edit`` changes a good export's document in place; None writes text
+    that is not JSON.  Where the edited document still holds a header and
+    records, a binary shard of them is as corrupt as the export."""
+    shard, export, bad = tmp_path / "s.shard", tmp_path / "s.json", tmp_path / "bad.shard"
     assert main(["run", str(spec_path), "--seeds", "1..2", "--workers", "1", "--out", str(shard)]) == 0
     montecarlo.save_shard_json(montecarlo.load_shard(shard), export)
-    if removed is None:
+    corrupt = [export]
+    if edit is None:
         export.write_text("{broken")
     else:
         doc = json.loads(export.read_text())
-        parent = doc
-        for key in removed[:-1]:
-            parent = parent[key]
-        del parent[removed[-1]]
+        edit(doc)
         export.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert main(["summary", str(export)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: corrupt shard")
-    assert message in err
+        if isinstance(doc.get("header"), dict) and "records" in doc:
+            _write_shard(bad, doc["header"], [json.dumps(r).encode() for r in doc["records"]])
+            corrupt.append(bad)
+    out = tmp_path / "out.shard"
+    for path in corrupt:
+        # combine takes binary shards only: an export's magic bytes are wrong
+        combined = message if path == bad else "bad magic bytes"
+        with pytest.raises(montecarlo.ShardError, match=re.escape(message)):
+            montecarlo.load_shard(path)
+        with pytest.raises(montecarlo.ShardError, match=re.escape(combined)):
+            montecarlo.combine_shard_files([shard, path], out)
+        capsys.readouterr()
+        for argv, expected in (
+            (["summary", str(path)], message),
+            (["combine", str(shard), str(path), "--out", str(out)], combined),
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: corrupt shard") and expected in err
+    assert not out.exists()
 
 
 def test_out_of_range_rule_parameter_reported(tmp_path, capsys):

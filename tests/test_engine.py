@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mamsim import engine, glm, oracle, reference, rules
-from mamsim.engine import cohort_sizes, run_trial
+from mamsim.engine import cohort_sizes, encode, run_trial
 
 from test_golden import DESIGNS as GOLDEN_DESIGNS
 from trial_designs import (
@@ -27,7 +27,7 @@ def test_same_seed_is_bit_identical():
     v = validated(count_dose_design())
     a = run_trial(v, 17)
     b = run_trial(v, 17)
-    assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
+    assert encode(a) == encode(b)
 
 
 def test_single_interim_runs_two_looks():
@@ -164,7 +164,7 @@ def test_non_converged_fit_skips_look(monkeypatch):
 def test_one_non_converged_fit_leaves_the_block_unaffected(monkeypatch):
     v = validated(count_dose_design(extended=1))
     seeds = [3, 4, 5]
-    alone = {s: run_trial(v, s).to_dict() for s in seeds}
+    alone = {s: encode(run_trial(v, s)) for s in seeds}
     real_fit = glm.fit_laplace_batch
     calls = {"n": 0}
 
@@ -181,7 +181,7 @@ def test_one_non_converged_fit_leaves_the_block_unaffected(monkeypatch):
     assert not block[1].history[0].fit_converged
     for seed, result in zip(seeds, block):
         if seed != 4:
-            assert result.to_dict() == alone[seed]
+            assert encode(result) == alone[seed]
 
 
 def test_extended_two_stores_dataset():
@@ -278,11 +278,24 @@ def test_final_fit_agrees_with_quadrature_on_engine_data():
 def test_result_round_trips_through_dict():
     v = validated(count_dose_design(extended=1))
     result = run_trial(v, 9)
-    doc = json.loads(json.dumps(result.to_dict()))
-    again = engine.TrialResult.from_dict(doc)
-    assert json.dumps(again.to_dict(), sort_keys=True) == json.dumps(
-        result.to_dict(), sort_keys=True
-    )
+    again = engine.RecordSchema(v).result(json.loads(encode(result)))
+    assert encode(again) == encode(result)
+    assert again == result
+
+
+@pytest.mark.parametrize("extended", [0, 1, 2])
+def test_schema_holds_history_and_dataset_by_extended(extended):
+    # a result holds history from extended 1 on and dataset at 2, no sooner
+    v = validated(gaussian_two_stage_design(extended=extended))
+    doc = json.loads(encode(run_trial(v, 4)))
+    schema = engine.RecordSchema(v)
+    assert encode(schema.result(doc)) == encode(run_trial(v, 4))
+    for name in ("history", "dataset")[:extended]:
+        with pytest.raises(engine.RecordError, match=f"TrialResult without {name}"):
+            schema.result({k: value for k, value in doc.items() if k != name})
+    for name in ("history", "dataset")[extended:]:
+        with pytest.raises(engine.RecordError, match=f"TrialResult with unexpected {name}"):
+            schema.result({**doc, name: [] if name == "history" else {}})
 
 
 def test_rar_allocation_ignores_target_listing_order():
@@ -294,9 +307,7 @@ def test_rar_allocation_ignores_target_listing_order():
         binary_six_arm_design("alternative", extended=1, targets=[5, 4, 3, 2, 1])
     )
     for seed in range(1, 11):
-        a = run_trial(listed, seed).to_dict()
-        b = run_trial(reversed_, seed).to_dict()
-        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+        assert encode(run_trial(listed, seed)) == encode(run_trial(reversed_, seed))
 
 
 def test_rescale_restricts_to_active_arms():
@@ -313,7 +324,7 @@ def test_rescale_restricts_to_active_arms():
 
 
 def _record_texts(results):
-    return {r.seed: json.dumps(r.to_dict(), sort_keys=True) for r in results}
+    return {r.seed: encode(r) for r in results}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_DESIGNS))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mamsim import montecarlo
-from mamsim.engine import run_block
+from mamsim.engine import encode, run_block
 from mamsim.glm import FitError
 from mamsim.montecarlo import (
     ShardError,
@@ -99,8 +99,8 @@ def test_caller_runs_the_first_chunk(small_spec, small_batch, monkeypatch):
     batch = run_batch(small_spec, seeds=range(12, 0, -1), workers=3)
     assert ran == [(os.getpid(), [1, 2, 3, 4])]
     assert batch.seeds == small_batch.seeds
-    assert [r.to_dict() for r in batch.results] == [
-        r.to_dict() for r in small_batch.results
+    assert [encode(r) for r in batch.results] == [
+        encode(r) for r in small_batch.results
     ]
 
 
@@ -151,8 +151,8 @@ def test_shard_round_trip(small_spec, small_batch, tmp_path):
     again = load_shard(path)
     assert again.fingerprint == small_batch.fingerprint
     assert again.seeds == small_batch.seeds
-    assert [r.to_dict() for r in again.results] == [
-        r.to_dict() for r in small_batch.results
+    assert [encode(r) for r in again.results] == [
+        encode(r) for r in small_batch.results
     ]
 
 
@@ -161,8 +161,8 @@ def test_json_export_round_trip(small_batch, tmp_path):
     save_shard_json(small_batch, path)
     again = load_shard(path)
     assert again.seeds == small_batch.seeds
-    assert [r.to_dict() for r in again.results] == [
-        r.to_dict() for r in small_batch.results
+    assert [encode(r) for r in again.results] == [
+        encode(r) for r in small_batch.results
     ]
 
 
@@ -185,8 +185,8 @@ def test_combine_partition_equals_monolithic(small_spec, small_batch, tmp_path):
     right = run_batch(small_spec, seeds=range(7, 13), workers=1)
     combined = combine_shards([left, right])
     assert combined.seeds == small_batch.seeds
-    assert [r.to_dict() for r in combined.results] == [
-        r.to_dict() for r in small_batch.results
+    assert [encode(r) for r in combined.results] == [
+        encode(r) for r in small_batch.results
     ]
     # file-level combination reproduces the monolithic payload byte for byte
     mono = tmp_path / "mono.shard"
@@ -260,8 +260,8 @@ def test_h0_companion_stream_structure_identical():
         gaussian_two_stage_design(replicates=3, h0_mode=True, beta_true=[0.3, 0.0, 0.0])
     )
     batch = run_batch(v, workers=1)
-    assert [r.to_dict() for r in batch.results] == [
-        r.to_dict() for r in batch.results_null
+    assert [encode(r) for r in batch.results] == [
+        encode(r) for r in batch.results_null
     ]
 
 
@@ -296,8 +296,8 @@ def test_numpy_integer_seeds_accepted(small_spec, small_batch):
     batch = run_batch(small_spec, seeds=np.arange(12, 0, -1, dtype=np.int32), workers=1)
     assert batch.seeds == small_batch.seeds
     assert all(type(s) is int for s in batch.seeds)
-    assert [r.to_dict() for r in batch.results] == [
-        r.to_dict() for r in small_batch.results
+    assert [encode(r) for r in batch.results] == [
+        encode(r) for r in small_batch.results
     ]
 
 
