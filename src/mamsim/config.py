@@ -78,6 +78,9 @@ _MODEL_FIELDS = {
 # the keys of a rule object and of a covariate object, in the same form
 _RULE_FIELDS = {"family": ..., "params": {}}
 _COVARIATE_FIELDS = {"name": ..., "generator": ..., "params": {}}
+# the integers a shard's parser reads as integers, not floats: a design
+# integer outside them could not come back from a shard header
+INT_RANGE = range(-(2**63), 2**64)
 
 
 class SpecError(ValueError):
@@ -193,7 +196,8 @@ def parse_spec(text: str) -> TrialSpec:
     covariate may hold, which are required, and the default each absent
     optional key takes.  Every rule is checked here by ``rules.check_rule``,
     so an unknown family or a parameter that is missing, unexpected or out
-    of range is a ``SpecError`` naming the rule's key.
+    of range is a ``SpecError`` naming the rule's key.  So is a string or
+    key that is not Unicode text, which no shard header could carry.
     """
     try:
         doc = json.loads(text)
@@ -205,6 +209,7 @@ def parse_spec(text: str) -> TrialSpec:
         raise SpecError(f"unreadable number: {exc}") from None
     if not isinstance(doc, dict):
         raise SpecError("design document must be a JSON object")
+    _check_unicode(doc, "")
     fields = _fields(doc, _FIELDS, "")
 
     model = _parse_model(fields["model"])
@@ -313,22 +318,46 @@ def _as_number(value, key: str) -> float:
     raise SpecError(f"{key} must be a finite number, got {value!r}")
 
 
-def _check_finite(value, key: str) -> None:
-    """Reject a non-finite number anywhere in ``value``, a JSON value whose
-    numbers are kept as they are (covariate generator parameters)."""
+def _check_numbers(value, key: str) -> None:
+    """Reject a non-finite number, or an integer outside ``INT_RANGE``,
+    anywhere in ``value``, a JSON value whose numbers are kept as they are
+    (covariate generator parameters)."""
     if isinstance(value, dict):
         for k, v in value.items():
-            _check_finite(v, f"{key}.{k}")
+            _check_numbers(v, f"{key}.{k}")
     elif isinstance(value, list):
         for i, v in enumerate(value):
-            _check_finite(v, f"{key}[{i}]")
+            _check_numbers(v, f"{key}[{i}]")
     elif isinstance(value, float) and not math.isfinite(value):
         raise SpecError(f"{key} must be a finite number, got {value!r}")
+    elif type(value) is int and value not in INT_RANGE:
+        raise SpecError(f"{key} must fit in 64 bits, got {value!r}")
+
+
+def _check_unicode(value, key: str) -> None:
+    """Reject a string or object key anywhere in the JSON value ``value``
+    that holds a lone surrogate (an unpaired ``\\ud800`` escape), which is
+    not Unicode text."""
+    if isinstance(value, str):
+        if not value.isascii():
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                raise SpecError(f"{key} must be Unicode text, got {value!r}") from None
+    elif isinstance(value, dict):
+        for k, v in value.items():
+            _check_unicode(k, f"{key} keys" if key else "design document keys")
+            _check_unicode(v, f"{key}.{k}" if key else k)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            _check_unicode(v, f"{key}[{i}]")
 
 
 def _as_int(value, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SpecError(f"{key} must be an integer, got {value!r}")
+    if value not in INT_RANGE:
+        raise SpecError(f"{key} must fit in 64 bits, got {value!r}")
     return value
 
 
@@ -340,7 +369,7 @@ def _parse_model(doc) -> ModelSpec:
         name = _as_str(cov["name"], f"covariates[{i}].name")
         generator = _as_str(cov["generator"], f"covariates[{i}].generator")
         params = _as_dict(cov["params"], f"covariates[{i}].params")
-        _check_finite(params, f"covariates[{i}].params")
+        _check_numbers(params, f"covariates[{i}].params")
         names = params.get("names", []) if generator == "mvnormal" else []
         if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
             # they name design-matrix columns (``covariate_columns``)

@@ -124,12 +124,17 @@ class RecordSchema:
     """The records of one design: each object's key set and field types, each
     per-arm object's key set, ``history`` (one entry per look performed) from
     ``extended`` 1 on and ``dataset`` at 2.  Of the values in per-arm
-    objects and ``dataset``, only the sample sizes are checked: integers."""
+    objects, only the sample sizes are checked: integers.  A ``dataset``
+    holds exactly its three columns, and its arm column only the design's
+    arms, which the result shares with the design."""
 
     def __init__(self, validated: ValidatedSpec) -> None:
         spec = validated.spec
         arms = spec.model.arm_names
         self.interventions = list(arms[1:])
+        # each arm name to itself: a dataset's arm column is rebuilt of the
+        # design's strings, one object per arm, not one per subject
+        self.arm_names = {arm: arm for arm in arms}
         # each per-arm object's key set, named for messages
         by_arm = frozenset(arms), "design's arms"
         by_intervention = frozenset(arms[1:]), "design's interventions"
@@ -143,11 +148,11 @@ class RecordSchema:
             fut_posterior=by_intervention, rar_posterior=by_intervention, **estimates,
         )
         optional = [("history", list), ("dataset", dict)][: spec.extended]
-        self.result_types = dict(
+        self.result_types = json_types(
             seed=int, arms=list, total_size=int, stop_reason=str, looks_performed=int,
             non_converged_fits=int, **dict.fromkeys(self.result_keys, dict), **dict(optional),
         )
-        self.look_types = dict(
+        self.look_types = json_types(
             look_index=int, is_final=bool, n_total=int, fit_converged=bool,
             **dict.fromkeys(self.look_keys, dict),
         )
@@ -174,17 +179,31 @@ class RecordSchema:
             result.history = [
                 LookRecord(**_check("LookRecord", look, self.look_types, keys)) for look in history
             ]
+        dataset = result.dataset
+        if dataset is not None:
+            _check("dataset", dataset, _DATASET_TYPES)
+            try:
+                dataset["arm"] = list(map(self.arm_names.__getitem__, dataset["arm"]))
+            except (KeyError, TypeError):  # a foreign value, or a list or object
+                raise RecordError("dataset arms are not all the design's arms") from None
         return result
 
 
-_DECISION_TYPES = dict(
+def json_types(**types) -> dict[str, tuple]:
+    """A ``_check`` table: the JSON types each key may hold, as a tuple.  A
+    value's type must be one of them exactly, so a boolean is no integer."""
+    return {key: kind if isinstance(kind, tuple) else (kind,) for key, kind in types.items()}
+
+
+_DECISION_TYPES = json_types(
     efficacy_met=bool, futility_met=bool, timing=str, look_index=(int, type(None))
 )
+_DATASET_TYPES = json_types(arm=list, covariates=dict, response=list)
 
 
 def _check(name: str, doc, types: dict, keys=()) -> dict:
-    """``doc``, a JSON object of the keys and types of ``types`` and the per-arm
-    ``(key set, label)`` of ``keys``; ``RecordError`` otherwise."""
+    """``doc``, a JSON object of the keys and ``json_types`` of ``types`` and
+    the per-arm ``(key set, label)`` of ``keys``; ``RecordError`` otherwise."""
     if not isinstance(doc, dict):
         raise RecordError(f"{name} is not a JSON object")
     if doc.keys() != types.keys():
@@ -192,8 +211,8 @@ def _check(name: str, doc, types: dict, keys=()) -> dict:
         if missing:
             raise RecordError(f"{name} without {missing}")
         raise RecordError(f"{name} with unexpected {', '.join(sorted(doc.keys() - types.keys()))}")
-    for key, kind in types.items():
-        if not isinstance(doc[key], kind):
+    for key, kinds in types.items():
+        if type(doc[key]) not in kinds:
             raise RecordError(f"{name} {key} of the wrong type ({type(doc[key]).__name__})")
     for key, (arms, label) in keys:
         if doc[key].keys() != arms:
@@ -202,9 +221,11 @@ def _check(name: str, doc, types: dict, keys=()) -> dict:
 
 
 def encode(doc) -> bytes:
-    """Canonical JSON bytes (sorted keys, no spaces) of records and headers."""
+    """Canonical JSON bytes (sorted keys, no spaces) of records and headers.
+    A NaN or infinite float is a ``ValueError``: strict JSON has no such
+    number, and a shard must be readable by its strict parser."""
     return json.dumps(
-        doc, default=_fields, sort_keys=True, separators=(",", ":")
+        doc, default=_fields, sort_keys=True, separators=(",", ":"), allow_nan=False
     ).encode("utf-8")
 
 

@@ -15,15 +15,19 @@ Records are sorted by seed and written by ``engine.encode``, so the bytes
 after the header depend only on (design, seed set): batches produced with
 different worker counts are byte-identical.  As a shard is read, its
 header's design is validated by :mod:`mamsim.config` and each result is
-checked by the ``engine.RecordSchema`` of that design; this module checks
-the container only.  ``combine_shard_files`` streams records straight from
-input shards to the output, checking design fingerprints, seed order,
-seed disjointness and every record on the way.  A JSON export of the same
+checked by the ``engine.RecordSchema`` of that design (both once per design
+and process, ``_design``); this module checks the container only.  Headers
+and records are strict JSON, parsed by orjson: ``encode``, the only writer,
+refuses NaN and infinity, and config keeps every design integer within 64
+bits and every string valid Unicode.  ``combine_shard_files`` streams
+records straight from input shards to the output, checking design
+fingerprints, seed order, seed disjointness and every record on the way.  A JSON export of the same
 content is provided for interoperability.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import os
@@ -39,18 +43,22 @@ import numpy as np
 
 from . import __version__, glm
 from .config import (
-    SpecError, ValidatedSpec, canonical_document, document_diff, null_variant, parse_spec,
-    validate_spec,
+    INT_RANGE, SpecError, ValidatedSpec, canonical_document, document_diff, null_variant,
+    parse_spec, validate_spec,
 )
 # run_trial is unused here but stays bound: benchmark/tracing.py wraps
 # ``montecarlo.run_trial`` by name
 from .engine import (  # noqa: F401
-    RecordError, RecordSchema, TrialResult, _check, _fields, encode, run_block, run_trial,
+    RecordError, RecordSchema, TrialResult, _check, _fields, encode, json_types, run_block,
+    run_trial,
 )
 
 MAGIC = b"MAMSHD01"
 FORMAT_VERSION = 1
 WORKER_CAP_ENV = "MAMSIM_MAX_WORKERS"
+# orjson's parser, bound at the first shard read (``_bind_parser``), not at
+# import: importing orjson would add about 5 ms to every ``import mamsim``
+_loads = None
 
 
 class ShardError(ValueError):
@@ -120,6 +128,10 @@ def run_batch(
     negative = sorted(s for s in seeds if s < 0)
     if negative:
         raise ShardError(f"seeds must be non-negative: {_preview(negative)}")
+    # a shard's parser reads larger integers as floats
+    too_large = sorted(s for s in seeds if s not in INT_RANGE)
+    if too_large:
+        raise ShardError(f"seeds must be below 2**64: {_preview(too_large)}")
     if workers < 1:
         raise ShardError("worker count must be >= 1")
     seeds = sorted(seeds)
@@ -189,7 +201,7 @@ def _record_bytes(batch: BatchResult, i: int) -> bytes:
     return encode(_record_doc(batch, i))
 
 
-_HEADER_TYPES = dict(
+_HEADER_TYPES = json_types(
     format_version=int, engine_version=str, fingerprint=str, spec_document=dict, seed_min=int,
     seed_max=int, n_records=int, extended=int, has_null=bool, created_at=str,
 )
@@ -246,7 +258,7 @@ def save_shard_json(batch: BatchResult, path) -> None:
         "header": _header_doc(batch),
         "records": [_record_doc(batch, i) for i in range(len(batch.seeds))],
     }
-    text = json.dumps(doc, default=_fields, sort_keys=True, indent=1)
+    text = json.dumps(doc, default=_fields, sort_keys=True, indent=1, allow_nan=False)
     _write_atomic(path, [text.encode("utf-8")])
 
 
@@ -257,13 +269,22 @@ def _read_exact(fh, n, path):
     return data
 
 
+def _bind_parser() -> None:
+    """Bind ``_loads`` to ``orjson.loads``, once; each shard read calls it
+    before it parses anything."""
+    global _loads
+    if _loads is None:
+        from orjson import loads as _loads
+
+
 def _read_header(fh, path) -> tuple[dict, RecordSchema]:
     magic = fh.read(len(MAGIC))
     if magic != MAGIC:
         raise ShardError(f"corrupt shard {path}: bad magic bytes")
     (header_len,) = struct.unpack("<I", _read_exact(fh, 4, path))
+    _bind_parser()
     try:
-        header = json.loads(_read_exact(fh, header_len, path))
+        header = _loads(_read_exact(fh, header_len, path))
     except json.JSONDecodeError as exc:
         raise ShardError(f"corrupt shard {path}: bad header ({exc.msg})") from None
     return _check_header(header, path)
@@ -278,7 +299,7 @@ def _check_header(header, path) -> tuple[dict, RecordSchema]:
         raise ShardError(f"shard {path} has format version {version}, expected {FORMAT_VERSION}")
     try:
         _check("header", header, _HEADER_TYPES)
-        validated = validate_spec(parse_spec(json.dumps(header["spec_document"])))
+        validated, schema = _design(encode(header["spec_document"]))
     except RecordError as exc:
         raise ShardError(f"corrupt shard {path}: {exc}") from None
     except SpecError as exc:
@@ -287,7 +308,16 @@ def _check_header(header, path) -> tuple[dict, RecordSchema]:
     for key, value in design.items():
         if header[key] != value:
             raise ShardError(f"corrupt shard {path}: header {key} is not its design's")
-    return header, RecordSchema(validated)
+    return header, schema
+
+
+@functools.lru_cache(maxsize=8)
+def _design(document: bytes) -> tuple[ValidatedSpec, RecordSchema]:
+    """The validated design of a header's ``spec_document``, given as its
+    canonical bytes, and the schema of its records.  Kept for the last few
+    designs: the shards of one job, each read by several verbs, share one."""
+    validated = validate_spec(parse_spec(document.decode("utf-8")))
+    return validated, RecordSchema(validated)
 
 
 def read_shard_sections(path) -> tuple[dict, bytes]:
@@ -321,10 +351,10 @@ def _decode(record, path, has_null: bool, schema: RecordSchema) -> tuple:
     when a result belongs to another seed."""
     if isinstance(record, bytes):
         try:
-            record = json.loads(record)
+            record = _loads(record)
         except ValueError as exc:
             raise ShardError(f"corrupt shard {path}: bad record ({exc})") from None
-    if not isinstance(record, dict) or not isinstance(record.get("seed"), int):
+    if not isinstance(record, dict) or type(record.get("seed")) is not int:
         raise ShardError(f"corrupt shard {path}: record without an integer seed")
     seed, envelope = record["seed"], _ENVELOPE[has_null]
     if record.keys() != envelope:
@@ -347,8 +377,9 @@ def _decode(record, path, has_null: bool, schema: RecordSchema) -> tuple:
 
 def _read_json_export(fh, path) -> tuple[tuple[dict, RecordSchema], list]:
     """Header, record schema and records of a ``save_shard_json`` export."""
+    _bind_parser()
     try:
-        doc = json.load(fh)
+        doc = _loads(fh.read())
     except ValueError as exc:
         raise ShardError(f"corrupt shard {path}: not JSON ({exc})") from None
     if not (isinstance(doc, dict) and isinstance(doc.get("records"), list)):

@@ -217,6 +217,17 @@ RECORDS_OFF_THE_DESIGN = {
         "record 5: sample sizes must be integers",
     ),
 }
+# Records of the design at ``extended`` 2 whose dataset does not fit it.
+DATASETS_OFF_THE_DESIGN = {
+    "dataset-foreign-arm": (
+        _set(("result", "dataset", "arm", 0), "zzz"),
+        "record 5: dataset arms are not all the design's arms",
+    ),
+    "dataset-extra-key": (
+        _set(("result", "dataset", "extra"), []),
+        "record 5: dataset with unexpected extra",
+    ),
+}
 
 
 @pytest.mark.parametrize(
@@ -225,6 +236,7 @@ RECORDS_OFF_THE_DESIGN = {
         (b"{not json", "bad record"),
         (b'{"result": {}}', "without an integer seed"),
         (b'{"seed": 1}', "record 1 without a result"),
+        pytest.param(b'{"seed": true, "result": {}}', "without an integer seed", id="seed-bool"),
         pytest.param(
             _delete(("result", "total_size")), "TrialResult without total_size",
             id="no-total-size",
@@ -264,6 +276,11 @@ RECORDS_OFF_THE_DESIGN = {
             _set(("result", "total_size"), "x"),
             "TrialResult total_size of the wrong type (str)",
             id="total-size-str",
+        ),
+        pytest.param(
+            _set(("result", "total_size"), True),
+            "TrialResult total_size of the wrong type (bool)",
+            id="total-size-bool",
         ),
         pytest.param(_set(("junk",), 1), "record 5 with unexpected junk", id="envelope-extra-key"),
         pytest.param(
@@ -312,26 +329,29 @@ def test_corrupt_record_reported_by_every_verb(spec_path, tmp_path, capsys, raw,
 
 
 @pytest.mark.parametrize(
-    "edit, message",
+    "edit, message, extended",
     [
-        *(pytest.param(e, m, id=name) for name, (e, m) in RECORDS_OFF_THE_DESIGN.items()),
+        *(pytest.param(e, m, 1, id=name) for name, (e, m) in RECORDS_OFF_THE_DESIGN.items()),
         pytest.param(
             _null_result(_delete(("result", "sample_sizes", "control"))),
             "record 5: sample_sizes are not keyed by exactly the design's arms",
+            1,
             id="null-sizes-missing-arm",
         ),
+        *(pytest.param(e, m, 2, id=name) for name, (e, m) in DATASETS_OFF_THE_DESIGN.items()),
     ],
 )
 def test_record_off_the_design_is_corrupt_in_every_container(
-    spec_path, tmp_path, capsys, edit, message
+    spec_path, tmp_path, capsys, edit, message, extended
 ):
     """A binary shard and a JSON export holding the records ``edit`` makes of
-    seed 5's good record are corrupt to ``load_shard``, to
-    ``combine_shard_files`` and to ``summary``."""
+    seed 5's good record, run at ``extended``, are corrupt to ``load_shard``,
+    to ``combine_shard_files`` and to ``summary``."""
     good, bad, out = (tmp_path / n for n in ("good.shard", "bad.shard", "out.shard"))
     export = tmp_path / "bad.json"
-    assert main(["run", str(spec_path), "--seeds", "1..2", "--workers", "1", "--out", str(good)]) == 0
-    assert main(["run", str(spec_path), "--seeds", "5", "--workers", "1", "--out", str(bad)]) == 0
+    run = ["run", str(spec_path), "--workers", "1", "--extended", str(extended)]
+    assert main([*run, "--seeds", "1..2", "--out", str(good)]) == 0
+    assert main([*run, "--seeds", "5", "--out", str(bad)]) == 0
     batch = montecarlo.load_shard(bad)
     montecarlo.save_shard_json(batch, export)
     doc = json.loads(montecarlo._record_bytes(batch, 0))
@@ -420,10 +440,16 @@ def test_record_without_null_result_is_corrupt(spec_path, tmp_path, capsys):
             "header design: n_max must be an integer, got 'x'",
         ),
         (_set(("header", "fingerprint"), "0" * 64), "header fingerprint is not its design's"),
+        (_set(("header", "seed_min"), True), "header seed_min of the wrong type (bool)"),
+        (
+            _set(("header", "format_version"), True),
+            "header format_version of the wrong type (bool)",
+        ),
     ],
     ids=[
         "not-json", "no-header", "no-records", "no-fingerprint", "no-result", "no-arms",
         "no-n-max", "extended-str", "seed-min-str", "n-max-str", "foreign-fingerprint",
+        "seed-min-bool", "format-version-bool",
     ],
 )
 def test_corrupt_json_export_reported(spec_path, tmp_path, capsys, edit, message):
@@ -516,11 +542,11 @@ SCIPY_LOADED = (
 
 def test_import_loads_no_test_reference():
     # every ``mamsim run`` of a cluster job pays for the import: it must not
-    # load the quadrature oracle, the per-replicate reference fit, or the
-    # scipy modules only they use
+    # load the quadrature oracle, the per-replicate reference fit, the scipy
+    # modules only they use, or the shard parser, which only reads load
     probe = (
         "import sys, mamsim; print(' '.join(m for m in ('mamsim.oracle', 'mamsim.reference', "
-        "'scipy.stats', 'scipy.optimize', 'scipy.integrate', 'scipy.linalg') "
+        "'scipy.stats', 'scipy.optimize', 'scipy.integrate', 'scipy.linalg', 'orjson') "
         "if m in sys.modules))"
     )
     assert _fresh_interpreter(probe).split() == []

@@ -412,6 +412,16 @@ _MALFORMED = [
     ("delta-nan", ("delta_fut",), math.nan, "delta_fut entries must be a finite number"),
     ("h0_mode-string", ("h0_mode",), "no", "h0_mode must be true or false"),
     ("targets-fraction", ("targets", 0), 1.5, "targets must be an integer"),
+    # a shard header carries the design: integers within 64 bits, Unicode text
+    ("n_max-past-64-bits", ("n_max",), 2**64,
+     "n_max must fit in 64 bits, got 18446744073709551616"),
+    ("targets-past-64-bits", ("targets", 0), -(2**63) - 1, "targets must fit in 64 bits"),
+    ("covariate-params-past-64-bits", ("model", "covariates"),
+     [{"name": "age", "generator": "normal", "params": {"mean": 2**64, "sd": 1}}],
+     "covariates[0].params.mean must fit in 64 bits"),
+    ("arm-lone-surrogate", ("model", "arms", 1), "\ud800",
+     "model.arms[1] must be Unicode text, got '\\ud800'"),
+    ("prob0-key-lone-surrogate", ("prob0", "A\udc00"), 1, "prob0 keys must be Unicode text"),
 ] + [
     (f"{name}-{label}", path, value, f"{field} must be a finite number")
     for name, path, field in [
@@ -421,6 +431,12 @@ _MALFORMED = [
     ]
     for label, value in [("nan", math.nan), ("inf", math.inf), ("1e400", _BIG)]
 ]
+
+
+@pytest.mark.parametrize("mean", [2**64 - 1, -(2**63)], ids=["largest", "smallest"])
+def test_integers_at_the_64_bit_edges_accepted(mean):
+    doc = _with_covariates({"name": "age", "generator": "normal", "params": {"mean": mean, "sd": 1}})
+    assert validated(doc).spec.model.covariates[0].params["mean"] == mean
 
 
 def malformed_document(path, value) -> str:

@@ -1,6 +1,7 @@
 """Trial-loop behaviour: schedules, stopping, determinism, diagnostics."""
 
 import json
+import math
 import random
 
 import numpy as np
@@ -281,6 +282,24 @@ def test_result_round_trips_through_dict():
     again = engine.RecordSchema(v).result(json.loads(encode(result)))
     assert encode(again) == encode(result)
     assert again == result
+
+
+def test_schema_reads_dataset_arms_as_the_design_strings():
+    # a record's arm column holds one string object per arm, not per subject
+    v = validated(gaussian_two_stage_design(extended=2))
+    result = engine.RecordSchema(v).result(json.loads(encode(run_trial(v, 4))))
+    design = {id(a) for a in v.spec.model.arm_names}
+    assert {id(a) for a in result.dataset["arm"]} <= design
+    assert result.dataset["arm"] == run_trial(v, 4).dataset["arm"]
+
+
+def test_encode_refuses_non_finite_floats():
+    # strict JSON has no NaN or infinity, and a shard must read back
+    result = run_trial(validated(count_dose_design()), 9)
+    assert encode(result)
+    result.estimate_mean["A"] = math.nan
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        encode(result)
 
 
 @pytest.mark.parametrize("extended", [0, 1, 2])

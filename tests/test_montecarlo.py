@@ -3,9 +3,12 @@
 import json
 import multiprocessing
 import os
+import struct
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 
 from mamsim import montecarlo
@@ -24,6 +27,8 @@ from mamsim.montecarlo import (
 from mamsim.report import summarize
 
 from trial_designs import gaussian_two_stage_design, validated
+
+DESIGNS_DIR = Path(__file__).resolve().parent.parent / "designs"
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +171,15 @@ def test_json_export_round_trip(small_batch, tmp_path):
     ]
 
 
+def test_non_finite_floats_are_not_written(small_spec, tmp_path):
+    batch = run_batch(small_spec, seeds=[1, 2], workers=1)
+    batch.results[1].estimate_sd["T1"] = float("inf")
+    for save, name in ((save_shard, "inf.shard"), (save_shard_json, "inf.json")):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save(batch, tmp_path / name)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_failed_json_export_leaves_target_untouched(small_batch, tmp_path, monkeypatch):
     path = tmp_path / "batch.json"
     path.write_bytes(b"previous export")
@@ -304,6 +318,93 @@ def test_numpy_integer_seeds_accepted(small_spec, small_batch):
 def test_negative_seeds_rejected_before_any_run(small_spec):
     with pytest.raises(ShardError, match="non-negative: -3, -1"):
         run_batch(small_spec, seeds=[2, -1, -3], workers=2)
+
+
+def test_seeds_past_64_bits_rejected_and_the_largest_round_trips(small_spec, tmp_path):
+    # a shard's parser reads an integer of 2**64 or more as a float
+    with pytest.raises(ShardError, match=r"seeds must be below 2\*\*64: 18446744073709551616"):
+        run_batch(small_spec, seeds=[1, 2**64], workers=1)
+    batch = run_batch(small_spec, seeds=[2**64 - 1], workers=1)
+    path = tmp_path / "top.shard"
+    save_shard(batch, path)
+    again = load_shard(path)
+    assert again.seeds == (2**64 - 1,)
+    assert [encode(r) for r in again.results] == [encode(r) for r in batch.results]
+
+
+def _records(path) -> list[bytes]:
+    """The raw records of a binary shard."""
+    region = payload(path)
+    (count,) = struct.unpack_from("<Q", region, 0)
+    records, at = [], 8
+    for _ in range(count):
+        (length,) = struct.unpack_from("<I", region, at)
+        records.append(region[at + 4 : at + 4 + length])
+        at += 4 + length
+    assert at == len(region)
+    return records
+
+
+def _exact(value):
+    """A JSON value with each leaf tagged by its type and each float given
+    by its bits, so that ``==`` compares floats bit for bit."""
+    if isinstance(value, dict):
+        return {k: _exact(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_exact(v) for v in value]
+    return type(value).__name__, value.hex() if isinstance(value, float) else value
+
+
+@pytest.mark.parametrize("extended", [0, 1, 2])
+@pytest.mark.parametrize("design", sorted(p.stem for p in DESIGNS_DIR.glob("*.json")))
+def test_shard_parser_reads_every_record_as_the_stdlib_does(design, extended, tmp_path):
+    # shards are read with orjson and written with the stdlib's encoder: each
+    # record must parse to the same values, floats bit for bit, and encode
+    # back to its stored bytes
+    doc = json.loads((DESIGNS_DIR / f"{design}.json").read_text())
+    spec = validated({**doc, "extended": extended})
+    path = tmp_path / "batch.shard"
+    save_shard(run_batch(spec, seeds=range(1, 13), workers=1), path)
+    records = _records(path)
+    assert len(records) == 12
+    for raw in records:
+        parsed = orjson.loads(raw)
+        assert _exact(parsed) == _exact(json.loads(raw))
+        assert encode(parsed) == raw
+
+
+def test_shard_parser_reads_doubles_bit_for_bit():
+    bits = np.random.default_rng(17).integers(0, 2**64, size=10**5, dtype=np.uint64)
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    values = np.concatenate([bits.view(np.float64), edges])
+    values = values[np.isfinite(values)]
+    back = np.array(orjson.loads(json.dumps(values.tolist())), dtype=np.float64)
+    assert np.array_equal(back.view(np.uint64), values.view(np.uint64))
+
+
+def test_each_design_validated_once_per_process(small_spec, tmp_path, monkeypatch):
+    # a cluster job's verbs read many headers of one design: combining four
+    # parts and loading the result three times validates that design once
+    parts = []
+    for i in range(4):
+        parts.append(tmp_path / f"part{i}.shard")
+        save_shard(run_batch(small_spec, seeds=range(3 * i + 1, 3 * i + 4), workers=1), parts[-1])
+    calls = []
+    validate = montecarlo.validate_spec
+    monkeypatch.setattr(montecarlo, "validate_spec", lambda spec: calls.append(1) or validate(spec))
+    montecarlo._design.cache_clear()
+    out = tmp_path / "all.shard"
+    combine_shard_files(parts, out)
+    for _ in range(3):
+        assert load_shard(out).seeds == tuple(range(1, 13))
+    assert len(calls) == 1
+    # each header is still held to its design's fingerprint
+    header, region = read_shard_sections(out)
+    blob = encode({**header, "fingerprint": "0" * 64})
+    out.write_bytes(montecarlo.MAGIC + struct.pack("<I", len(blob)) + blob + region)
+    with pytest.raises(ShardError, match="header fingerprint is not its design's"):
+        load_shard(out)
+    assert len(calls) == 1
 
 
 def test_resolve_workers_rejects_a_non_integer_cap(monkeypatch):
