@@ -321,10 +321,10 @@ def _as_number(value, key: str) -> float:
 def _check_numbers(value, key: str) -> None:
     """Reject a non-finite number, or an integer outside ``INT_RANGE``,
     anywhere in ``value``, a JSON value whose numbers are kept as they are
-    (covariate generator parameters)."""
+    (covariate generator parameters, a canonical document)."""
     if isinstance(value, dict):
         for k, v in value.items():
-            _check_numbers(v, f"{key}.{k}")
+            _check_numbers(v, f"{key}.{k}" if key else k)
     elif isinstance(value, list):
         for i, v in enumerate(value):
             _check_numbers(v, f"{key}[{i}]")
@@ -449,6 +449,9 @@ def validate_spec(spec: TrialSpec) -> ValidatedSpec:
     in code), and one throwaway draw runs the covariate generators' checks.
     On success the returned spec has prob0 normalised to sum 1 and carries
     the canonical fingerprint (a hash of the design excluding its seeds).
+    That hashed document is what a shard header carries, so a spec built in
+    code is held to it as ``parse_spec`` holds a document: Unicode text,
+    integers within 64 bits and finite numbers only.
     """
     # config -> datagen -> glm -> config: a cycle at module level
     from .datagen import DataGenError, simulate_covariates
@@ -570,8 +573,10 @@ def validate_spec(spec: TrialSpec) -> ValidatedSpec:
     if abs(total - 1.0) > 1e-9:
         prob0 = {k: v / total for k, v in spec.prob0.items()}
         spec = dataclasses.replace(spec, prob0=prob0)
-    fp = fingerprint(spec)
-    return ValidatedSpec(spec=spec, fingerprint=fp)
+    document = canonical_document(spec, include_seeds=False)
+    _check_unicode(document, "")
+    _check_numbers(document, "")
+    return ValidatedSpec(spec=spec, fingerprint=fingerprint(document))
 
 
 # --------------------------------------------------------------------------
@@ -621,10 +626,10 @@ def _rule_doc(rule: RuleSpec) -> dict:
     return {"family": rule.family_id, "params": dict(sorted(rule.params.items()))}
 
 
-def fingerprint(spec: TrialSpec) -> str:
-    """Deterministic hash of the canonical design, seed set excluded."""
-    doc = canonical_document(spec, include_seeds=False)
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+def fingerprint(document: Mapping) -> str:
+    """Deterministic hash of a canonical design document, seed set excluded
+    (``canonical_document(spec, include_seeds=False)``)."""
+    blob = json.dumps(document, sort_keys=True, separators=(",", ":"), allow_nan=False)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

@@ -14,8 +14,8 @@ Nuisance parameters are plug-in values supplied by the caller; coefficient
 priors are independent gaussians.  ``fit_laplace_batch`` fits a block of
 replicates in one Newton iteration over the rows still fitting, and
 ``tail_probabilities`` reads the marginals' tails.  The single-dataset
-reference fit it follows, ``fit_laplace``, lives in
-:mod:`mamsim.reference`, which no run imports.
+reference fit it follows, ``fit_laplace``, and ``design_values`` live in
+:mod:`mamsim.reference`, the per-trial reference path no run imports.
 
 The logistic and normal-tail ufuncs, ``scipy.special.expit`` and ``ndtr``,
 are bound by ``load_special`` at the first fit, link or tail, not at
@@ -98,17 +98,6 @@ def check_nuisance(family: str, nuisance) -> None:
     needed = FAMILIES[family][1]
     if needed is not None and not nuisance.get(needed, 0.0) > 0.0:
         raise FitError(f"{family} family requires nuisance {needed} > 0")
-
-
-def design_values(arm_labels, covariates, model) -> np.ndarray:
-    """Model-matrix values for given arm labels and covariate columns, laid
-    out by ``design_rows``."""
-    arms = np.asarray(arm_labels).tolist()
-    index = {arm: code for code, arm in enumerate(model.arm_names)}
-    unknown = sorted(set(arms) - index.keys())
-    if unknown:
-        raise FitError(f"unknown arm label(s) in data: {', '.join(map(str, unknown))}")
-    return design_rows(np.array([index[arm] for arm in arms], dtype=int), covariates, model)
 
 
 def design_rows(codes, covariates, model) -> np.ndarray:
@@ -455,7 +444,7 @@ def tail_probabilities(mean, sd, delta, greater) -> np.ndarray:
 # Tracing-only binding, like ``engine.substream``: benchmark/tracing.py and
 # benchmark/micro.py look these reference names up on ``glm``.  It goes when
 # the benchmark hooks what runs and names ``mamsim.reference`` instead.
-_REFERENCE_NAMES = ("build_design_matrix", "fit_laplace", "marginal_posterior_prob")
+_REFERENCE_NAMES = ("build_design_matrix", "design_values", "fit_laplace", "marginal_posterior_prob")
 
 
 def __getattr__(name):

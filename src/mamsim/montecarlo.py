@@ -320,14 +320,6 @@ def _design(document: bytes) -> tuple[ValidatedSpec, RecordSchema]:
     return validated, RecordSchema(validated)
 
 
-def read_shard_sections(path) -> tuple[dict, bytes]:
-    """Header dict plus the raw record region (used for byte comparisons)."""
-    with open(path, "rb") as fh:
-        header, _ = _read_header(fh, path)
-        payload = fh.read()
-    return header, payload
-
-
 def _raw_records(fh, header: dict, path):
     """Yield the raw record bytes of the shard open in ``fh``, read up to the
     end of its header, without loading them all."""

@@ -1,24 +1,36 @@
-"""Per-replicate reference fit: the single-dataset Laplace fit that the
-batched fit is tested against.
+"""Per-replicate reference path: the single-trial forms that the block
+engine's batched forms are tested against.
 
-``fit_laplace`` fits one dataset with a Cholesky-factored Newton iteration
-and returns a ``PosteriorFit``; ``marginal_posterior_prob`` reads one tail
-probability from it.  No run calls this module: the engine fits every block
-with :func:`mamsim.glm.fit_laplace_batch`, which follows ``fit_laplace`` row
-by row.  Tests compare the two, and :mod:`mamsim.oracle` checks this fit
-against quadrature.  ``import mamsim`` does not load this module, and so
-does not load ``scipy.linalg``.
+* The single-dataset Laplace fit.  ``fit_laplace`` fits one dataset with a
+  Cholesky-factored Newton iteration and returns a ``PosteriorFit``;
+  ``marginal_posterior_prob`` reads one tail probability from it.  The
+  engine fits every block with :func:`mamsim.glm.fit_laplace_batch`, which
+  follows ``fit_laplace`` row by row, and :mod:`mamsim.oracle` checks this
+  fit against quadrature.  ``design_values`` builds a model matrix from arm
+  labels.
+* The one-trial rule API.  ``efficacy_arm``, ``futility_arm``,
+  ``trial_stop``, ``rar_weights`` and ``normalize_allocation`` evaluate one
+  look of one trial, held in a :class:`RuleContext`, through the block
+  forms registered in :mod:`mamsim.rules`, as a block of one.
+* One-cohort allocation.  ``allocate_arms`` and ``allocate_codes`` draw the
+  arms of one cohort from a generator, as the block draws of
+  :mod:`mamsim.datagen` do for a whole block.
+
+No run calls this module; tests compare each form with its block form.
+``import mamsim`` does not load it, and so does not load ``scipy.linalg``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import expit
 
 from .config import coefficient_names
+from .datagen import DataGenError, allocate_simple, balanced_counts
 from .glm import (
     MAX_HALVINGS,
     MODE_CHANGE_TOL,
@@ -27,9 +39,10 @@ from .glm import (
     PriorSpec,
     check_nuisance,
     default_prior,
-    design_values,
+    design_rows,
     tail_probabilities,
 )
+from .rules import ArmDecision, RuleBlock, RuleError, RuleSpec, check_rule, normalize_rows
 
 
 class NonConvergedError(RuntimeError):
@@ -68,6 +81,17 @@ class PosteriorFit:
     converged: bool
     iterations: int
     log_det_precision: float
+
+
+def design_values(arm_labels, covariates, model) -> np.ndarray:
+    """Model-matrix values for given arm labels and covariate columns, laid
+    out by ``design_rows``."""
+    arms = np.asarray(arm_labels).tolist()
+    index = {arm: code for code, arm in enumerate(model.arm_names)}
+    unknown = sorted(set(arms) - index.keys())
+    if unknown:
+        raise FitError(f"unknown arm label(s) in data: {', '.join(map(str, unknown))}")
+    return design_rows(np.array([index[arm] for arm in arms], dtype=int), covariates, model)
 
 
 def build_design_matrix(data, model) -> tuple[DesignMatrix, np.ndarray]:
@@ -278,3 +302,152 @@ def marginal_posterior_prob(
             fit.marginal_mean[k], fit.marginal_sd[k], delta, direction == "greater"
         )
     )
+
+
+# --------------------------------------------------------------------------
+# the one-trial rule API
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RuleContext:
+    """Per-look quantities of one trial, handed to the scalar entry points.
+
+    Vectors indexed per arm follow the design's arm order (control first).
+    ``posterior`` is indexed per *active intervention* only, in arm order,
+    and holds tail probabilities oriented along each target's alternative
+    and margined by the delta relevant to the rule being evaluated.
+    """
+
+    active: tuple[bool, ...]
+    posterior: tuple[float, ...]
+    n: tuple[int, ...]
+    ref: tuple[bool, ...]
+    prob: tuple[float, ...]
+    m: int
+    n_max: int
+    look_index: int
+    is_final: bool
+
+    def __post_init__(self) -> None:
+        if sum(self.ref) != 1:
+            raise RuleError("exactly one arm must be flagged as reference")
+        ref_idx = self.ref.index(True)
+        if not self.active[ref_idx]:
+            raise RuleError("the reference arm can never be inactive")
+        if any(p < 0.0 or p > 1.0 for p in self.posterior):
+            raise RuleError("posterior probabilities must lie in [0, 1]")
+        if sum(self.n) > self.n_max:
+            raise RuleError("recruited counts exceed the maximum sample size")
+
+
+def evaluate(kind: str, rule: RuleSpec, *inputs) -> np.ndarray:
+    """The block form of the ``kind`` rule ``rule`` on ``inputs``."""
+    return check_rule(kind, rule)(*inputs, rule.params)
+
+
+def _block_of_one(ctx: RuleContext) -> RuleBlock:
+    active, ref = np.array([ctx.active], dtype=bool), np.array(ctx.ref, dtype=bool)
+    return RuleBlock(active=active, n=np.array([ctx.n]), ref=ref, n_max=ctx.n_max)
+
+
+def _tails_of_one(ctx: RuleContext) -> tuple[np.ndarray, np.ndarray]:
+    """``ctx.posterior`` as a one-row tail matrix, and the columns it fills."""
+    columns = np.flatnonzero(np.array(ctx.active) & ~np.array(ctx.ref))
+    if len(columns) != len(ctx.posterior):
+        raise RuleError("posterior must hold one tail per active intervention")
+    tails = np.full((1, len(ctx.active)), np.nan)
+    tails[0, columns] = ctx.posterior
+    return tails, columns
+
+
+def _arm_rule(kind: str, ctx: RuleContext, rule: RuleSpec) -> np.ndarray:
+    tails, columns = _tails_of_one(ctx)
+    return evaluate(kind, rule, tails, _block_of_one(ctx))[0, columns]
+
+
+def efficacy_arm(ctx: RuleContext, rule: RuleSpec) -> np.ndarray:
+    """Evaluate the efficacy stopping rule for every active intervention.
+
+    Returns a boolean array aligned with ``ctx.posterior``.
+    """
+    return _arm_rule("eff_arm", ctx, rule)
+
+
+def futility_arm(ctx: RuleContext, rule: RuleSpec) -> np.ndarray:
+    """Evaluate the futility stopping rule for every active intervention."""
+    return _arm_rule("fut_arm", ctx, rule)
+
+
+def trial_stop(
+    decisions: Iterable[ArmDecision],
+    ctx: RuleContext,
+    eff_rule: RuleSpec,
+    fut_rule: RuleSpec,
+) -> str:
+    """Combine arm decisions so far into a trial-level verdict.
+
+    Returns one of ``continue``, ``stop_efficacy``, ``stop_futility``.  The
+    efficacy rule is consulted first.  Independently of the families chosen
+    here, the engine terminates once every intervention arm is inactive.
+    """
+    decisions = list(decisions)
+    efficacy = np.array([[d.efficacy_met for d in decisions]], dtype=bool)
+    futility = np.array([[d.futility_met for d in decisions]], dtype=bool)
+    if evaluate("eff_trial", eff_rule, efficacy, futility)[0]:
+        return "stop_efficacy"
+    if evaluate("fut_trial", fut_rule, efficacy, futility)[0]:
+        return "stop_futility"
+    return "continue"
+
+
+def rar_weights(ctx: RuleContext, rule: RuleSpec) -> np.ndarray:
+    """Unnormalised allocation weights for the active arms, in arm order
+    (control first)."""
+    tails, _ = _tails_of_one(ctx)
+    block = _block_of_one(ctx)
+    return evaluate("rar", rule, tails, block)[block.active]
+
+
+def normalize_allocation(weights) -> np.ndarray:
+    """Map weights to probabilities via abs(w) / sum(abs(w))."""
+    w = np.asarray(weights, dtype=float).reshape(1, -1)
+    return normalize_rows(w, np.ones(w.shape, dtype=bool))[0]
+
+
+# --------------------------------------------------------------------------
+# one-cohort allocation
+# --------------------------------------------------------------------------
+
+
+def allocate_arms(
+    m: int,
+    weights: Mapping[str, float],
+    method: str,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Draw arm labels for a cohort of m subjects.
+
+    ``simple`` samples i.i.d. from the categorical distribution with
+    probabilities abs(w)/sum(abs(w)).  ``balanced`` fixes the per-arm counts
+    by largest-remainder apportionment of m * abs(w)/sum(abs(w)) and then
+    shuffles the label sequence uniformly at random.
+    """
+    names = np.array(list(weights), dtype=object)
+    return names[allocate_codes(m, list(weights.values()), method, rng)]
+
+
+def allocate_codes(m: int, weights, method: str, rng: np.random.Generator) -> np.ndarray:
+    """Positions in ``weights`` of the arms of m subjects, as ``allocate_arms``
+    draws them: the same generator draws give the same arms."""
+    w = np.array(weights, dtype=float)[None]
+    every = np.ones(w.shape, dtype=bool)
+    if method == "simple":
+        # Generator.choice(len(w), size=m, p=prob) without its checks: the
+        # same cdf, uniforms and search, so the same draws.  An empty or
+        # negative cohort draws no uniforms and is rejected as such.
+        return allocate_simple(w, every, rng.random((1, max(m, 0))))[0]
+    if method == "balanced":
+        counts = balanced_counts(w, every, m)[0]
+        return rng.permutation(np.repeat(np.arange(len(counts)), counts))
+    raise DataGenError(f"unknown allocation method {method!r}")

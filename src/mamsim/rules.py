@@ -9,16 +9,16 @@ parameterised families:
 * response-adaptive randomisation (RAR) weights.
 
 Families are registered in block form, evaluating one look of a block of
-replicates at once (one row per replicate, one column per arm); the scalar
-entry points on a :class:`RuleContext` evaluate a block of one.  All rules
-are pure functions of their inputs plus their family parameters.
+replicates at once (one row per replicate, one column per arm); the
+one-trial entry points of :mod:`mamsim.reference` evaluate a block of one.
+All rules are pure functions of their inputs plus their family parameters.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -37,38 +37,6 @@ class RuleSpec:
 
     family_id: str
     params: Mapping[str, float] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class RuleContext:
-    """Per-look quantities of one trial, handed to the scalar entry points.
-
-    Vectors indexed per arm follow the design's arm order (control first).
-    ``posterior`` is indexed per *active intervention* only, in arm order,
-    and holds tail probabilities oriented along each target's alternative
-    and margined by the delta relevant to the rule being evaluated.
-    """
-
-    active: tuple[bool, ...]
-    posterior: tuple[float, ...]
-    n: tuple[int, ...]
-    ref: tuple[bool, ...]
-    prob: tuple[float, ...]
-    m: int
-    n_max: int
-    look_index: int
-    is_final: bool
-
-    def __post_init__(self) -> None:
-        if sum(self.ref) != 1:
-            raise RuleError("exactly one arm must be flagged as reference")
-        ref_idx = self.ref.index(True)
-        if not self.active[ref_idx]:
-            raise RuleError("the reference arm can never be inactive")
-        if any(p < 0.0 or p > 1.0 for p in self.posterior):
-            raise RuleError("posterior probabilities must lie in [0, 1]")
-        if sum(self.n) > self.n_max:
-            raise RuleError("recruited counts exceed the maximum sample size")
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,26 +150,6 @@ def check_rule(kind: str, rule: RuleSpec) -> _BlockFn:
     return fn
 
 
-def evaluate(kind: str, rule: RuleSpec, *inputs) -> np.ndarray:
-    """The block form of the ``kind`` rule ``rule`` on ``inputs``."""
-    return check_rule(kind, rule)(*inputs, rule.params)
-
-
-def _block_of_one(ctx: RuleContext) -> RuleBlock:
-    active, ref = np.array([ctx.active], dtype=bool), np.array(ctx.ref, dtype=bool)
-    return RuleBlock(active=active, n=np.array([ctx.n]), ref=ref, n_max=ctx.n_max)
-
-
-def _tails_of_one(ctx: RuleContext) -> tuple[np.ndarray, np.ndarray]:
-    """``ctx.posterior`` as a one-row tail matrix, and the columns it fills."""
-    columns = np.flatnonzero(np.array(ctx.active) & ~np.array(ctx.ref))
-    if len(columns) != len(ctx.posterior):
-        raise RuleError("posterior must hold one tail per active intervention")
-    tails = np.full((1, len(ctx.active)), np.nan)
-    tails[0, columns] = ctx.posterior
-    return tails, columns
-
-
 def row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Per row, the sum of ``values`` where ``mask``, with the bits numpy's
     1-D ``sum`` of those entries gives: it adds fewer than 8 terms left to
@@ -244,49 +192,9 @@ def _fut_increasing(tails, block: RuleBlock, params: Mapping[str, float]) -> np.
     return tails < np.array(boundaries)[:, None]
 
 
-def _arm_rule(kind: str, ctx: RuleContext, rule: RuleSpec) -> np.ndarray:
-    tails, columns = _tails_of_one(ctx)
-    return evaluate(kind, rule, tails, _block_of_one(ctx))[0, columns]
-
-
-def efficacy_arm(ctx: RuleContext, rule: RuleSpec) -> np.ndarray:
-    """Evaluate the efficacy stopping rule for every active intervention.
-
-    Returns a boolean array aligned with ``ctx.posterior``.
-    """
-    return _arm_rule("eff_arm", ctx, rule)
-
-
-def futility_arm(ctx: RuleContext, rule: RuleSpec) -> np.ndarray:
-    """Evaluate the futility stopping rule for every active intervention."""
-    return _arm_rule("fut_arm", ctx, rule)
-
-
 # --------------------------------------------------------------------------
 # trial-level stopping
 # --------------------------------------------------------------------------
-
-
-def trial_stop(
-    decisions: Iterable[ArmDecision],
-    ctx: RuleContext,
-    eff_rule: RuleSpec,
-    fut_rule: RuleSpec,
-) -> str:
-    """Combine arm decisions so far into a trial-level verdict.
-
-    Returns one of ``continue``, ``stop_efficacy``, ``stop_futility``.  The
-    efficacy rule is consulted first.  Independently of the families chosen
-    here, the engine terminates once every intervention arm is inactive.
-    """
-    decisions = list(decisions)
-    efficacy = np.array([[d.efficacy_met for d in decisions]], dtype=bool)
-    futility = np.array([[d.futility_met for d in decisions]], dtype=bool)
-    if evaluate("eff_trial", eff_rule, efficacy, futility)[0]:
-        return "stop_efficacy"
-    if evaluate("fut_trial", fut_rule, efficacy, futility)[0]:
-        return "stop_futility"
-    return "continue"
 
 
 def _trial_never(efficacy, futility, params) -> np.ndarray:
@@ -335,14 +243,6 @@ def _rar_trippa(tails, block: RuleBlock, params: Mapping[str, float]) -> np.ndar
     return weights
 
 
-def rar_weights(ctx: RuleContext, rule: RuleSpec) -> np.ndarray:
-    """Unnormalised allocation weights for the active arms, in arm order
-    (control first)."""
-    tails, _ = _tails_of_one(ctx)
-    block = _block_of_one(ctx)
-    return evaluate("rar", rule, tails, block)[block.active]
-
-
 def normalize_rows(weights: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Per row, abs(w) / sum(abs(w)) over the entries in ``mask``; 0 elsewhere."""
     w = np.where(mask, np.abs(weights), 0.0)
@@ -350,12 +250,6 @@ def normalize_rows(weights: np.ndarray, mask: np.ndarray) -> np.ndarray:
     if (total == 0.0).any():
         raise RuleError("cannot normalise an all-zero weight vector")
     return w / total[:, None]
-
-
-def normalize_allocation(weights) -> np.ndarray:
-    """Map weights to probabilities via abs(w) / sum(abs(w))."""
-    w = np.asarray(weights, dtype=float).reshape(1, -1)
-    return normalize_rows(w, np.ones(w.shape, dtype=bool))[0]
 
 
 def delta_from_orr(pi0: float, lift: float) -> float:
@@ -381,3 +275,17 @@ register_family("eff_trial", "never", (), _trial_never)
 register_family("eff_trial", "any_arm_efficacious", (), _trial_any_efficacious)
 register_family("fut_trial", "never", (), _trial_never)
 register_family("fut_trial", "all_arms_futile", (), _trial_all_futile)
+
+
+# Tracing-only binding, like ``glm``'s: benchmark/tracing.py looks these
+# reference names up on ``rules``.  It goes when the benchmark hooks what
+# runs and names ``mamsim.reference`` instead.
+_REFERENCE_NAMES = ("efficacy_arm", "futility_arm", "trial_stop", "rar_weights", "normalize_allocation")
+
+
+def __getattr__(name):
+    if name in _REFERENCE_NAMES:
+        from . import reference
+
+        return getattr(reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

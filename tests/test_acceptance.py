@@ -15,24 +15,23 @@ from scipy.special import expit, ndtr
 
 from mamsim import glm, oracle, reference
 from mamsim.engine import encode, run_trial
-from mamsim.montecarlo import (
-    combine_shards,
-    read_shard_sections,
-    run_batch,
-    save_shard,
-)
-from mamsim.report import operating_characteristics
-from mamsim.rules import (
+from mamsim.montecarlo import combine_shards, run_batch, save_shard
+from mamsim.reference import (
     RuleContext,
-    RuleSpec,
-    delta_from_orr,
     efficacy_arm,
     futility_arm,
     normalize_allocation,
     rar_weights,
 )
+from mamsim.report import operating_characteristics
+from mamsim.rules import RuleSpec, delta_from_orr
 
-from trial_designs import binary_six_arm_design, count_dose_design, validated
+from trial_designs import (
+    binary_six_arm_design,
+    count_dose_design,
+    read_shard_sections,
+    validated,
+)
 
 WORKERS = 8
 

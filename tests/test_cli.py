@@ -16,7 +16,7 @@ from mamsim import montecarlo
 from mamsim.cli import main
 from mamsim.rules import RuleError
 
-from trial_designs import count_dose_design, gaussian_two_stage_design
+from trial_designs import count_dose_design, gaussian_two_stage_design, read_shard_sections
 
 
 @pytest.fixture()
@@ -133,7 +133,7 @@ def test_combine_onto_an_input_matches_monolithic_run(spec_path, tmp_path, capsy
         assert main(["run", str(spec_path), "--seeds", seeds, "--workers", "1", "--out", str(out)]) == 0
     assert main(["combine", str(a), str(b), "--out", str(a)]) == 0
     assert "6 replicates" in capsys.readouterr().out
-    assert montecarlo.read_shard_sections(a)[1] == montecarlo.read_shard_sections(whole)[1]
+    assert read_shard_sections(a)[1] == read_shard_sections(whole)[1]
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "a.shard", "b.shard", "design.json", "whole.shard"
     ]
@@ -141,7 +141,7 @@ def test_combine_onto_an_input_matches_monolithic_run(spec_path, tmp_path, capsy
 
 def _shard_with_record(path, source, *raws, **header_changes):
     """Copy ``source``'s header onto a shard holding the records ``raws``."""
-    header = montecarlo.read_shard_sections(source)[0]
+    header = read_shard_sections(source)[0]
     header["n_records"] = len(raws)
     header.update(header_changes)
     _write_shard(path, header, raws)
@@ -550,6 +550,21 @@ def test_import_loads_no_test_reference():
         "if m in sys.modules))"
     )
     assert _fresh_interpreter(probe).split() == []
+
+
+def test_runs_load_no_reference():
+    # rules, datagen and glm forward some names to mamsim.reference for the
+    # benchmark's tracer; a run on the RAR and the count design reaches none
+    names = ("orr_six_arm_alternative", "count_dose_finding")
+    designs = [str(DESIGNS_DIR / f"{name}.json") for name in names]
+    probe = (
+        "import sys, pathlib, mamsim\n"
+        f"for path in {designs!r}:\n"
+        "    spec = mamsim.validate_spec(mamsim.parse_spec(pathlib.Path(path).read_text()))\n"
+        "    mamsim.run_batch(spec, seeds=range(1, 9), workers=1)\n"
+        "print('mamsim.reference' in sys.modules)"
+    )
+    assert _fresh_interpreter(probe) == "False"
 
 
 def test_report_verbs_load_no_scipy(spec_path, tmp_path):

@@ -1,5 +1,6 @@
 """Design-document parsing, validation, and fingerprint behaviour."""
 
+import dataclasses
 import json
 import math
 
@@ -459,6 +460,30 @@ def test_malformed_field_is_a_spec_error(path, value, message):
     with pytest.raises(SpecError) as info:
         config.validate_spec(config.parse_spec(malformed_document(path, value)))
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda model: {
+            "model": dataclasses.replace(model, arm_names=("control", "T\ud800", "T2")),
+            "prob0": {"control": 1.0, "T\ud800": 1.0, "T2": 1.0},
+        }, "model.arms[1] must be Unicode text, got 'T\\ud800'"),
+        (lambda model: {"n_max": 2**64}, "n_max must fit in 64 bits, got 18446744073709551616"),
+        (lambda model: {"beta_true": (0.0, math.nan, 0.0)},
+         "beta_true[1] must be a finite number, got nan"),
+        (lambda model: {"model": dataclasses.replace(model, nuisance={"sd": math.inf})},
+         "model.nuisance.sd must be a finite number, got inf"),
+    ],
+    ids=["arm-lone-surrogate", "n_max-past-64-bits", "beta_true-nan", "nuisance-inf"],
+)
+def test_spec_built_in_code_held_to_what_a_shard_header_carries(change, message):
+    # parse_spec refuses these in a document; a spec built in code skips it,
+    # and its shard could not be written or read back
+    spec = validated(gaussian_two_stage_design()).spec
+    with pytest.raises(SpecError) as info:
+        config.validate_spec(dataclasses.replace(spec, **change(spec.model)))
+    assert info.value.errors == [message]
 
 
 def _with_covariates(*covariates):

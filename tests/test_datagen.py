@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from mamsim import datagen
 from mamsim.config import CovariateSpec
-from mamsim.datagen import DataGenError, allocate_arms, simulate_covariates, simulate_response, substream
+from mamsim.datagen import DataGenError, simulate_covariates, simulate_response, substream
+from mamsim.reference import allocate_arms, allocate_codes
 
 
 class TestSubstreams:
@@ -95,7 +95,7 @@ class TestAllocateArms:
     @pytest.mark.parametrize("weights", [[1.0, np.inf], [np.nan, 1.0], [1e308, 1e308]])
     def test_non_finite_weights_rejected(self, method, weights):
         with pytest.raises(DataGenError, match="finite"):
-            datagen.allocate_codes(5, weights, method, substream(1, "x"))
+            allocate_codes(5, weights, method, substream(1, "x"))
 
 
 class TestCovariates:
@@ -222,6 +222,6 @@ def test_arm_codes_draw_the_labels_of_object_arrays(method):
         else:
             want = substream(seed, "alloc").permutation(np.repeat(names, [7, 0, 10, 6]))
         got = allocate_arms(23, weights, method, substream(seed, "alloc"))
-        codes = datagen.allocate_codes(23, list(weights.values()), method, substream(seed, "alloc"))
+        codes = allocate_codes(23, list(weights.values()), method, substream(seed, "alloc"))
         assert got.dtype == object
         assert got.tolist() == want.tolist() == names[codes].tolist()

@@ -43,7 +43,13 @@ import pytest
 
 from mamsim import montecarlo
 
-from trial_designs import LOGIT, count_dose_design, gaussian_two_stage_design, validated
+from trial_designs import (
+    LOGIT,
+    count_dose_design,
+    gaussian_two_stage_design,
+    read_shard_sections,
+    validated,
+)
 
 DESIGN_DIR = Path(__file__).resolve().parent.parent / "designs"
 SEEDS = range(1, 201)
@@ -221,7 +227,7 @@ def _record_region(name, tmp_path) -> bytes:
     batch = montecarlo.run_batch(validated(doc), seeds=SEEDS, workers=1)
     path = tmp_path / f"{name}.shard"
     montecarlo.save_shard(batch, path)
-    return montecarlo.read_shard_sections(path)[1]
+    return read_shard_sections(path)[1]
 
 
 def test_every_shipped_design_is_covered():

@@ -19,14 +19,13 @@ from mamsim.montecarlo import (
     combine_shard_files,
     combine_shards,
     load_shard,
-    read_shard_sections,
     run_batch,
     save_shard,
     save_shard_json,
 )
 from mamsim.report import summarize
 
-from trial_designs import gaussian_two_stage_design, validated
+from trial_designs import gaussian_two_stage_design, read_shard_sections, validated
 
 DESIGNS_DIR = Path(__file__).resolve().parent.parent / "designs"
 

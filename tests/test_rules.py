@@ -7,18 +7,15 @@ import pytest
 
 from mamsim import rules
 from mamsim.engine import run_block
-from mamsim.rules import (
-    ArmDecision,
+from mamsim.reference import (
     RuleContext,
-    RuleError,
-    RuleSpec,
-    delta_from_orr,
     efficacy_arm,
     futility_arm,
     normalize_allocation,
     rar_weights,
     trial_stop,
 )
+from mamsim.rules import ArmDecision, RuleError, RuleSpec, delta_from_orr
 
 from trial_designs import gaussian_two_stage_design, validated
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mamsim import datagen, engine, glm, reference
+from mamsim import datagen, engine, glm, reference, rules
 from mamsim.datagen import DataGenError, substream
 
 
@@ -81,13 +81,31 @@ class TestStreamKeys:
         assert engine.substream is datagen.substream
 
     @pytest.mark.parametrize(
-        "name", ["build_design_matrix", "fit_laplace", "marginal_posterior_prob"]
+        "module, name",
+        [
+            (glm, "build_design_matrix"), (glm, "design_values"), (glm, "fit_laplace"),
+            (glm, "marginal_posterior_prob"), (datagen, "allocate_arms"),
+            (rules, "efficacy_arm"), (rules, "futility_arm"), (rules, "trial_stop"),
+            (rules, "rar_weights"), (rules, "normalize_allocation"),
+        ],
+        ids=lambda value: value if isinstance(value, str) else value.__name__.split(".")[-1],
     )
-    def test_glm_resolves_reference_names(self, name):
-        # benchmark tracing and microbenchmarks look these up on glm by name;
-        # glm resolves them from mamsim.reference without defining them
-        assert name not in vars(glm)
-        assert getattr(glm, name) is getattr(reference, name)
+    def test_modules_resolve_reference_names(self, module, name):
+        # benchmark tracing and microbenchmarks look these up on the module by
+        # name; it resolves them from mamsim.reference without defining them
+        assert name not in vars(module)
+        assert getattr(module, name) is getattr(reference, name)
+
+    def test_moved_names_are_not_forwarded(self):
+        moved = {
+            rules: ["RuleContext", "evaluate", "_block_of_one", "_tails_of_one", "_arm_rule"],
+            datagen: ["allocate_codes"],
+        }
+        for module, names in moved.items():
+            for name in names:
+                assert name not in vars(module) and hasattr(reference, name)
+                with pytest.raises(AttributeError):
+                    getattr(module, name)
 
 
 # label paths as the engine keys a look's streams

@@ -1,9 +1,10 @@
-"""Design documents shared across the test suite."""
+"""Design documents, and a shard reader for byte comparisons, shared across
+the test suite."""
 
 import json
 import math
 
-from mamsim import config
+from mamsim import config, montecarlo
 
 LOGIT = lambda p: math.log(p / (1.0 - p))  # noqa: E731
 
@@ -116,3 +117,11 @@ def gaussian_two_stage_design(**overrides):
 
 def validated(doc) -> config.ValidatedSpec:
     return config.validate_spec(config.parse_spec(json.dumps(doc)))
+
+
+def read_shard_sections(path) -> tuple[dict, bytes]:
+    """Header dict plus the raw record region (used for byte comparisons)."""
+    with open(path, "rb") as fh:
+        header, _ = montecarlo._read_header(fh, path)
+        payload = fh.read()
+    return header, payload
