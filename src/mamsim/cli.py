@@ -16,9 +16,7 @@ import sys
 from pathlib import Path
 
 from . import config, montecarlo, report
-from .config import SpecError
-from .datagen import DataGenError
-from .glm import FitError
+from .config import DataGenError, FitError, SpecError
 from .montecarlo import ShardError
 from .report import ReportError
 from .rules import RuleError

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-import numpy as np
-
 from . import rules
 from .rules import RuleSpec
 
@@ -89,6 +87,27 @@ class SpecError(ValueError):
     def __init__(self, errors):
         self.errors = [errors] if isinstance(errors, str) else list(errors)
         super().__init__("; ".join(self.errors))
+
+
+# The errors of the fit and of data generation, defined here, where
+# validation and the command line reach them without loading numpy;
+# ``glm`` and ``datagen`` raise them and bind the same classes.
+class FitError(ValueError):
+    """Dimension mismatch, invalid nuisance, or pathological inputs."""
+
+
+class DataGenError(ValueError):
+    """Invalid simulation inputs (weights, generators, nuisance values)."""
+
+
+def check_nuisance(family: str, nuisance) -> None:
+    """Reject an unknown family, or invalid plug-in nuisance parameters for
+    it (``FAMILIES``)."""
+    if family not in FAMILIES:
+        raise FitError(f"unknown family {family!r}")
+    needed = FAMILIES[family][1]
+    if needed is not None and not nuisance.get(needed, 0.0) > 0.0:
+        raise FitError(f"{family} family requires nuisance {needed} > 0")
 
 
 @dataclass(frozen=True)
@@ -453,10 +472,6 @@ def validate_spec(spec: TrialSpec) -> ValidatedSpec:
     code is held to it as ``parse_spec`` holds a document: Unicode text,
     integers within 64 bits and finite numbers only.
     """
-    # config -> datagen -> glm -> config: a cycle at module level
-    from .datagen import DataGenError, simulate_covariates
-    from .glm import FitError, check_nuisance
-
     errors: list[str] = []
     model = spec.model
 
@@ -478,7 +493,12 @@ def validate_spec(spec: TrialSpec) -> ValidatedSpec:
     if repeated:
         errors.append("covariate column names must be unique; repeated: " + ", ".join(repeated))
     if model.covariates:
-        # one throwaway draw runs every generator's parameter checks
+        # one throwaway draw runs every generator's parameter checks; only
+        # this branch loads numpy (config -> datagen -> config is a cycle)
+        import numpy as np
+
+        from .datagen import simulate_covariates
+
         try:
             simulate_covariates(model.covariates, 1, np.random.Generator(np.random.Philox(0)))
         except DataGenError as exc:
@@ -530,8 +550,13 @@ def validate_spec(spec: TrialSpec) -> ValidatedSpec:
     else:
         if any(w < 0 for w in spec.prob0.values()):
             errors.append("prob0 weights must be nonnegative")
-        if sum(spec.prob0.values()) <= 0:
+        weights = spec.prob0.values()
+        total = sum(weights)
+        if total <= 0:
             errors.append("prob0 weights must sum to a positive value")
+        elif math.isinf(total) and all(map(math.isfinite, weights)):
+            # normalised by an infinite total, every weight would be 0
+            errors.append(f"prob0 weights overflow: their sum is {total}, not a finite number")
 
     if spec.allocation not in ALLOCATION_METHODS:
         errors.append(f"allocation must be one of {ALLOCATION_METHODS}, got {spec.allocation!r}")

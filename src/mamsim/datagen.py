@@ -33,13 +33,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import CovariateSpec
-from .glm import inverse_link, check_nuisance
+from .config import CovariateSpec, DataGenError, check_nuisance
+from .glm import inverse_link
 from .rules import row_sums
-
-
-class DataGenError(ValueError):
-    """Invalid simulation inputs (weights, generators, nuisance values)."""
 
 
 @functools.lru_cache(maxsize=None)

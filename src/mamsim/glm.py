@@ -19,8 +19,10 @@ reference fit it follows, ``fit_laplace``, and ``design_values`` live in
 
 The logistic and normal-tail ufuncs, ``scipy.special.expit`` and ``ndtr``,
 are bound by ``load_special`` at the first fit, link or tail, not at
-import: ``import mamsim``, design validation and the report verbs load no
-scipy module.
+import.  ``import mamsim``, design validation and the report verbs do not
+import this module at all, so they load neither numpy nor scipy:
+``FitError`` and ``check_nuisance`` are defined in :mod:`mamsim.config`
+and bound here.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import FAMILIES, covariate_columns
+from .config import FitError, check_nuisance, covariate_columns
 
 # scipy.special's ufuncs, bound by ``load_special``
 expit = ndtr = None
@@ -53,10 +55,6 @@ def load_special() -> None:
     global expit, ndtr
     if ndtr is None:
         from scipy.special import expit, ndtr
-
-
-class FitError(ValueError):
-    """Dimension mismatch, invalid nuisance, or pathological inputs."""
 
 
 @dataclass(frozen=True)
@@ -88,16 +86,6 @@ def inverse_link(link: str, eta: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
             return np.exp(eta)
     raise FitError(f"unknown link {link!r}")
-
-
-def check_nuisance(family: str, nuisance) -> None:
-    """Reject an unknown family, or invalid plug-in nuisance parameters for
-    it (``config.FAMILIES``)."""
-    if family not in FAMILIES:
-        raise FitError(f"unknown family {family!r}")
-    needed = FAMILIES[family][1]
-    if needed is not None and not nuisance.get(needed, 0.0) > 0.0:
-        raise FitError(f"{family} family requires nuisance {needed} > 0")
 
 
 def design_rows(codes, covariates, model) -> np.ndarray:

@@ -11,11 +11,11 @@ one JSON record per replicate.  All integers are little-endian.
     n_records        u64
     records          n_records x (u32 length + UTF-8 JSON record)
 
-Records are sorted by seed and written by ``engine.encode``, so the bytes
+Records are sorted by seed and written by ``records.encode``, so the bytes
 after the header depend only on (design, seed set): batches produced with
 different worker counts are byte-identical.  As a shard is read, its
 header's design is validated by :mod:`mamsim.config` and each result is
-checked by the ``engine.RecordSchema`` of that design (both once per design
+checked by the ``records.RecordSchema`` of that design (both once per design
 and process, ``_design``); this module checks the container only.  Headers
 and records are strict JSON, parsed by orjson: ``encode``, the only writer,
 refuses NaN and infinity, and config keeps every design integer within 64
@@ -23,6 +23,11 @@ bits and every string valid Unicode.  ``combine_shard_files`` streams
 records straight from input shards to the output, checking design
 fingerprints, seed order, seed disjointness and every record on the way.  A JSON export of the same
 content is provided for interoperability.
+
+Only ``run_batch`` simulates, so only it imports the run path (the engine,
+numpy and, for a pool, ``scipy.special`` and ``concurrent.futures``' process
+pool), before any pool forks: reading, combining and reporting on shards
+loads no numpy.
 """
 
 from __future__ import annotations
@@ -30,28 +35,21 @@ from __future__ import annotations
 import functools
 import heapq
 import json
+import numbers
 import os
 import struct
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from operator import itemgetter
 
-import numpy as np
-
-from . import __version__, glm
+from . import __version__
 from .config import (
     INT_RANGE, SpecError, ValidatedSpec, canonical_document, document_diff, null_variant,
     parse_spec, validate_spec,
 )
-# run_trial is unused here but stays bound: benchmark/tracing.py wraps
-# ``montecarlo.run_trial`` by name
-from .engine import (  # noqa: F401
-    RecordError, RecordSchema, TrialResult, _check, _fields, encode, json_types, run_block,
-    run_trial,
-)
+from .records import RecordError, RecordSchema, TrialResult, _check, _fields, encode, json_types
 
 MAGIC = b"MAMSHD01"
 FORMAT_VERSION = 1
@@ -115,7 +113,8 @@ def run_batch(
     if seeds is None:
         seeds = spec.seeds
     seeds = list(seeds)
-    not_ints = [s for s in seeds if isinstance(s, bool) or not isinstance(s, (int, np.integer))]
+    # numpy's integer types register as ``numbers.Integral``
+    not_ints = [s for s in seeds if isinstance(s, bool) or not isinstance(s, numbers.Integral)]
     if not_ints:
         raise ShardError(f"seeds must be integers, got {_preview([repr(s) for s in not_ints])}")
     seeds = [int(s) for s in seeds]
@@ -142,10 +141,15 @@ def run_batch(
     if len(chunks) == 1:
         pairs = [_run_chunk(validated, null_spec, seeds)]
     else:
-        # loaded here, scipy.special is inherited by the pool's forked
-        # processes, not imported by each.  The caller runs chunk 0 rather
-        # than wait idle on the pool; leaving the block waits for the pool's
-        # processes, also when a chunk raised
+        # the run path (numpy, the engine) and scipy.special, loaded here,
+        # are inherited by the pool's forked processes, not imported by
+        # each.  The caller runs chunk 0 rather than wait idle on the pool;
+        # leaving the block waits for the pool's processes, also when a
+        # chunk raised
+        from concurrent.futures import ProcessPoolExecutor
+
+        from . import engine, glm  # noqa: F401
+
         glm.load_special()
         with ProcessPoolExecutor(max_workers=len(chunks) - 1) as pool:
             futures = [
@@ -180,8 +184,10 @@ def _chunk(seeds, workers):
 
 
 def _run_chunk(validated, null_spec, seeds):
-    results = run_block(validated, seeds)
-    nulls = run_block(null_spec, seeds) if null_spec else None
+    from . import engine
+
+    results = engine.run_block(validated, seeds)
+    nulls = engine.run_block(null_spec, seeds) if null_spec else None
     return results, nulls
 
 
@@ -502,3 +508,15 @@ def _disjoint(merged):
         last = item[0]
     if overlap:
         raise ShardError(f"overlapping seed sets: {_preview(sorted(set(overlap)))}")
+
+
+# Tracing-only binding, like ``glm``'s: benchmark/tracing.py wraps
+# ``montecarlo.run_trial`` by name.  Forwarded, not imported, so that
+# ``import mamsim`` loads no engine; it goes when the benchmark hooks what
+# runs.
+def __getattr__(name):
+    if name == "run_trial":
+        from .engine import run_trial
+
+        return run_trial
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

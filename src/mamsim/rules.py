@@ -12,15 +12,19 @@ Families are registered in block form, evaluating one look of a block of
 replicates at once (one row per replicate, one column per arm); the
 one-trial entry points of :mod:`mamsim.reference` evaluate a block of one.
 All rules are pure functions of their inputs plus their family parameters.
+
+The block families import numpy where they run, not this module: design
+parsing checks rules here, and it loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # exp() arguments are clamped here to keep RAR weights finite; the weights
 # are normalised downstream so the clamp only matters in degenerate designs
@@ -89,7 +93,7 @@ class ArmDecision:
 # registry
 # --------------------------------------------------------------------------
 
-_BlockFn = Callable[..., np.ndarray]
+_BlockFn = Callable[..., "np.ndarray"]
 
 _REGISTRY: dict[str, dict[str, tuple[tuple[str, ...], _BlockFn]]] = {
     "eff_arm": {},
@@ -155,6 +159,8 @@ def row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     1-D ``sum`` of those entries gives: it adds fewer than 8 terms left to
     right, as a running sum of the zero-padded row does, and more in a
     pairwise tree, so such rows are compacted and summed by numpy."""
+    import numpy as np
+
     sums = np.where(mask, values, 0.0).cumsum(axis=1)[:, -1]
     if mask.shape[1] >= 8:
         for r in np.flatnonzero(mask.sum(axis=1) >= 8).tolist():
@@ -175,6 +181,8 @@ def _eff_fixed(tails, block: RuleBlock, params: Mapping[str, float]) -> np.ndarr
 def _eff_infofract(tails, block: RuleBlock, params: Mapping[str, float]) -> np.ndarray:
     # threshold 1 - b * (sum(n)/N)^p: strict early, relaxing to 1 - b at full
     # information
+    import numpy as np
+
     b, p = params["b"], params["p"]
     thresholds = [1.0 - b * f**p for f in block.info_fractions()]
     return tails > np.array(thresholds)[:, None]
@@ -187,6 +195,8 @@ def _fut_fixed(tails, block: RuleBlock, params: Mapping[str, float]) -> np.ndarr
 def _fut_increasing(tails, block: RuleBlock, params: Mapping[str, float]) -> np.ndarray:
     # boundary b_f * (sum(n)/N)^p_f rises with the information fraction and
     # equals b_f exactly at the maximum sample size
+    import numpy as np
+
     b_f, p_f = params["b_f"], params["p_f"]
     boundaries = [b_f * f**p_f for f in block.info_fractions()]
     return tails < np.array(boundaries)[:, None]
@@ -198,6 +208,8 @@ def _fut_increasing(tails, block: RuleBlock, params: Mapping[str, float]) -> np.
 
 
 def _trial_never(efficacy, futility, params) -> np.ndarray:
+    import numpy as np
+
     return np.zeros(len(efficacy), dtype=bool)
 
 
@@ -222,6 +234,8 @@ def _rar_trippa(tails, block: RuleBlock, params: Mapping[str, float]) -> np.ndar
     interventions.  Intervention weights: posterior^h normalised over the
     active interventions, with h = gamma * (sum(n)/N)^eta.
     """
+    import numpy as np
+
     gamma, eta, nu = params["gamma"], params["eta"], params["nu"]
     interventions = block.active & ~block.ref
     k_active = interventions.sum(axis=1)
@@ -245,6 +259,8 @@ def _rar_trippa(tails, block: RuleBlock, params: Mapping[str, float]) -> np.ndar
 
 def normalize_rows(weights: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Per row, abs(w) / sum(abs(w)) over the entries in ``mask``; 0 elsewhere."""
+    import numpy as np
+
     w = np.where(mask, np.abs(weights), 0.0)
     total = row_sums(w, mask)
     if (total == 0.0).any():

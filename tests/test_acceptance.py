@@ -14,8 +14,9 @@ import pytest
 from scipy.special import expit, ndtr
 
 from mamsim import glm, oracle, reference
-from mamsim.engine import encode, run_trial
+from mamsim.engine import run_trial
 from mamsim.montecarlo import combine_shards, run_batch, save_shard
+from mamsim.records import encode
 from mamsim.reference import (
     RuleContext,
     efficacy_arm,

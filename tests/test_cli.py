@@ -535,19 +535,21 @@ def _fresh_interpreter(code: str) -> str:
 
 
 DESIGNS_DIR = Path(mamsim.__file__).resolve().parents[2] / "designs"
-SCIPY_LOADED = (
-    "print(' '.join(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+SHIPPED_DESIGNS = sorted(str(p) for p in DESIGNS_DIR.glob("*.json"))
+NUMERIC_LOADED = (
+    "print(' '.join(m for m in sys.modules if m.partition('.')[0] in ('numpy', 'scipy')))"
 )
 
 
 def test_import_loads_no_test_reference():
     # every ``mamsim run`` of a cluster job pays for the import: it must not
     # load the quadrature oracle, the per-replicate reference fit, the scipy
-    # modules only they use, or the shard parser, which only reads load
+    # modules only they use, or the shard parser, which only reads load; nor
+    # numpy and the process pool, which the report verbs never use
     probe = (
         "import sys, mamsim; print(' '.join(m for m in ('mamsim.oracle', 'mamsim.reference', "
-        "'scipy.stats', 'scipy.optimize', 'scipy.integrate', 'scipy.linalg', 'orjson') "
-        "if m in sys.modules))"
+        "'scipy.stats', 'scipy.optimize', 'scipy.integrate', 'scipy.linalg', 'orjson', "
+        "'numpy', 'concurrent.futures.process') if m in sys.modules))"
     )
     assert _fresh_interpreter(probe).split() == []
 
@@ -567,30 +569,61 @@ def test_runs_load_no_reference():
     assert _fresh_interpreter(probe) == "False"
 
 
-def test_report_verbs_load_no_scipy(spec_path, tmp_path):
-    # the cluster flow's combine, summary and plot-data processes fit nothing,
-    # and neither do parsing and validating a design
-    a, b = tmp_path / "a.shard", tmp_path / "b.shard"
-    for seeds, out in (("1..3", a), ("4..6", b)):
-        assert main(["run", str(spec_path), "--seeds", seeds, "--workers", "1", "--out", str(out)]) == 0
+def _report_verbs(shards, tmp_path) -> list[list[str]]:
+    """A cluster job's report verbs: ``combine`` of ``shards``, then
+    ``summary --full`` and both ``plot-data`` kinds of the result."""
     ab, est, size = (str(tmp_path / n) for n in ("ab.shard", "est.csv", "size.csv"))
-    verbs = [
-        ["combine", str(a), str(b), "--out", ab],
+    return [
+        ["combine", *map(str, shards), "--out", ab],
         ["summary", ab, "--full"],
         ["plot-data", ab, "--kind", "estimates", "--out", est],
         ["plot-data", ab, "--kind", "size", "--out", size],
     ]
-    designs = sorted(str(p) for p in DESIGNS_DIR.glob("*.json"))
-    assert len(designs) == 5
+
+
+def _run_parts(design, tmp_path, *options) -> list[Path]:
+    """Two shards of ``design``, seeds 1..3 and 4..6, run with ``options``."""
+    parts = [tmp_path / "a.shard", tmp_path / "b.shard"]
+    for seeds, out in zip(("1..3", "4..6"), parts):
+        argv = ["run", str(design), "--seeds", seeds, "--workers", "1", *options]
+        assert main([*argv, "--out", str(out)]) == 0
+    return parts
+
+
+def test_report_verbs_load_no_scipy(spec_path, tmp_path):
+    # the cluster flow's combine, summary and plot-data processes fit nothing,
+    # and neither do parsing and validating a design: they load no scipy and
+    # no numpy module
+    verbs = _report_verbs(_run_parts(spec_path, tmp_path), tmp_path)
+    assert len(SHIPPED_DESIGNS) == 5
     probe = (
         "import sys, pathlib, mamsim\n"
         "from mamsim.cli import main\n"
-        f"for path in {designs!r}:\n"
+        f"for path in {SHIPPED_DESIGNS!r}:\n"
         "    mamsim.validate_spec(mamsim.parse_spec(pathlib.Path(path).read_text()))\n"
         f"assert [main(argv) for argv in {verbs!r}] == [0, 0, 0, 0]\n"
-        + SCIPY_LOADED
+        + NUMERIC_LOADED
     )
     assert _fresh_interpreter(probe).split() == []
+
+
+def test_validation_and_report_verbs_run_with_numpy_blocked(tmp_path):
+    # a process that cannot import numpy (None in sys.modules makes every
+    # import of it an ImportError) still validates every shipped design and
+    # runs the report verbs, here on a six-arm RAR design with its history
+    # and dataset columns
+    parts = _run_parts(DESIGNS_DIR / "orr_six_arm_null.json", tmp_path, "--extended", "2")
+    verbs = _report_verbs(parts, tmp_path)
+    probe = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import pathlib, mamsim\n"
+        "from mamsim import cli\n"
+        f"for path in {SHIPPED_DESIGNS!r}:\n"
+        "    mamsim.validate_spec(mamsim.parse_spec(pathlib.Path(path).read_text()))\n"
+        f"print([cli.main(argv) for argv in {verbs!r}])"
+    )
+    assert _fresh_interpreter(probe) == "[0, 0, 0, 0]"
 
 
 def test_pool_starts_after_scipy_special_loads():
@@ -598,14 +631,14 @@ def test_pool_starts_after_scipy_special_loads():
     # none of them imports it at its first fit
     design = DESIGNS_DIR / "count_dose_finding.json"
     probe = (
-        "import sys, pathlib, mamsim\n"
+        "import concurrent.futures, sys, pathlib, mamsim\n"
         "from mamsim import montecarlo\n"
         "seen = []\n"
-        "class Pool(montecarlo.ProcessPoolExecutor):\n"
+        "class Pool(concurrent.futures.ProcessPoolExecutor):\n"
         "    def __init__(self, *args, **kwargs):\n"
         "        seen.append('scipy.special' in sys.modules)\n"
         "        super().__init__(*args, **kwargs)\n"
-        "montecarlo.ProcessPoolExecutor = Pool\n"
+        "concurrent.futures.ProcessPoolExecutor = Pool\n"
         f"spec = mamsim.validate_spec(mamsim.parse_spec(pathlib.Path({str(design)!r}).read_text()))\n"
         "montecarlo.run_batch(spec, seeds=range(1, 5), workers=2)\n"
         "print(seen)"

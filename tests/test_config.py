@@ -486,6 +486,19 @@ def test_spec_built_in_code_held_to_what_a_shard_header_carries(change, message)
     assert info.value.errors == [message]
 
 
+def test_prob0_weights_whose_sum_overflows_rejected():
+    # each weight is finite, but their sum is not: normalised by it, every
+    # weight would be 0, and the run would fail at its first allocation
+    doc = gaussian_two_stage_design(prob0={"control": 1e308, "T1": 1e308, "T2": 1e308})
+    with pytest.raises(SpecError) as info:
+        config.validate_spec(config.parse_spec(json.dumps(doc)))
+    assert info.value.errors == ["prob0 weights overflow: their sum is inf, not a finite number"]
+    # one such weight alone, or two that still sum to a finite value, are fine
+    for prob0 in ({"control": 1e308, "T1": 1, "T2": 1}, {"control": 8e307, "T1": 8e307, "T2": 1}):
+        spec = validated(gaussian_two_stage_design(prob0=prob0)).spec
+        assert math.isclose(sum(spec.prob0.values()), 1.0)
+
+
 def _with_covariates(*covariates):
     """The gaussian two-stage design with extra predictors and a zero
     coefficient for each column they give."""

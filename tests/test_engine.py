@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from mamsim import engine, glm, oracle, reference, rules
-from mamsim.engine import cohort_sizes, encode, run_trial
+from mamsim.engine import cohort_sizes, run_trial
+from mamsim.records import RecordError, RecordSchema, encode
 
 from test_golden import DESIGNS as GOLDEN_DESIGNS
 from trial_designs import (
@@ -279,7 +280,7 @@ def test_final_fit_agrees_with_quadrature_on_engine_data():
 def test_result_round_trips_through_dict():
     v = validated(count_dose_design(extended=1))
     result = run_trial(v, 9)
-    again = engine.RecordSchema(v).result(json.loads(encode(result)))
+    again = RecordSchema(v).result(json.loads(encode(result)))
     assert encode(again) == encode(result)
     assert again == result
 
@@ -287,7 +288,7 @@ def test_result_round_trips_through_dict():
 def test_schema_reads_dataset_arms_as_the_design_strings():
     # a record's arm column holds one string object per arm, not per subject
     v = validated(gaussian_two_stage_design(extended=2))
-    result = engine.RecordSchema(v).result(json.loads(encode(run_trial(v, 4))))
+    result = RecordSchema(v).result(json.loads(encode(run_trial(v, 4))))
     design = {id(a) for a in v.spec.model.arm_names}
     assert {id(a) for a in result.dataset["arm"]} <= design
     assert result.dataset["arm"] == run_trial(v, 4).dataset["arm"]
@@ -307,13 +308,13 @@ def test_schema_holds_history_and_dataset_by_extended(extended):
     # a result holds history from extended 1 on and dataset at 2, no sooner
     v = validated(gaussian_two_stage_design(extended=extended))
     doc = json.loads(encode(run_trial(v, 4)))
-    schema = engine.RecordSchema(v)
+    schema = RecordSchema(v)
     assert encode(schema.result(doc)) == encode(run_trial(v, 4))
     for name in ("history", "dataset")[:extended]:
-        with pytest.raises(engine.RecordError, match=f"TrialResult without {name}"):
+        with pytest.raises(RecordError, match=f"TrialResult without {name}"):
             schema.result({k: value for k, value in doc.items() if k != name})
     for name in ("history", "dataset")[extended:]:
-        with pytest.raises(engine.RecordError, match=f"TrialResult with unexpected {name}"):
+        with pytest.raises(RecordError, match=f"TrialResult with unexpected {name}"):
             schema.result({**doc, name: [] if name == "history" else {}})
 
 

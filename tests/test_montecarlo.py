@@ -1,5 +1,6 @@
 """Batch execution, shard persistence, and combination safety."""
 
+import concurrent.futures
 import json
 import multiprocessing
 import os
@@ -11,8 +12,8 @@ import numpy as np
 import orjson
 import pytest
 
-from mamsim import montecarlo
-from mamsim.engine import encode, run_block
+from mamsim import engine, montecarlo
+from mamsim.engine import run_block
 from mamsim.glm import FitError
 from mamsim.montecarlo import (
     ShardError,
@@ -23,6 +24,7 @@ from mamsim.montecarlo import (
     save_shard,
     save_shard_json,
 )
+from mamsim.records import encode
 from mamsim.report import summarize
 
 from trial_designs import gaussian_two_stage_design, read_shard_sections, validated
@@ -84,7 +86,7 @@ def test_pool_is_sized_to_its_chunks(small_spec, small_batch, monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     batch = run_batch(small_spec, seeds=[3, 1, 2], workers=8)
     assert sizes == [2]
     assert submitted == [[2], [3]]
@@ -99,7 +101,7 @@ def test_caller_runs_the_first_chunk(small_spec, small_batch, monkeypatch):
         ran.append((os.getpid(), list(seeds)))
         return run_block(spec, seeds)
 
-    monkeypatch.setattr(montecarlo, "run_block", recording)
+    monkeypatch.setattr(engine, "run_block", recording)
     batch = run_batch(small_spec, seeds=range(12, 0, -1), workers=3)
     assert ran == [(os.getpid(), [1, 2, 3, 4])]
     assert batch.seeds == small_batch.seeds
@@ -121,7 +123,7 @@ def test_a_failing_chunk_raises_its_error_and_leaves_no_process(
             raise FitError(f"no fit for seed {bad_seed}")
         return run_block(spec, seeds)
 
-    monkeypatch.setattr(montecarlo, "run_block", failing)
+    monkeypatch.setattr(engine, "run_block", failing)
     with pytest.raises(FitError, match=f"^no fit for seed {bad_seed}$"):
         run_batch(small_spec, workers=3)
     assert multiprocessing.active_children() == []

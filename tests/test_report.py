@@ -2,7 +2,7 @@
 
 import pytest
 
-from mamsim.engine import TrialResult
+from mamsim.records import TrialResult
 from mamsim.montecarlo import BatchResult, run_batch
 from mamsim.report import (
     ReportError,

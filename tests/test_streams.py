@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mamsim import datagen, engine, glm, reference, rules
+from mamsim import datagen, engine, glm, montecarlo, reference, rules
 from mamsim.datagen import DataGenError, substream
+
+from test_cli import _fresh_interpreter
 
 
 # label paths as the engine builds them, and labels whose values compare
@@ -95,6 +97,23 @@ class TestStreamKeys:
         # name; it resolves them from mamsim.reference without defining them
         assert name not in vars(module)
         assert getattr(module, name) is getattr(reference, name)
+
+    def test_package_resolves_run_path_modules(self):
+        # benchmark tracing reads these as attributes of the package, which
+        # a fresh ``import mamsim`` resolves without loading the run path
+        probe = (
+            "import sys, mamsim\n"
+            "loaded = [n for n in ('engine', 'datagen', 'glm') if 'mamsim.' + n in sys.modules]\n"
+            "names = ('engine', 'datagen', 'glm', 'rules')\n"
+            "resolved = [getattr(mamsim, n) is sys.modules['mamsim.' + n] for n in names]\n"
+            "print(loaded, resolved, mamsim.run_trial is mamsim.engine.run_trial)"
+        )
+        assert _fresh_interpreter(probe) == "[] [True, True, True, True] True"
+
+    def test_montecarlo_forwards_run_trial(self):
+        # benchmark tracing wraps montecarlo.run_trial by name
+        assert "run_trial" not in vars(montecarlo)
+        assert montecarlo.run_trial is engine.run_trial
 
     def test_moved_names_are_not_forwarded(self):
         moved = {
