@@ -550,11 +550,17 @@ def validate_spec(spec: TrialSpec) -> ValidatedSpec:
     else:
         if any(w < 0 for w in spec.prob0.values()):
             errors.append("prob0 weights must be nonnegative")
-        weights = spec.prob0.values()
-        total = sum(weights)
-        if total <= 0:
+        # the weights as given: normalised, an infinite one would read nan
+        nonfinite = [
+            f"prob0.{k} must be a finite number, got {w!r}"
+            for k, w in spec.prob0.items() if not math.isfinite(w)
+        ]
+        total = sum(spec.prob0.values())
+        if nonfinite:
+            errors += nonfinite
+        elif total <= 0:
             errors.append("prob0 weights must sum to a positive value")
-        elif math.isinf(total) and all(map(math.isfinite, weights)):
+        elif math.isinf(total):
             # normalised by an infinite total, every weight would be 0
             errors.append(f"prob0 weights overflow: their sum is {total}, not a finite number")
 

@@ -17,12 +17,14 @@ different worker counts are byte-identical.  As a shard is read, its
 header's design is validated by :mod:`mamsim.config` and each result is
 checked by the ``records.RecordSchema`` of that design (both once per design
 and process, ``_design``); this module checks the container only.  Headers
-and records are strict JSON, parsed by orjson: ``encode``, the only writer,
-refuses NaN and infinity, and config keeps every design integer within 64
-bits and every string valid Unicode.  ``combine_shard_files`` streams
-records straight from input shards to the output, checking design
-fingerprints, seed order, seed disjointness and every record on the way.  A JSON export of the same
-content is provided for interoperability.
+and records are strict JSON, written by orjson (by the stdlib's encoder
+where orjson's text would differ, see ``records.encode``) and parsed by
+orjson: ``encode``, the only writer, refuses NaN and infinity, and config
+keeps every design integer within 64 bits and every string valid Unicode.
+``combine_shard_files`` streams records straight from input shards to the
+output, checking design fingerprints, seed order, seed disjointness and
+every record on the way.  A JSON export of the same content, written by
+the stdlib's encoder, is provided for interoperability.
 
 Only ``run_batch`` simulates, so only it imports the run path (the engine,
 numpy and, for a pool, ``scipy.special`` and ``concurrent.futures``' process
@@ -33,6 +35,7 @@ loads no numpy.
 from __future__ import annotations
 
 import functools
+import gc
 import heapq
 import json
 import numbers
@@ -341,12 +344,13 @@ def _raw_records(fh, header: dict, path):
 _ENVELOPE = (frozenset({"seed", "result"}), frozenset({"seed", "result", "null_result"}))
 
 
-def _decode(record, path, has_null: bool, schema: RecordSchema) -> tuple:
+def _decode(record, path, has_null: bool, read) -> tuple:
     """Seed, result and null result (None unless ``has_null``) of a record,
     given as raw bytes from a binary shard or as an object from a JSON
-    export.  A record is corrupt when it is not the JSON object
-    ``{seed, result[, null_result]}``, when ``schema`` rejects a result, or
-    when a result belongs to another seed."""
+    export; each result is as ``read`` gives it, a ``RecordSchema``'s
+    ``result`` or ``check``.  A record is corrupt when it is not the JSON
+    object ``{seed, result[, null_result]}``, when ``read`` rejects a
+    result, or when a result belongs to another seed."""
     if isinstance(record, bytes):
         try:
             record = _loads(record)
@@ -361,15 +365,14 @@ def _decode(record, path, has_null: bool, schema: RecordSchema) -> tuple:
         extra = ", ".join(sorted(record.keys() - envelope))
         raise ShardError(f"corrupt shard {path}: record {seed} with unexpected {extra}")
     try:
-        result = schema.result(record["result"])
-        null = schema.result(record["null_result"]) if has_null else None
+        result = read(record["result"])
+        null = read(record["null_result"]) if has_null else None
     except RecordError as exc:
         raise ShardError(f"corrupt shard {path}: record {seed}: {exc}") from None
-    for res in (result, null):
-        if res is not None and res.seed != seed:
-            raise ShardError(
-                f"corrupt shard {path}: record {seed} holds a result of seed {res.seed}"
-            )
+    for key in ("result", "null_result")[: 1 + has_null]:
+        if record[key]["seed"] != seed:
+            other = record[key]["seed"]
+            raise ShardError(f"corrupt shard {path}: record {seed} holds a result of seed {other}")
     return seed, result, null
 
 
@@ -386,17 +389,28 @@ def _read_json_export(fh, path) -> tuple[tuple[dict, RecordSchema], list]:
 
 
 def load_shard(path) -> BatchResult:
-    """Read a binary shard, or a ``save_shard_json`` export, into a batch."""
-    with open(path, "rb") as fh:
-        export = fh.read(len(MAGIC)) != MAGIC and str(path).endswith(".json")
-        fh.seek(0)
-        if export:
-            (header, schema), records = _read_json_export(fh, path)
-        else:
-            header, schema = _read_header(fh, path)
-            records = _raw_records(fh, header, path)
-        # the raw records are not kept
-        return _batch(header, [d[:3] for d in _in_seed_order(records, path, header, schema)])
+    """Read a binary shard, or a ``save_shard_json`` export, into a batch.
+
+    The cyclic garbage collector is off while it reads: the results hold no
+    reference cycles, so reference counting frees all that is dropped, and
+    the collector's passes over the growing batch would find nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, "rb") as fh:
+            export = fh.read(len(MAGIC)) != MAGIC and str(path).endswith(".json")
+            fh.seek(0)
+            if export:
+                (header, schema), records = _read_json_export(fh, path)
+            else:
+                header, schema = _read_header(fh, path)
+                records = _raw_records(fh, header, path)
+            decoded = _in_seed_order(records, path, header, schema.result)
+            # the raw records are not kept
+            return _batch(header, [d[:3] for d in decoded])
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _batch(header: dict, triples) -> BatchResult:
@@ -462,9 +476,10 @@ def combine_shard_files(paths, out_path) -> dict:
     """Stream-combine shard files into one output shard, in one pass.
 
     Each input is opened and its header read once; its records, each
-    checked by the record decoder, are merged in seed order and copied
-    verbatim.  Overlapping seed sets and an input out of seed order are
-    errors raised before the output replaces anything.  Record payloads are
+    checked by the record decoder (``RecordSchema.check``, which builds no
+    result objects), are merged in seed order and copied verbatim.
+    Overlapping seed sets and an input out of seed order are errors raised
+    before the output replaces anything.  Record payloads are
     never held in memory all at once, and the output is byte-identical to a
     monolithic run over the union of the seed sets.  Returns the header.
     """
@@ -475,7 +490,7 @@ def combine_shard_files(paths, out_path) -> dict:
         checked = [_read_header(fh, path) for fh, path in zip(files, paths)]
         header = _merged_header([h for h, _ in checked])
         streams = (
-            _in_seed_order(_raw_records(fh, h, path), path, h, schema)
+            _in_seed_order(_raw_records(fh, h, path), path, h, schema.check)
             for fh, path, (h, schema) in zip(files, paths, checked)
         )
         merged = heapq.merge(*streams, key=itemgetter(0))
@@ -483,13 +498,14 @@ def combine_shard_files(paths, out_path) -> dict:
     return header
 
 
-def _in_seed_order(records, path, header: dict, schema: RecordSchema):
+def _in_seed_order(records, path, header: dict, read):
     """``(seed, result, null result, record)`` for each of a shard's
     ``records``, each checked by the record decoder against the shard's
-    ``header`` and record ``schema``, in strictly increasing seed order."""
+    ``header`` and its results read by ``read``, in strictly increasing
+    seed order."""
     has_null, last = header["has_null"], None
     for record in records:
-        seed, result, null = _decode(record, path, has_null, schema)
+        seed, result, null = _decode(record, path, has_null, read)
         if last is not None and seed <= last:
             raise ShardError(f"corrupt shard {path}: record {seed} out of seed order")
         last = seed

@@ -3,20 +3,32 @@
 ``encode`` writes a ``TrialResult``, ``LookRecord`` or ``ArmDecision`` as the
 JSON object of its dataclass fields, except that an unset (None)
 ``history`` or ``dataset`` is left out; ``RecordSchema`` says what such an
-object holds in a shard of a design, and reads it back.  The engine writes
-records and :mod:`mamsim.montecarlo` reads them; this module imports no
-numpy, so the report verbs read shards without it.
+object holds in a shard of a design, checks it, and reads it back.  The
+bytes are those of the stdlib's ``json`` encoder.  orjson writes them, and
+the stdlib's encoder writes each document whose orjson text would differ.
+The engine writes records and :mod:`mamsim.montecarlo` reads them; this
+module imports neither numpy nor, until its first ``encode``, orjson, so
+the report verbs read shards without numpy.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+import re
+from dataclasses import dataclass, fields
+from itertools import chain
+from operator import attrgetter
 
 from .config import ValidatedSpec
 from .rules import ArmDecision
 
 OMITTED_WHEN_UNSET = frozenset({"history", "dataset"})
+# orjson's writer and its options, bound at the first ``encode``
+# (``_bind_writer``), not at import: importing orjson would add about 5 ms
+# to every ``import mamsim``
+_dumps = None
+_OPTIONS = 0
 
 
 class RecordError(ValueError):
@@ -66,11 +78,15 @@ class TrialResult:
 def _fields(record) -> dict:
     """The JSON object of a record dataclass (the encoder's ``default``),
     from its instance dict, which holds exactly its fields."""
-    if type(record) not in (TrialResult, LookRecord, ArmDecision):
-        raise TypeError(f"Object of type {type(record).__name__} is not JSON serializable")
-    doc = vars(record)
-    unset = [name for name in OMITTED_WHEN_UNSET if doc.get(name, 0) is None]
-    return {k: v for k, v in doc.items() if k not in unset} if unset else doc
+    kind = type(record)
+    if kind is TrialResult:
+        doc = vars(record)
+        if record.history is None or record.dataset is None:
+            return {k: v for k, v in doc.items() if v is not None or k not in OMITTED_WHEN_UNSET}
+        return doc
+    if kind is LookRecord or kind is ArmDecision:
+        return vars(record)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 class RecordSchema:
@@ -110,35 +126,41 @@ class RecordSchema:
             **dict.fromkeys(self.look_keys, dict),
         )
 
-    def result(self, doc) -> TrialResult:
-        """The ``TrialResult`` of a JSON object, or ``RecordError``."""
+    def check(self, doc) -> dict:
+        """``doc``, a JSON object that holds a result of this design, or
+        ``RecordError``.  Its dataset's arm column is rebuilt of the design's
+        strings."""
         # before the key sets: decisions that follow foreign arms are an arms fault
         if isinstance(doc, dict) and doc.get("arms", self.interventions) != self.interventions:
             raise RecordError("arms are not the design's interventions")
         _check("TrialResult", doc, self.result_types, self.result_keys.items())
         if set(map(type, doc["sample_sizes"].values())) != {int}:
             raise RecordError("sample sizes must be integers")
-        result = TrialResult(**doc)
-        result.arms = tuple(result.arms)
-        result.decisions = {
-            arm: ArmDecision(**_check("ArmDecision", d, _DECISION_TYPES))
-            for arm, d in result.decisions.items()
-        }
-        history, looks = result.history, result.looks_performed
+        for d in doc["decisions"].values():
+            _check("ArmDecision", d, _DECISION_TYPES)
+        history, looks = doc.get("history"), doc["looks_performed"]
         if history is not None:
             if len(history) != looks:
                 raise RecordError(f"TrialResult history of {len(history)} looks, not {looks}")
             keys = self.look_keys.items()
-            result.history = [
-                LookRecord(**_check("LookRecord", look, self.look_types, keys)) for look in history
-            ]
-        dataset = result.dataset
+            for look in history:
+                _check("LookRecord", look, self.look_types, keys)
+        dataset = doc.get("dataset")
         if dataset is not None:
             _check("dataset", dataset, _DATASET_TYPES)
             try:
                 dataset["arm"] = list(map(self.arm_names.__getitem__, dataset["arm"]))
             except (KeyError, TypeError):  # a foreign value, or a list or object
                 raise RecordError("dataset arms are not all the design's arms") from None
+        return doc
+
+    def result(self, doc) -> TrialResult:
+        """The ``TrialResult`` of a JSON object, or ``RecordError``."""
+        result = TrialResult(**self.check(doc))
+        result.arms = tuple(result.arms)
+        result.decisions = {arm: ArmDecision(**d) for arm, d in result.decisions.items()}
+        if result.history is not None:
+            result.history = [LookRecord(**look) for look in result.history]
         return result
 
 
@@ -174,9 +196,97 @@ def _check(name: str, doc, types: dict, keys=()) -> dict:
 
 
 def encode(doc) -> bytes:
-    """Canonical JSON bytes (sorted keys, no spaces) of records and headers.
+    """Canonical JSON bytes (sorted keys, no spaces) of records and headers:
+    those of ``_encode_stdlib``, which orjson writes several times faster.
     A NaN or infinite float is a ``ValueError``: strict JSON has no such
-    number, and a shard must be readable by its strict parser."""
+    number, and a shard must be readable by its strict parser.
+
+    The stdlib's encoder writes the documents whose orjson text would differ
+    or that orjson refuses: text that is not ASCII or holds DEL (which the
+    stdlib escapes), floats orjson writes with an exponent or in
+    ``[1e-5, 1e-4)`` (``1e16``, ``3.2e-7`` and ``0.00001``, where ``repr``
+    gives ``1e+16``, ``3.2e-07`` and ``1e-05``), integers beyond 64 bits,
+    keys that are not strings, and non-finite floats, which orjson writes
+    as null."""
+    if _dumps is None:
+        _bind_writer()
+    try:
+        out = _dumps(doc, default=_finite_fields, option=_OPTIONS)
+    except TypeError:
+        return _encode_stdlib(doc)
+    if (
+        out.isascii() and b"\x7f" not in out and b"0.0000" not in out
+        and not _EXPONENT(out) and _finite((doc,))
+    ):
+        return out
+    return _encode_stdlib(doc)
+
+
+def _encode_stdlib(doc) -> bytes:
+    """``encode``'s bytes, written by the stdlib's encoder: the reference."""
     return json.dumps(
         doc, default=_fields, sort_keys=True, separators=(",", ":"), allow_nan=False
     ).encode("utf-8")
+
+
+def _bind_writer() -> None:
+    """Bind ``_dumps`` and ``_OPTIONS`` to orjson's writer, once."""
+    global _dumps, _OPTIONS
+    import orjson
+
+    _dumps = orjson.dumps
+    # record dataclasses go to ``default``, which leaves unset fields out,
+    # and so do subclasses of JSON types, which ``_fields`` refuses
+    _OPTIONS = (
+        orjson.OPT_SORT_KEYS | orjson.OPT_PASSTHROUGH_DATACLASS | orjson.OPT_PASSTHROUGH_SUBCLASS
+    )
+
+
+# an exponent in orjson's text; led by a literal, the search skips from ``e``
+# to ``e``, where ``[0-9]e|0\.0000`` would try every byte
+_EXPONENT = re.compile(rb"e[-0-9]").search
+# the JSON scalars of numbers and null
+_NUMBERS = frozenset({float, int, bool, type(None)})
+_CONTAINERS = frozenset({dict, list, tuple})
+# the fields of a result or look that hold floats, by their annotations:
+# objects of floats and nulls
+_FLOAT_OBJECTS = {
+    cls: attrgetter(*(f.name for f in fields(cls) if "float" in f.type))
+    for cls in (TrialResult, LookRecord)
+}
+
+
+def _finite(values) -> bool:
+    """Whether every float in the JSON values ``values``, and in the objects
+    and lists among them, is finite: the floats of each object and list are
+    summed.  An overflow of finite floats is a false alarm, which sends the
+    document to the stdlib's encoder.  A record dataclass among ``values``
+    is passed over: ``_finite_fields`` checks it as orjson writes it, and
+    orjson writes no subclass of a JSON type."""
+    kinds = set(map(type, values))
+    if kinds <= _NUMBERS:
+        return float not in kinds or math.isfinite(sum(filter(None, values)))
+    if float in kinds and not math.isfinite(sum(v for v in values if type(v) is float)):
+        return False
+    return kinds.isdisjoint(_CONTAINERS) or all(
+        _finite(v.values() if type(v) is dict else v) for v in values if type(v) in _CONTAINERS
+    )
+
+
+def _finite_fields(record) -> dict:
+    """``_fields`` for orjson, which writes a non-finite float as null: a
+    ``TypeError`` for a result or look that holds one, so that ``encode``
+    hands it to the stdlib's encoder and its ``ValueError``.  A record's
+    floats are those of its ``_FLOAT_OBJECTS`` and of its dataset's
+    response and covariate columns; its other fields hold none."""
+    doc = _fields(record)
+    objects = _FLOAT_OBJECTS.get(type(record))
+    if objects is not None:
+        total = sum(filter(None, chain.from_iterable(map(dict.values, objects(record)))))
+        dataset = doc.get("dataset")
+        if dataset is not None:  # columns of numbers
+            covariates = chain.from_iterable(dataset["covariates"].values())
+            total += sum(dataset["response"]) + sum(covariates)
+        if not math.isfinite(total):
+            raise TypeError("a float that is not finite")
+    return doc

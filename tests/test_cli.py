@@ -544,8 +544,8 @@ NUMERIC_LOADED = (
 def test_import_loads_no_test_reference():
     # every ``mamsim run`` of a cluster job pays for the import: it must not
     # load the quadrature oracle, the per-replicate reference fit, the scipy
-    # modules only they use, or the shard parser, which only reads load; nor
-    # numpy and the process pool, which the report verbs never use
+    # modules only they use, or orjson, which only shard reads and writes
+    # load; nor numpy and the process pool, which the report verbs never use
     probe = (
         "import sys, mamsim; print(' '.join(m for m in ('mamsim.oracle', 'mamsim.reference', "
         "'scipy.stats', 'scipy.optimize', 'scipy.integrate', 'scipy.linalg', 'orjson', "

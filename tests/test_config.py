@@ -474,8 +474,11 @@ def test_malformed_field_is_a_spec_error(path, value, message):
          "beta_true[1] must be a finite number, got nan"),
         (lambda model: {"model": dataclasses.replace(model, nuisance={"sd": math.inf})},
          "model.nuisance.sd must be a finite number, got inf"),
+        # named as given, not as normalised by an infinite total (nan)
+        (lambda model: {"prob0": {"control": math.inf, "T1": 1.0, "T2": 1.0}},
+         "prob0.control must be a finite number, got inf"),
     ],
-    ids=["arm-lone-surrogate", "n_max-past-64-bits", "beta_true-nan", "nuisance-inf"],
+    ids=["arm-lone-surrogate", "n_max-past-64-bits", "beta_true-nan", "nuisance-inf", "prob0-inf"],
 )
 def test_spec_built_in_code_held_to_what_a_shard_header_carries(change, message):
     # parse_spec refuses these in a document; a spec built in code skips it,

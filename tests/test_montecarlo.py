@@ -1,6 +1,7 @@
 """Batch execution, shard persistence, and combination safety."""
 
 import concurrent.futures
+import gc
 import json
 import multiprocessing
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import orjson
 import pytest
 
-from mamsim import engine, montecarlo
+from mamsim import engine, montecarlo, records
 from mamsim.engine import run_block
 from mamsim.glm import FitError
 from mamsim.montecarlo import (
@@ -215,6 +216,56 @@ def test_combine_partition_equals_monolithic(small_spec, small_batch, tmp_path):
     assert summarize(load_shard(out), full=True)[1] == summarize(small_batch, full=True)[1]
 
 
+def test_combine_builds_no_result_objects(small_spec, tmp_path, monkeypatch):
+    # combine only checks records and copies their bytes: it builds no
+    # TrialResult, where a load builds one per record
+    built = []
+
+    class Spy(records.TrialResult):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    a, b, out = tmp_path / "a.shard", tmp_path / "b.shard", tmp_path / "out.shard"
+    save_shard(run_batch(small_spec, seeds=range(1, 7), workers=1), a)
+    save_shard(run_batch(small_spec, seeds=range(7, 13), workers=1), b)
+    monkeypatch.setattr(records, "TrialResult", Spy)
+    combine_shard_files([a, b], out)
+    assert built == []
+    assert load_shard(out).seeds == tuple(range(1, 13))
+    assert len(built) == 12
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["good", "corrupt-record"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("container", ["shard", "json"])
+def test_load_shard_leaves_the_cyclic_gc_as_it_found_it(
+    small_batch, tmp_path, monkeypatch, container, enabled, corrupt
+):
+    path = tmp_path / f"batch.{container}"
+    (save_shard if container == "shard" else save_shard_json)(small_batch, path)
+    if corrupt:  # a key renamed in place: the container stays whole
+        path.write_bytes(path.read_bytes().replace(b'"total_size"', b'"total_sizf"', 1))
+    seen = []
+    decode = montecarlo._decode
+    monkeypatch.setattr(
+        montecarlo, "_decode", lambda *args: seen.append(gc.isenabled()) or decode(*args)
+    )
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if corrupt:
+            with pytest.raises(ShardError, match="record 1: TrialResult without total_size"):
+                load_shard(path)
+        else:
+            assert load_shard(path).seeds == small_batch.seeds
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    # the records are decoded with the collector off
+    assert seen and not any(seen)
+
+
 def test_combine_rejects_overlap(small_spec):
     a = run_batch(small_spec, seeds=range(1, 6), workers=1)
     b = run_batch(small_spec, seeds=range(4, 10), workers=1)
@@ -359,19 +410,20 @@ def _exact(value):
 @pytest.mark.parametrize("extended", [0, 1, 2])
 @pytest.mark.parametrize("design", sorted(p.stem for p in DESIGNS_DIR.glob("*.json")))
 def test_shard_parser_reads_every_record_as_the_stdlib_does(design, extended, tmp_path):
-    # shards are read with orjson and written with the stdlib's encoder: each
-    # record must parse to the same values, floats bit for bit, and encode
-    # back to its stored bytes
+    # shards are read with orjson and written by orjson or the stdlib's
+    # encoder: each record must parse to the same values, floats bit for
+    # bit, and encode back to its stored bytes, those of the stdlib
     doc = json.loads((DESIGNS_DIR / f"{design}.json").read_text())
     spec = validated({**doc, "extended": extended})
     path = tmp_path / "batch.shard"
     save_shard(run_batch(spec, seeds=range(1, 13), workers=1), path)
-    records = _records(path)
-    assert len(records) == 12
-    for raw in records:
+    raws = _records(path)
+    assert len(raws) == 12
+    for raw in raws:
         parsed = orjson.loads(raw)
         assert _exact(parsed) == _exact(json.loads(raw))
         assert encode(parsed) == raw
+        assert json.dumps(parsed, sort_keys=True, separators=(",", ":")).encode() == raw
 
 
 def test_shard_parser_reads_doubles_bit_for_bit():
