@@ -108,6 +108,14 @@ def check_nuisance(family: str, nuisance) -> None:
     needed = FAMILIES[family][1]
     if needed is not None and not nuisance.get(needed, 0.0) > 0.0:
         raise FitError(f"{family} family requires nuisance {needed} > 0")
+    if family == "gaussian":
+        # the fit divides by sd**2, which Python's ** raises on when a finite
+        # sd's square overflows; a non-finite sd is the document checks' to name
+        sd = nuisance["sd"]
+        if sd < math.inf and sd * sd == math.inf:
+            raise FitError(
+                f"gaussian family requires a nuisance sd whose square is finite, got {sd!r}"
+            )
 
 
 @dataclass(frozen=True)

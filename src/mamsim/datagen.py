@@ -488,12 +488,21 @@ def draw_response(mu: np.ndarray, family: str, nuisance, rng: np.random.Generato
     if family == "binomial":
         return rng.binomial(1, mu)
     if family == "poisson":
-        return rng.poisson(mu)
+        return _poisson(mu, rng)
     if family == "nbinomial":
         phi = nuisance["dispersion"]
         lam = rng.standard_gamma(phi, size=mu.shape) * (mu / phi)
-        return rng.poisson(lam)
+        return _poisson(lam, rng)
     raise DataGenError(f"unknown family {family!r}")
+
+
+def _poisson(lam: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """numpy's poisson draws; a mean it refuses (one too large for int64
+    counts, or NaN) is a ``DataGenError``."""
+    try:
+        return rng.poisson(lam)
+    except ValueError as exc:
+        raise DataGenError(f"cannot draw poisson counts: {exc}") from None
 
 
 def simulate_response(

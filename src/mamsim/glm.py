@@ -281,7 +281,7 @@ def fit_laplace_batch(
     iterates only the rows still fitting, and a row's result is kept as
     it leaves.  Each of those rows evaluates its full step once; only the
     rows that reject it go on to the halvings.  A non-finite Hessian or
-    score of an iterating replicate raises ``ValueError``.
+    score of an iterating replicate raises ``FitError``.
 
     Every operation acts elementwise, on one replicate's row, or on one
     replicate's slice of a stack (``np.linalg.solve`` and ``np.matmul``
@@ -347,7 +347,7 @@ def fit_laplace_batch(
                 break
         hess = neg_hessian(part, w)
         if not (_all_finite(hess) and _all_finite(score)):
-            raise ValueError("array must not contain infs or NaNs")
+            raise FitError("array must not contain infs or NaNs")
         step = _solve_each(hess, score[:, :, None])[:, :, 0]
         stop = None
         if not _all_finite(step):
@@ -405,7 +405,7 @@ def fit_laplace_batch(
 
     hess = neg_hessian(data, unit_w)
     if not _all_finite(hess):
-        raise ValueError("array must not contain infs or NaNs")
+        raise FitError("array must not contain infs or NaNs")
     cov = _solve_each(hess, np.broadcast_to(np.eye(p), hess.shape))
     var = np.diagonal(cov, axis1=1, axis2=2)
     converged &= np.isfinite(var).all(axis=1)

@@ -5,9 +5,9 @@ engine's batched forms are tested against.
   Cholesky-factored Newton iteration and returns a ``PosteriorFit``;
   ``marginal_posterior_prob`` reads one tail probability from it.  The
   engine fits every block with :func:`mamsim.glm.fit_laplace_batch`, which
-  follows ``fit_laplace`` row by row, and :mod:`mamsim.oracle` checks this
-  fit against quadrature.  ``design_values`` builds a model matrix from arm
-  labels.
+  follows ``fit_laplace`` row by row, and the quadrature oracle of the
+  tests (``tests/quadrature_oracle.py``) checks this fit against
+  quadrature.  ``design_values`` builds a model matrix from arm labels.
 * The one-trial rule API.  ``efficacy_arm``, ``futility_arm``,
   ``trial_stop``, ``rar_weights`` and ``normalize_allocation`` evaluate one
   look of one trial, held in a :class:`RuleContext`, through the block
@@ -255,32 +255,6 @@ def fit_laplace(
         iterations=iterations,
         log_det_precision=log_det,
     )
-
-
-def estimate_nuisance_mom(family: str, y, mu) -> dict:
-    """Method-of-moments nuisance re-estimate from fitted means.
-
-    An alternative to the plug-in defaults for callers who want the
-    nuisance refreshed at each look: the gaussian residual sd is the root
-    mean squared residual; the negative-binomial dispersion solves the
-    pooled moment identity E[(Y-mu)^2] = mu + mu^2/phi.  Binomial and
-    poisson families carry no nuisance and return an empty mapping.
-    """
-    y = np.asarray(y, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    if family == "gaussian":
-        return {"sd": float(np.sqrt(np.mean((y - mu) ** 2)))}
-    if family == "nbinomial":
-        excess = float(np.sum((y - mu) ** 2 - mu))
-        if excess <= 0.0:
-            raise FitError(
-                "no overdispersion in the data; the moment estimate of the "
-                "dispersion is undefined"
-            )
-        return {"dispersion": float(np.sum(mu**2) / excess)}
-    if family in ("binomial", "poisson"):
-        return {}
-    raise FitError(f"unknown family {family!r}")
 
 
 def marginal_posterior_prob(

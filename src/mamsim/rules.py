@@ -247,7 +247,12 @@ def _rar_trippa(tails, block: RuleBlock, params: Mapping[str, float]) -> np.ndar
     exponents = np.minimum(nu * lead, _MAX_EXPONENT).tolist()
     control = [math.exp(e) / k for e, k in zip(exponents, k_active.tolist())]
 
-    h = np.array([gamma * f**eta for f in block.info_fractions()])
+    try:
+        h = np.array([gamma * f**eta for f in block.info_fractions()])
+    except OverflowError:
+        raise RuleError(
+            f"RAR power gamma * (n/N)**eta overflows: gamma {gamma}, eta {eta}"
+        ) from None
     powered = tails ** h[:, None]
     total = row_sums(powered, interventions)
     if (total == 0.0).any():

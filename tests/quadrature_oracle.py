@@ -14,7 +14,7 @@ import scipy.optimize
 from scipy import stats
 from scipy.integrate import simpson
 
-from .glm import (
+from mamsim.glm import (
     _PROB_CEIL,
     _PROB_FLOOR,
     FitError,
@@ -22,7 +22,7 @@ from .glm import (
     check_nuisance,
     inverse_link,
 )
-from .reference import DesignMatrix
+from mamsim.reference import DesignMatrix
 
 
 def quadrature_oracle_prob(

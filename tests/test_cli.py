@@ -1,6 +1,8 @@
 """End-to-end command-line workflow."""
 
+import ast
 import csv
+import importlib.util
 import json
 import os
 import re
@@ -12,8 +14,9 @@ from pathlib import Path
 import pytest
 
 import mamsim
-from mamsim import montecarlo
+from mamsim import config, montecarlo
 from mamsim.cli import main
+from mamsim.config import DataGenError, FitError, SpecError
 from mamsim.rules import RuleError
 
 from trial_designs import count_dose_design, gaussian_two_stage_design, read_shard_sections
@@ -543,11 +546,11 @@ NUMERIC_LOADED = (
 
 def test_import_loads_no_test_reference():
     # every ``mamsim run`` of a cluster job pays for the import: it must not
-    # load the quadrature oracle, the per-replicate reference fit, the scipy
-    # modules only they use, or orjson, which only shard reads and writes
-    # load; nor numpy and the process pool, which the report verbs never use
+    # load the per-replicate reference fit, the scipy modules only it and the
+    # tests use, or orjson, which only shard reads and writes load; nor numpy
+    # and the process pool, which the report verbs never use
     probe = (
-        "import sys, mamsim; print(' '.join(m for m in ('mamsim.oracle', 'mamsim.reference', "
+        "import sys, mamsim; print(' '.join(m for m in ('mamsim.reference', "
         "'scipy.stats', 'scipy.optimize', 'scipy.integrate', 'scipy.linalg', 'orjson', "
         "'numpy', 'concurrent.futures.process') if m in sys.modules))"
     )
@@ -567,6 +570,91 @@ def test_runs_load_no_reference():
         "print('mamsim.reference' in sys.modules)"
     )
     assert _fresh_interpreter(probe) == "False"
+
+
+def test_package_imports_no_test_apparatus():
+    # the quadrature oracle, and the scipy modules only it used, live in the
+    # tests: no package module imports them
+    banned = ("scipy.optimize", "scipy.stats", "scipy.integrate")
+    package = Path(mamsim.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                names = [base] + [f"{base}.{alias.name}".lstrip(".") for alias in node.names]
+            else:
+                continue
+            found += [
+                f"{path.name}: {name}"
+                for name in names
+                if name.startswith(banned) or "oracle" in name
+            ]
+    assert found == []
+    assert importlib.util.find_spec("mamsim.oracle") is None
+
+
+def _six_arm_rar_eta(eta):
+    doc = json.loads((DESIGNS_DIR / "orr_six_arm_alternative.json").read_text())
+    doc["rar_rule"]["params"]["eta"] = eta
+    return doc
+
+
+def _count_dose_intercept(b0):
+    doc = count_dose_design()
+    doc["beta_true"][0] = b0
+    return doc
+
+
+def _nuisance(design, **nuisance):
+    doc = design()
+    doc["model"]["nuisance"] = nuisance
+    return doc
+
+
+# valid-looking designs whose values once overflowed Python or numpy into an
+# uncaught exception: each must end in a named error, which the CLI reports;
+# only the gaussian sd is refused at validation
+EXTREME_DESIGNS = [
+    pytest.param(_six_arm_rar_eta(-600.0), None, RuleError, "gamma 3.0, eta -600.0", id="rar-eta"),
+    pytest.param(_count_dose_intercept(45.0), None, DataGenError, "lam value too large", id="lam"),
+    pytest.param(
+        _nuisance(count_dose_design, dispersion=1e300), None, FitError, "infs or NaNs",
+        id="dispersion",
+        # the fit's arithmetic overflows on the way to the non-finite Hessian
+        marks=pytest.mark.filterwarnings(
+            "ignore:overflow encountered:RuntimeWarning",
+            "ignore:invalid value encountered:RuntimeWarning",
+        ),
+    ),
+    pytest.param(
+        _nuisance(gaussian_two_stage_design, sd=1.35e154), SpecError, FitError,
+        "sd whose square is finite, got 1.35e+154", id="gaussian-sd",
+    ),
+]
+
+
+@pytest.mark.parametrize("doc, refused, error, message", EXTREME_DESIGNS)
+def test_extreme_design_ends_in_named_error(doc, refused, error, message, tmp_path, capsys):
+    spec = config.parse_spec(json.dumps(doc))
+    if refused is None:
+        validated = config.validate_spec(spec)
+    else:
+        with pytest.raises(refused, match=re.escape(message)):
+            config.validate_spec(spec)
+        validated = config.ValidatedSpec(spec, "0" * 64)  # the run's own checks
+    with pytest.raises(error, match=re.escape(message)):
+        montecarlo.run_batch(validated, seeds=range(1, 5))
+
+    path, out = tmp_path / "extreme.json", tmp_path / "extreme.shard"
+    path.write_text(json.dumps(doc))
+    argv = ["run", str(path), "--replicates", "4", "--workers", "1", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
 
 
 def _report_verbs(shards, tmp_path) -> list[list[str]]:

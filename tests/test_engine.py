@@ -7,10 +7,11 @@ import random
 import numpy as np
 import pytest
 
-from mamsim import engine, glm, oracle, reference, rules
+from mamsim import engine, glm, reference, rules
 from mamsim.engine import cohort_sizes, run_trial
 from mamsim.records import RecordError, RecordSchema, encode
 
+from quadrature_oracle import quadrature_oracle_prob
 from test_golden import DESIGNS as GOLDEN_DESIGNS
 from trial_designs import (
     binary_six_arm_design,
@@ -269,7 +270,7 @@ def test_final_fit_agrees_with_quadrature_on_engine_data():
     assert fit.converged
     for delta in (0.0, 0.3):
         lap = reference.marginal_posterior_prob(fit, 1, delta, "greater")
-        orc = oracle.quadrature_oracle_prob(
+        orc = quadrature_oracle_prob(
             design, y, "binomial", "logit", {}, glm.default_prior(2), 1, delta, "greater"
         )
         assert abs(lap - orc) < 5e-3
