@@ -381,6 +381,10 @@ def _gen_uniform(params, m, rng):
     high = _param(params, "high", "uniform", float, 1.0)
     if high < low:
         raise DataGenError(f"uniform covariate needs low <= high, got low {low} and high {high}")
+    if not math.isfinite(high - low):  # numpy draws from low + (high - low) * u
+        raise DataGenError(
+            f"uniform covariate needs a finite high - low, got low {low} and high {high}"
+        )
     return {None: rng.uniform(low, high, size=m)}
 
 

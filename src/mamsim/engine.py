@@ -118,17 +118,15 @@ class _Block:
             ]
             if rule is not None
         }
-        # each tail margin's deltas, as (look, margin, 1, arm) for one
-        # tail_probabilities call per look, and per look the margins in use:
-        # those with a delta for some arm (the others decide nothing)
-        margins = {"eff": spec.delta_eff, "fut": spec.delta_fut}
-        if spec.rar_rule is not None:
-            margins["rar"] = spec.delta_rar
-        self.margin_names = list(margins)
-        deltas = np.array([_arm_deltas(m, self.targets, shape[1]) for m in margins.values()])
+        # the efficacy, futility and RAR deltas, as (look, margin, 1, arm)
+        # for one tail_probabilities call per look: NaN where an arm has no
+        # delta, which gives a NaN tail that decides nothing, and all NaN
+        # for RAR in a design without a RAR rule
+        margins = [spec.delta_eff, spec.delta_fut, spec.delta_rar]
+        deltas = np.array([_arm_deltas(m, self.targets, shape[1]) for m in margins])
+        if spec.rar_rule is None:
+            deltas[2] = np.nan
         self.deltas = deltas.transpose(2, 0, 1)[:, :, None]
-        self.has_delta = ~np.isnan(self.deltas)
-        self.in_use = self.has_delta.any(axis=(2, 3)).tolist()
         self.beta_true = np.asarray(spec.beta_true, dtype=float)
         self.gaussian = model.family == "gaussian"
         if model.covariates:  # per-subject design rows and responses, by block row
@@ -299,27 +297,18 @@ class _Block:
         mean, sd = fit.mode[:, :n_arms], fit.marginal_sd[:, :n_arms]
         evaluated = self.active & converged[:, None]
 
-        # the tails of every margin in use at this look, NaN where an arm is
-        # not evaluated or has no delta; those not in use are all NaN
-        used = [i for i, flag in enumerate(self.in_use[j]) if flag]
-        tails = {}
-        if used:
-            probs = glm.tail_probabilities(mean, sd, self.deltas[j, used], self.greater)
-            probs = np.where(evaluated & self.has_delta[j, used], probs, np.nan)
-            tails = {self.margin_names[i]: p for i, p in zip(used, probs)}
-        unused = np.full(mean.shape, np.nan)
-        p_eff, p_fut, p_rar = (tails.get(k, unused) for k in ("eff", "fut", "rar"))
+        # each margin's tails, NaN where an arm is not evaluated or has no delta
+        probs = glm.tail_probabilities(mean, sd, self.deltas[j], self.greater)
+        p_eff, p_fut, p_rar = np.where(evaluated, probs, np.nan)
 
         # arm rules; a non-converged row has no tails, so no decisions
         block = self.rule_block()
 
-        def hits(kind, margin):
-            if margin not in tails:
-                return np.zeros(mean.shape, dtype=bool)
+        def hits(kind, tails):
             fn, params = self.rules[kind]
-            return fn(tails[margin], block, params) & ~np.isnan(tails[margin])
+            return fn(tails, block, params) & ~np.isnan(tails)
 
-        hit_eff, hit_fut = hits("eff_arm", "eff"), hits("fut_arm", "fut")
+        hit_eff, hit_fut = hits("eff_arm", p_eff), hits("fut_arm", p_fut)
         decided = hit_eff | hit_fut
         self.efficacy |= hit_eff
         self.futility |= hit_fut

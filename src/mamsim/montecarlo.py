@@ -17,10 +17,11 @@ different worker counts are byte-identical.  As a shard is read, its
 header's design is validated by :mod:`mamsim.config` and each result is
 checked by the ``records.RecordSchema`` of that design (both once per design
 and process, ``_design``); this module checks the container only.  Headers
-and records are strict JSON, written by orjson (by the stdlib's encoder
-where orjson's text would differ, see ``records.encode``) and parsed by
-orjson: ``encode``, the only writer, refuses NaN and infinity, and config
-keeps every design integer within 64 bits and every string valid Unicode.
+and records are strict JSON, written by the stdlib's encoder (records by
+orjson, except where its text would differ, see ``records.encode``) and
+parsed by orjson: ``encode``, the only writer, refuses NaN and infinity,
+and config keeps every design integer within 64 bits and every string
+valid Unicode.
 ``combine_shard_files`` streams records straight from input shards to the
 output, checking design fingerprints, seed order, seed disjointness and
 every record on the way.  A JSON export of the same content, written by

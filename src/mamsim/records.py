@@ -4,11 +4,11 @@
 JSON object of its dataclass fields, except that an unset (None)
 ``history`` or ``dataset`` is left out; ``RecordSchema`` says what such an
 object holds in a shard of a design, checks it, and reads it back.  The
-bytes are those of the stdlib's ``json`` encoder.  orjson writes them, and
-the stdlib's encoder writes each document whose orjson text would differ.
-The engine writes records and :mod:`mamsim.montecarlo` reads them; this
-module imports neither numpy nor, until its first ``encode``, orjson, so
-the report verbs read shards without numpy.
+bytes are those of the stdlib's ``json`` encoder.  orjson writes records,
+and the stdlib's encoder writes headers and each record whose orjson text
+would differ.  The engine writes records and :mod:`mamsim.montecarlo`
+reads them; this module imports neither numpy nor, until it first encodes
+a record, orjson, so the report verbs read shards without numpy.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from .config import ValidatedSpec
 from .rules import ArmDecision
 
 OMITTED_WHEN_UNSET = frozenset({"history", "dataset"})
-# orjson's writer and its options, bound at the first ``encode``
-# (``_bind_writer``), not at import: importing orjson would add about 5 ms
-# to every ``import mamsim``
+# orjson's writer and its options, bound when ``encode`` first writes a
+# record (``_bind_writer``), not at import: importing orjson would add
+# about 5 ms to every ``import mamsim``
 _dumps = None
 _OPTIONS = 0
 
@@ -197,27 +197,29 @@ def _check(name: str, doc, types: dict, keys=()) -> dict:
 
 def encode(doc) -> bytes:
     """Canonical JSON bytes (sorted keys, no spaces) of records and headers:
-    those of ``_encode_stdlib``, which orjson writes several times faster.
-    A NaN or infinite float is a ``ValueError``: strict JSON has no such
-    number, and a shard must be readable by its strict parser.
+    those of ``_encode_stdlib``.  A NaN or infinite float is a
+    ``ValueError``: strict JSON has no such number, and a shard must be
+    readable by its strict parser.
 
-    The stdlib's encoder writes the documents whose orjson text would differ
-    or that orjson refuses: text that is not ASCII or holds DEL (which the
-    stdlib escapes), floats orjson writes with an exponent or in
-    ``[1e-5, 1e-4)`` (``1e16``, ``3.2e-7`` and ``0.00001``, where ``repr``
-    gives ``1e+16``, ``3.2e-07`` and ``1e-05``), integers beyond 64 bits,
-    keys that are not strings, and non-finite floats, which orjson writes
-    as null."""
+    orjson writes a record, several times faster: a record dataclass, or an
+    envelope object whose values are integers and record dataclasses.  The
+    stdlib's encoder writes every other document (headers, designs and
+    exports), and the records whose orjson text would differ or that orjson
+    refuses: text that is not ASCII or holds DEL (which the stdlib escapes),
+    floats orjson writes with an exponent or in ``[1e-5, 1e-4)`` (``1e16``,
+    ``3.2e-7`` and ``0.00001``, where ``repr`` gives ``1e+16``, ``3.2e-07``
+    and ``1e-05``), integers beyond 64 bits, keys that are not strings, and
+    non-finite floats, which orjson writes as null."""
+    kinds = map(type, doc.values()) if type(doc) is dict else (type(doc),)
+    if not _ENVELOPE.issuperset(kinds):
+        return _encode_stdlib(doc)
     if _dumps is None:
         _bind_writer()
     try:
         out = _dumps(doc, default=_finite_fields, option=_OPTIONS)
     except TypeError:
         return _encode_stdlib(doc)
-    if (
-        out.isascii() and b"\x7f" not in out and b"0.0000" not in out
-        and not _EXPONENT(out) and _finite((doc,))
-    ):
+    if out.isascii() and b"\x7f" not in out and b"0.0000" not in out and not _EXPONENT(out):
         return out
     return _encode_stdlib(doc)
 
@@ -245,32 +247,15 @@ def _bind_writer() -> None:
 # an exponent in orjson's text; led by a literal, the search skips from ``e``
 # to ``e``, where ``[0-9]e|0\.0000`` would try every byte
 _EXPONENT = re.compile(rb"e[-0-9]").search
-# the JSON scalars of numbers and null
-_NUMBERS = frozenset({float, int, bool, type(None)})
-_CONTAINERS = frozenset({dict, list, tuple})
+# the types ``encode`` hands orjson: record dataclasses, and the values of a
+# record envelope, integers and record dataclasses
+_ENVELOPE = frozenset({int, TrialResult, LookRecord, ArmDecision})
 # the fields of a result or look that hold floats, by their annotations:
 # objects of floats and nulls
 _FLOAT_OBJECTS = {
     cls: attrgetter(*(f.name for f in fields(cls) if "float" in f.type))
     for cls in (TrialResult, LookRecord)
 }
-
-
-def _finite(values) -> bool:
-    """Whether every float in the JSON values ``values``, and in the objects
-    and lists among them, is finite: the floats of each object and list are
-    summed.  An overflow of finite floats is a false alarm, which sends the
-    document to the stdlib's encoder.  A record dataclass among ``values``
-    is passed over: ``_finite_fields`` checks it as orjson writes it, and
-    orjson writes no subclass of a JSON type."""
-    kinds = set(map(type, values))
-    if kinds <= _NUMBERS:
-        return float not in kinds or math.isfinite(sum(filter(None, values)))
-    if float in kinds and not math.isfinite(sum(v for v in values if type(v) is float)):
-        return False
-    return kinds.isdisjoint(_CONTAINERS) or all(
-        _finite(v.values() if type(v) is dict else v) for v in values if type(v) in _CONTAINERS
-    )
 
 
 def _finite_fields(record) -> dict:

@@ -614,9 +614,17 @@ def _nuisance(design, **nuisance):
     return doc
 
 
+def _uniform_covariate(low, high):
+    doc = gaussian_two_stage_design(beta_true=[0.0, 1.0, 0.0, 0.0])
+    doc["model"]["covariates"] = [
+        {"name": "u", "generator": "uniform", "params": {"low": low, "high": high}}
+    ]
+    return doc
+
+
 # valid-looking designs whose values once overflowed Python or numpy into an
 # uncaught exception: each must end in a named error, which the CLI reports;
-# only the gaussian sd is refused at validation
+# only the gaussian sd and the uniform range are refused at validation
 EXTREME_DESIGNS = [
     pytest.param(_six_arm_rar_eta(-600.0), None, RuleError, "gamma 3.0, eta -600.0", id="rar-eta"),
     pytest.param(_count_dose_intercept(45.0), None, DataGenError, "lam value too large", id="lam"),
@@ -632,6 +640,10 @@ EXTREME_DESIGNS = [
     pytest.param(
         _nuisance(gaussian_two_stage_design, sd=1.35e154), SpecError, FitError,
         "sd whose square is finite, got 1.35e+154", id="gaussian-sd",
+    ),
+    pytest.param(
+        _uniform_covariate(-1e308, 1e308), SpecError, DataGenError,
+        "needs a finite high - low, got low -1e+308 and high 1e+308", id="uniform-range",
     ),
 ]
 

@@ -164,8 +164,15 @@ def test_non_converged_fit_skips_look(monkeypatch):
     assert first.allocation == dict(v.spec.prob0)
 
 
-def test_one_non_converged_fit_leaves_the_block_unaffected(monkeypatch):
-    v = validated(count_dose_design(extended=1))
+@pytest.mark.parametrize(
+    "design",
+    # the six-arm block allocates by RAR in the rows with tails and keeps
+    # the allocation of the row without, at a look with no efficacy delta
+    [count_dose_design(extended=1), binary_six_arm_design("alternative", extended=1)],
+    ids=["count-dose", "six-arm-rar"],
+)
+def test_one_non_converged_fit_leaves_the_block_unaffected(design, monkeypatch):
+    v = validated(design)
     seeds = [3, 4, 5]
     alone = {s: encode(run_trial(v, s)) for s in seeds}
     real_fit = glm.fit_laplace_batch

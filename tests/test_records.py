@@ -4,11 +4,12 @@ import collections
 import enum
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mamsim import montecarlo
+from mamsim import montecarlo, records
 from mamsim.records import LookRecord, TrialResult, _fields, encode
 from mamsim.rules import ArmDecision
 
@@ -142,8 +143,8 @@ def test_encode_refuses_a_non_finite_header_float(value):
     header = montecarlo._header_doc(
         montecarlo.run_batch(validated(count_dose_design()), seeds=[1], workers=1)
     )
-    # a fingerprint's hex digits hold "e3" and the like: without it, the
-    # header is written by orjson
+    # the stdlib's encoder writes a header, with its fingerprint's hex
+    # digits ("e3" and the like) or without them
     assert encode(header) == reference(header)
     header.pop("fingerprint")
     assert encode(header) == reference(header)
@@ -154,6 +155,31 @@ def test_encode_refuses_a_non_finite_header_float(value):
     header["spec_document"]["model"]["nuisance"]["dispersion"] = value
     with pytest.raises(ValueError, match="not JSON compliant"):
         encode(header)
+
+
+def test_encode_hands_orjson_records_only(monkeypatch):
+    # headers, designs and other documents go straight to the stdlib's
+    # encoder; a record envelope goes to orjson, once
+    records._bind_writer()
+    calls = []
+    dumps = records._dumps
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return dumps(*args, **kwargs)
+
+    designs = sorted((Path(__file__).resolve().parent.parent / "designs").glob("*.json"))
+    headers = [
+        montecarlo._header_doc(montecarlo.run_batch(validated(json.loads(p.read_text())), [1]))
+        for p in designs
+    ]
+    monkeypatch.setattr(records, "_dumps", spy)
+    for doc in [*headers, headers[0]["spec_document"], [0.5, "T1", 3]]:
+        assert encode(doc) == reference(doc)
+    assert len(headers) == 5 and calls == []
+    record = _record([0.5])
+    assert encode(record) == reference(record)
+    assert calls == [record]
 
 
 @pytest.mark.parametrize(
