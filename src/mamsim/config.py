@@ -665,11 +665,17 @@ def _rule_doc(rule: RuleSpec) -> dict:
     return {"family": rule.family_id, "params": dict(sorted(rule.params.items()))}
 
 
+def canonical_json(doc, default=None) -> bytes:
+    """Canonical JSON bytes of ``doc``: sorted keys, no spaces, ASCII only,
+    and a ``ValueError`` for NaN or infinity; ``default`` as in ``json.dumps``."""
+    text = json.dumps(doc, default=default, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return text.encode("utf-8")
+
+
 def fingerprint(document: Mapping) -> str:
     """Deterministic hash of a canonical design document, seed set excluded
     (``canonical_document(spec, include_seeds=False)``)."""
-    blob = json.dumps(document, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_json(document)).hexdigest()
 
 
 def serialize_spec(validated: ValidatedSpec) -> str:

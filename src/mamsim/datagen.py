@@ -34,7 +34,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .config import CovariateSpec, DataGenError, check_nuisance
-from .glm import inverse_link
 from .rules import row_sums
 
 
@@ -466,6 +465,10 @@ def response_means(eta: np.ndarray, family: str, link: str, nuisance) -> np.ndar
     """Response means inverse_link(eta), checked as ``simulate_response``
     needs them: a finite predictor, valid nuisance values, finite means and,
     for the binomial, means in [0, 1]."""
+    # here, not at import: validating a covariate design draws covariates
+    # through this module, and loads neither the fit nor scipy.special
+    from .glm import inverse_link
+
     eta = np.asarray(eta, dtype=float)
     if not np.all(np.isfinite(eta)):
         raise DataGenError("linear predictor contains non-finite values")

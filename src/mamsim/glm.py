@@ -17,12 +17,12 @@ replicates in one Newton iteration over the rows still fitting, and
 reference fit it follows, ``fit_laplace``, and ``design_values`` live in
 :mod:`mamsim.reference`, the per-trial reference path no run imports.
 
-The logistic and normal-tail ufuncs, ``scipy.special.expit`` and ``ndtr``,
-are bound by ``load_special`` at the first fit, link or tail, not at
-import.  ``import mamsim``, design validation and the report verbs do not
-import this module at all, so they load neither numpy nor scipy:
-``FitError`` and ``check_nuisance`` are defined in :mod:`mamsim.config`
-and bound here.
+This module imports ``scipy.special`` for its logistic and normal-tail
+ufuncs, ``expit`` and ``ndtr``.  ``import mamsim``, design validation and
+the report verbs do not import this module at all, so they load neither
+numpy nor scipy: ``FitError`` and ``check_nuisance`` are defined in
+:mod:`mamsim.config` and bound here.  A run imports it with the engine,
+before any process pool forks.
 """
 
 from __future__ import annotations
@@ -30,11 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit, ndtr
 
 from .config import FitError, check_nuisance, covariate_columns
-
-# scipy.special's ufuncs, bound by ``load_special``
-expit = ndtr = None
 
 SCORE_TOL = 1e-8
 MODE_CHANGE_TOL = 1e-10
@@ -42,19 +40,6 @@ MAX_HALVINGS = 30
 
 _PROB_FLOOR = np.finfo(float).tiny
 _PROB_CEIL = float(np.nextafter(1.0, 0.0))
-
-
-def load_special() -> None:
-    """Bind ``expit`` and ``ndtr`` from ``scipy.special``, once.
-
-    ``inverse_link``, ``fit_laplace_batch`` and ``tail_probabilities`` call
-    it on entry, so that no import runs inside the Newton iteration.
-    ``montecarlo.run_batch`` calls it before it starts a process pool,
-    whose forked processes then inherit the module instead of each
-    importing it."""
-    global expit, ndtr
-    if ndtr is None:
-        from scipy.special import expit, ndtr
 
 
 @dataclass(frozen=True)
@@ -76,7 +61,6 @@ def default_prior(p: int, mean: float = 0.0, precision: float = 0.001) -> PriorS
 
 def inverse_link(link: str, eta: np.ndarray) -> np.ndarray:
     """Map the linear predictor to the response mean."""
-    load_special()
     eta = np.asarray(eta, dtype=float)
     if link == "identity":
         return eta
@@ -288,7 +272,6 @@ def fit_laplace_batch(
     slice by slice), never on a product across replicates, so a replicate's
     fit is bit-identical whatever else is in the block.
     """
-    load_special()
     nuisance = dict(nuisance or {})
     check_nuisance(family, nuisance)
     n_rep, p = data.shape
@@ -424,7 +407,6 @@ def tail_probabilities(mean, sd, delta, greater) -> np.ndarray:
     for beta with the given ``mean`` and ``sd``; clamped to the open
     interval (0, 1), and NaN where ``delta`` is NaN.
     """
-    load_special()
     z = (delta - mean) / sd
     return np.clip(ndtr(np.where(greater, -z, z)), _PROB_FLOOR, _PROB_CEIL)
 

@@ -19,18 +19,19 @@ checked by the ``records.RecordSchema`` of that design (both once per design
 and process, ``_design``); this module checks the container only.  Headers
 and records are strict JSON, written by the stdlib's encoder (records by
 orjson, except where its text would differ, see ``records.encode``) and
-parsed by orjson: ``encode``, the only writer, refuses NaN and infinity,
-and config keeps every design integer within 64 bits and every string
-valid Unicode.
+parsed by orjson (``records.loads``): ``encode``, the only writer, refuses
+NaN and infinity, and config keeps every design integer within 64 bits and
+every string valid Unicode.
 ``combine_shard_files`` streams records straight from input shards to the
 output, checking design fingerprints, seed order, seed disjointness and
 every record on the way.  A JSON export of the same content, written by
 the stdlib's encoder, is provided for interoperability.
 
 Only ``run_batch`` simulates, so only it imports the run path (the engine,
-numpy and, for a pool, ``scipy.special`` and ``concurrent.futures``' process
-pool), before any pool forks: reading, combining and reporting on shards
-loads no numpy.
+which loads numpy and ``scipy.special``, and for a pool
+``concurrent.futures``' process pool), before any pool forks: reading,
+combining and reporting on shards loads no numpy.  orjson is bound in
+:mod:`mamsim.records`, not here.
 """
 
 from __future__ import annotations
@@ -50,17 +51,16 @@ from operator import itemgetter
 
 from . import __version__
 from .config import (
-    INT_RANGE, SpecError, ValidatedSpec, canonical_document, document_diff, null_variant,
-    parse_spec, validate_spec,
+    INT_RANGE, SpecError, ValidatedSpec, canonical_document, canonical_json, document_diff,
+    null_variant, parse_spec, validate_spec,
 )
-from .records import RecordError, RecordSchema, TrialResult, _check, _fields, encode, json_types
+from .records import (
+    RecordError, RecordSchema, TrialResult, _check, _fields, encode, json_types, loads,
+)
 
 MAGIC = b"MAMSHD01"
 FORMAT_VERSION = 1
 WORKER_CAP_ENV = "MAMSIM_MAX_WORKERS"
-# orjson's parser, bound at the first shard read (``_bind_parser``), not at
-# import: importing orjson would add about 5 ms to every ``import mamsim``
-_loads = None
 
 
 class ShardError(ValueError):
@@ -82,12 +82,14 @@ class BatchResult:
 
 
 def resolve_workers(flag: int | None) -> int:
-    """Worker count policy: an explicit flag wins over the env-var cap."""
+    """Worker count policy: an explicit flag wins over the env-var cap, and
+    the default is the number of CPUs this process may run on."""
     if flag is not None:
         if flag < 1:
             raise ShardError("worker count must be >= 1")
         return flag
-    available = os.cpu_count() or 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    available = len(affinity(0)) if affinity else os.cpu_count() or 1
     text = os.environ.get(WORKER_CAP_ENV, "0") or "0"
     try:
         cap = int(text)
@@ -145,16 +147,15 @@ def run_batch(
     if len(chunks) == 1:
         pairs = [_run_chunk(validated, null_spec, seeds)]
     else:
-        # the run path (numpy, the engine) and scipy.special, loaded here,
-        # are inherited by the pool's forked processes, not imported by
+        # the run path (the engine, numpy, glm and scipy.special), loaded
+        # here, is inherited by the pool's forked processes, not imported by
         # each.  The caller runs chunk 0 rather than wait idle on the pool;
         # leaving the block waits for the pool's processes, also when a
         # chunk raised
         from concurrent.futures import ProcessPoolExecutor
 
-        from . import engine, glm  # noqa: F401
+        from . import engine  # noqa: F401
 
-        glm.load_special()
         with ProcessPoolExecutor(max_workers=len(chunks) - 1) as pool:
             futures = [
                 pool.submit(_run_chunk, validated, null_spec, chunk)
@@ -279,22 +280,13 @@ def _read_exact(fh, n, path):
     return data
 
 
-def _bind_parser() -> None:
-    """Bind ``_loads`` to ``orjson.loads``, once; each shard read calls it
-    before it parses anything."""
-    global _loads
-    if _loads is None:
-        from orjson import loads as _loads
-
-
 def _read_header(fh, path) -> tuple[dict, RecordSchema]:
     magic = fh.read(len(MAGIC))
     if magic != MAGIC:
         raise ShardError(f"corrupt shard {path}: bad magic bytes")
     (header_len,) = struct.unpack("<I", _read_exact(fh, 4, path))
-    _bind_parser()
     try:
-        header = _loads(_read_exact(fh, header_len, path))
+        header = loads(_read_exact(fh, header_len, path))
     except json.JSONDecodeError as exc:
         raise ShardError(f"corrupt shard {path}: bad header ({exc.msg})") from None
     return _check_header(header, path)
@@ -309,7 +301,7 @@ def _check_header(header, path) -> tuple[dict, RecordSchema]:
         raise ShardError(f"shard {path} has format version {version}, expected {FORMAT_VERSION}")
     try:
         _check("header", header, _HEADER_TYPES)
-        validated, schema = _design(encode(header["spec_document"]))
+        validated, schema = _design(canonical_json(header["spec_document"]))
     except RecordError as exc:
         raise ShardError(f"corrupt shard {path}: {exc}") from None
     except SpecError as exc:
@@ -354,7 +346,7 @@ def _decode(record, path, has_null: bool, read) -> tuple:
     result, or when a result belongs to another seed."""
     if isinstance(record, bytes):
         try:
-            record = _loads(record)
+            record = loads(record)
         except ValueError as exc:
             raise ShardError(f"corrupt shard {path}: bad record ({exc})") from None
     if not isinstance(record, dict) or type(record.get("seed")) is not int:
@@ -379,9 +371,8 @@ def _decode(record, path, has_null: bool, read) -> tuple:
 
 def _read_json_export(fh, path) -> tuple[tuple[dict, RecordSchema], list]:
     """Header, record schema and records of a ``save_shard_json`` export."""
-    _bind_parser()
     try:
-        doc = _loads(fh.read())
+        doc = loads(fh.read())
     except ValueError as exc:
         raise ShardError(f"corrupt shard {path}: not JSON ({exc})") from None
     if not (isinstance(doc, dict) and isinstance(doc.get("records"), list)):

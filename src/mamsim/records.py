@@ -6,28 +6,28 @@ JSON object of its dataclass fields, except that an unset (None)
 object holds in a shard of a design, checks it, and reads it back.  The
 bytes are those of the stdlib's ``json`` encoder.  orjson writes records,
 and the stdlib's encoder writes headers and each record whose orjson text
-would differ.  The engine writes records and :mod:`mamsim.montecarlo`
+would differ.  orjson also parses, through ``loads``: headers, records and
+JSON exports.  The engine writes records and :mod:`mamsim.montecarlo`
 reads them; this module imports neither numpy nor, until it first encodes
-a record, orjson, so the report verbs read shards without numpy.
+a record or parses, orjson, so the report verbs read shards without numpy.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, fields
 from itertools import chain
 from operator import attrgetter
 
-from .config import ValidatedSpec
+from .config import ValidatedSpec, canonical_json
 from .rules import ArmDecision
 
 OMITTED_WHEN_UNSET = frozenset({"history", "dataset"})
-# orjson's writer and its options, bound when ``encode`` first writes a
-# record (``_bind_writer``), not at import: importing orjson would add
-# about 5 ms to every ``import mamsim``
-_dumps = None
+# orjson's writer, its options and its parser, bound at the first record
+# write or parse (``_bind_orjson``), not at import: importing orjson would
+# add about 5 ms to every ``import mamsim``
+_dumps = _loads = None
 _OPTIONS = 0
 
 
@@ -214,7 +214,7 @@ def encode(doc) -> bytes:
     if not _ENVELOPE.issuperset(kinds):
         return _encode_stdlib(doc)
     if _dumps is None:
-        _bind_writer()
+        _bind_orjson()
     try:
         out = _dumps(doc, default=_finite_fields, option=_OPTIONS)
     except TypeError:
@@ -226,17 +226,24 @@ def encode(doc) -> bytes:
 
 def _encode_stdlib(doc) -> bytes:
     """``encode``'s bytes, written by the stdlib's encoder: the reference."""
-    return json.dumps(
-        doc, default=_fields, sort_keys=True, separators=(",", ":"), allow_nan=False
-    ).encode("utf-8")
+    return canonical_json(doc, default=_fields)
 
 
-def _bind_writer() -> None:
-    """Bind ``_dumps`` and ``_OPTIONS`` to orjson's writer, once."""
-    global _dumps, _OPTIONS
+def loads(data):
+    """The JSON value of ``data`` (bytes or text), parsed by orjson: strict
+    JSON, so NaN and infinity are errors, and integers beyond 64 bits are
+    read as floats.  A malformed text raises ``json.JSONDecodeError``."""
+    if _loads is None:
+        _bind_orjson()
+    return _loads(data)
+
+
+def _bind_orjson() -> None:
+    """Bind ``_dumps``, ``_OPTIONS`` and ``_loads`` to orjson, once."""
+    global _dumps, _loads, _OPTIONS
     import orjson
 
-    _dumps = orjson.dumps
+    _dumps, _loads = orjson.dumps, orjson.loads
     # record dataclasses go to ``default``, which leaves unset fields out,
     # and so do subclasses of JSON types, which ``_fields`` refuses
     _OPTIONS = (

@@ -19,7 +19,9 @@ from mamsim.cli import main
 from mamsim.config import DataGenError, FitError, SpecError
 from mamsim.rules import RuleError
 
-from trial_designs import count_dose_design, gaussian_two_stage_design, read_shard_sections
+from trial_designs import (
+    count_dose_design, covariate_design, gaussian_two_stage_design, read_shard_sections,
+)
 
 
 @pytest.fixture()
@@ -596,6 +598,17 @@ def test_package_imports_no_test_apparatus():
     assert importlib.util.find_spec("mamsim.oracle") is None
 
 
+def test_montecarlo_binds_neither_the_fit_nor_orjson():
+    # glm owns scipy.special and comes with the engine; records owns orjson
+    tree = ast.parse(Path(montecarlo.__file__).read_text())
+    names = [
+        name
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+    ]
+    assert [n for n in names if n.split(".")[0] in ("glm", "scipy", "orjson")] == []
+
+
 def _six_arm_rar_eta(eta):
     doc = json.loads((DESIGNS_DIR / "orr_six_arm_alternative.json").read_text())
     doc["rar_rule"]["params"]["eta"] = eta
@@ -703,6 +716,23 @@ def test_report_verbs_load_no_scipy(spec_path, tmp_path):
         "    mamsim.validate_spec(mamsim.parse_spec(pathlib.Path(path).read_text()))\n"
         f"assert [main(argv) for argv in {verbs!r}] == [0, 0, 0, 0]\n"
         + NUMERIC_LOADED
+    )
+    assert _fresh_interpreter(probe).split() == []
+
+
+def test_covariate_validation_and_report_verbs_load_no_fit(tmp_path):
+    # validating a covariate design draws a subject with numpy, through
+    # datagen, and so does reading its shards; neither loads the fit or scipy
+    design = tmp_path / "covariates.json"
+    design.write_text(json.dumps(covariate_design()))
+    verbs = _report_verbs(_run_parts(design, tmp_path, "--extended", "2"), tmp_path)
+    probe = (
+        "import sys, pathlib, mamsim\n"
+        "from mamsim.cli import main\n"
+        f"mamsim.validate_spec(mamsim.parse_spec(pathlib.Path({str(design)!r}).read_text()))\n"
+        f"assert [main(argv) for argv in {verbs!r}] == [0, 0, 0, 0]\n"
+        "assert 'mamsim.datagen' in sys.modules\n"
+        "print(' '.join(m for m in sys.modules if m == 'mamsim.glm' or m.split('.')[0] == 'scipy'))"
     )
     assert _fresh_interpreter(probe).split() == []
 

@@ -1,15 +1,18 @@
 """Design-document parsing, validation, and fingerprint behaviour."""
 
+import copy
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mamsim import config
 from mamsim.config import SpecError
 
-from trial_designs import count_dose_design, gaussian_two_stage_design, validated
+from trial_designs import count_dose_design, covariate_design, gaussian_two_stage_design, validated
 
 
 def test_parse_count_dose_document():
@@ -543,3 +546,47 @@ def test_covariate_generator_errors_refused_by_validation(covariate, message):
     spec = config.parse_spec(json.dumps(_with_covariates(covariate)))
     with pytest.raises(SpecError, match=message):
         config.validate_spec(spec)
+
+
+# the shipped designs and the covariate test design, and the values a fuzzed
+# document holds in place of one or two of theirs
+_FUZZ_DESIGNS = [
+    *(json.loads(p.read_text()) for p in sorted(Path(__file__).parents[1].glob("designs/*.json"))),
+    covariate_design(),
+]
+_FUZZ_VALUES = [
+    None, True, False, 0, 1, -1, 2**70, -(2**70), 0.5, 1e308, -1e308, 5e-324, "", "\ud800",
+    [], [1], {}, {"family": "fixed"},
+]
+
+
+def _value_paths(doc, path=()):
+    """The path of ``doc`` itself and of every value inside it."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _value_paths(value, (*path, key))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    base=st.sampled_from(range(len(_FUZZ_DESIGNS))),
+    changes=st.integers(1, 2),
+    data=st.data(),
+)
+def test_mutated_design_validates_or_raises_spec_error(base, changes, data):
+    doc = copy.deepcopy(_FUZZ_DESIGNS[base])
+    for _ in range(changes):
+        path = data.draw(st.sampled_from(list(_value_paths(doc))))
+        value = copy.deepcopy(data.draw(st.sampled_from(_FUZZ_VALUES)))
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    try:
+        config.validate_spec(config.parse_spec(json.dumps(doc)))
+    except SpecError:
+        pass

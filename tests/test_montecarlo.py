@@ -479,3 +479,18 @@ def test_resolve_workers_env_cap(monkeypatch):
     assert montecarlo.resolve_workers(6) == 6
     monkeypatch.delenv(montecarlo.WORKER_CAP_ENV)
     assert montecarlo.resolve_workers(None) >= 1
+
+
+def test_resolve_workers_counts_the_cpus_this_process_may_use(monkeypatch):
+    # a job pinned to 2 of a host's 64 CPUs runs 2 workers, not 64; no pool starts
+    monkeypatch.delenv(montecarlo.WORKER_CAP_ENV, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert montecarlo.resolve_workers(None) == 2
+    monkeypatch.setenv(montecarlo.WORKER_CAP_ENV, "1")
+    assert montecarlo.resolve_workers(None) == 1
+    assert montecarlo.resolve_workers(3) == 3
+    # where the platform has no affinity call, the CPU count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.delenv(montecarlo.WORKER_CAP_ENV)
+    assert montecarlo.resolve_workers(None) == 64

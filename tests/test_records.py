@@ -160,7 +160,7 @@ def test_encode_refuses_a_non_finite_header_float(value):
 def test_encode_hands_orjson_records_only(monkeypatch):
     # headers, designs and other documents go straight to the stdlib's
     # encoder; a record envelope goes to orjson, once
-    records._bind_writer()
+    records._bind_orjson()
     calls = []
     dumps = records._dumps
 

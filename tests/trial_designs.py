@@ -115,6 +115,17 @@ def gaussian_two_stage_design(**overrides):
     return doc
 
 
+def covariate_design():
+    """``gaussian_two_stage_design`` with a uniform and a bernoulli covariate,
+    as CI's CLI smoke step runs it."""
+    doc = gaussian_two_stage_design(beta_true=[0.0, 1.0, 0.0, 0.5, -0.5])
+    doc["model"]["covariates"] = [
+        {"name": "u", "generator": "uniform", "params": {"low": -1.0, "high": 1.0}},
+        {"name": "b", "generator": "bernoulli", "params": {"p": 0.4}},
+    ]
+    return doc
+
+
 def validated(doc) -> config.ValidatedSpec:
     return config.validate_spec(config.parse_spec(json.dumps(doc)))
 
