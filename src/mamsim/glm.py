@@ -17,12 +17,14 @@ replicates in one Newton iteration over the rows still fitting, and
 reference fit it follows, ``fit_laplace``, and ``design_values`` live in
 :mod:`mamsim.reference`, the per-trial reference path no run imports.
 
-This module imports ``scipy.special`` for its logistic and normal-tail
-ufuncs, ``expit`` and ``ndtr``.  ``import mamsim``, design validation and
-the report verbs do not import this module at all, so they load neither
-numpy nor scipy: ``FitError`` and ``check_nuisance`` are defined in
-:mod:`mamsim.config` and bound here.  A run imports it with the engine,
-before any process pool forks.
+A fit's bits also depend on the host CPU: its SIMD level picks numpy's
+``exp``, ``log`` and ``power`` kernels, and its core OpenBLAS's kernels.
+
+This module imports ``scipy.special`` for ``expit`` and ``ndtr``.  ``import
+mamsim``, design validation and the report verbs do not import it, so they
+load neither numpy nor scipy: ``FitError`` and ``check_nuisance`` are
+defined in :mod:`mamsim.config` and bound here.  A run imports it with the
+engine, before any process pool forks.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from scipy.special import expit, ndtr
 
 from .config import FitError, check_nuisance, covariate_columns
@@ -212,21 +215,6 @@ def _unit_terms(family, eta, data, nuisance):
     raise FitError(f"unknown family {family!r}")
 
 
-def _solve_each(a, b):
-    """Solve ``a[r] x = b[r]`` for every slice ``r``; NaN where ``a[r]`` is
-    singular, without disturbing the other slices."""
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        out = np.full(b.shape, np.nan)
-        for r in range(a.shape[0]):
-            try:
-                out[r] = np.linalg.solve(a[r], b[r])
-            except np.linalg.LinAlgError:
-                pass
-        return out
-
-
 def _all_finite(a) -> bool:
     """``np.isfinite(a).all()``, counted rather than reduced: one call less."""
     return np.count_nonzero(np.isfinite(a)) == a.size
@@ -268,9 +256,9 @@ def fit_laplace_batch(
     score of an iterating replicate raises ``FitError``.
 
     Every operation acts elementwise, on one replicate's row, or on one
-    replicate's slice of a stack (``np.linalg.solve`` and ``np.matmul``
-    slice by slice), never on a product across replicates, so a replicate's
-    fit is bit-identical whatever else is in the block.
+    replicate's slice of a stack (``np.matmul``, LAPACK's solve and inverse),
+    never on a product across replicates, so a replicate's fit is
+    bit-identical whatever else is in the block.
     """
     nuisance = dict(nuisance or {})
     check_nuisance(family, nuisance)
@@ -331,7 +319,8 @@ def fit_laplace_batch(
         hess = neg_hessian(part, w)
         if not (_all_finite(hess) and _all_finite(score)):
             raise FitError("array must not contain infs or NaNs")
-        step = _solve_each(hess, score[:, :, None])[:, :, 0]
+        with np.errstate(all="ignore"):  # a singular slice's step is NaN
+            step = _umath_linalg.solve1(hess, score, signature="dd->d")
         stop = None
         if not _all_finite(step):
             stop = ~np.isfinite(step).all(axis=1)  # singular: stop, not converged
@@ -389,7 +378,8 @@ def fit_laplace_batch(
     hess = neg_hessian(data, unit_w)
     if not _all_finite(hess):
         raise FitError("array must not contain infs or NaNs")
-    cov = _solve_each(hess, np.broadcast_to(np.eye(p), hess.shape))
+    with np.errstate(all="ignore"):  # so is a singular slice's inverse
+        cov = _umath_linalg.inv(hess, signature="d->d")
     var = np.diagonal(cov, axis1=1, axis2=2)
     converged &= np.isfinite(var).all(axis=1)
     return BatchFit(

@@ -591,6 +591,40 @@ def test_singular_hessian_stops_only_its_replicate(monkeypatch):
     assert got[0] == alone[0] and got[2] == alone[2]
 
 
+def test_lapack_gufuncs_solve_and_invert_slice_by_slice():
+    # the fit calls the gufuncs under np.linalg.solve and np.linalg.inv, as
+    # below: a regular slice gets the public calls' bits (the inverse also
+    # those of a solve against the identity), a singular one NaN; a numpy
+    # release that renames or changes either gufunc fails here
+    rng = np.random.default_rng(27)
+    singular = regular = 0
+    for _ in range(60):
+        n_rep, p = int(rng.integers(1, 12)), int(rng.integers(2, 8))
+        # arrowheads like the fit's Hessians, some weights exactly zero
+        scale = rng.choice([0.0, 1e-3, 1.0, 50.0], (n_rep, p), p=[0.1, 0.2, 0.4, 0.3])
+        w = rng.exponential(size=(n_rep, p)) * scale
+        hess = glm.ArmTotals(np.ones((n_rep, p)), np.ones((n_rep, p))).hessian(w).copy()
+        kind = rng.integers(0, 3, n_rep)
+        hess[kind == 1] = rng.normal(size=(np.count_nonzero(kind == 1), p, p))
+        hess[kind == 2] = 0.0
+        score = rng.normal(size=(n_rep, p))
+        with np.errstate(all="ignore"):
+            step = glm._umath_linalg.solve1(hess, score, signature="dd->d")
+            cov = glm._umath_linalg.inv(hess, signature="d->d")
+        for r in range(n_rep):
+            try:
+                want_step, want_cov = np.linalg.solve(hess[r], score[r]), np.linalg.inv(hess[r])
+            except np.linalg.LinAlgError:
+                assert np.isnan(step[r]).all() and np.isnan(cov[r]).all()
+                singular += 1
+                continue
+            assert step[r].tobytes() == want_step.tobytes()
+            assert cov[r].tobytes() == want_cov.tobytes()
+            assert cov[r].tobytes() == np.linalg.solve(hess[r], np.eye(p)).tobytes()
+            regular += 1
+    assert singular > 20 and regular > 100
+
+
 def test_failed_line_search_stops_only_its_replicate(monkeypatch):
     count, total = _mixed_arm_block(n_arms=4, replicates=3)
     alone = _rows(glm.fit_laplace_batch(glm.ArmTotals(count, total), "poisson", {}))
