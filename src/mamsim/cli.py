@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import re
 import sys
 from pathlib import Path
@@ -71,13 +72,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    validated = config.validate_spec(config.parse_spec(args.spec.read_text()))
+    spec = config.parse_spec(args.spec.read_text())
     if args.extended is not None:
-        import dataclasses
-
-        validated = config.validate_spec(
-            dataclasses.replace(validated.spec, extended=args.extended)
-        )
+        spec = dataclasses.replace(spec, extended=args.extended)
+    validated = config.validate_spec(spec)
     if args.replicates is not None:
         if args.replicates < 1:
             raise ShardError("replicates must be >= 1")

@@ -10,17 +10,17 @@ replicates are bit-reproducible regardless of execution order.
 ``substream`` defines the streams.  A Philox stream is its 128-bit key
 with the counter at zero, so the engine does not build one generator per
 stream: ``stream_keys`` derives the keys of a whole block of (seed, label
-path) pairs in one vectorised pass.  Philox is counter-based, so the
-uniforms of every stream of a block can be computed at once in uint64
-array arithmetic (``stream_uniforms``).  Draws of one uniform each are
-taken that way: ``simple`` allocation (``allocate_simple``) and binomial
-responses with per-arm means (``binomial_inversion``,
-``binomial_responses``).  Draws that need numpy's rejection samplers or a
-permutation (gaussian, poisson and negative binomial responses,
-covariates, and the permutation that orders a ``balanced`` cohort, whose
-per-arm counts ``balanced_counts`` computes for a whole block) are not
-emulated: ``rekey`` restarts a single generator at each stream's key in
-turn.  Every path gives ``substream``'s draws exactly.
+path) pairs in one vectorised pass, for the seeds a run accepts, [0, 2**64).
+Philox is counter-based, so the uniforms of every stream of a block can be
+computed at once in uint64 array arithmetic (``stream_uniforms``).  Draws
+of one uniform each are taken that way: ``simple`` allocation
+(``allocate_simple``) and binomial responses with per-arm means
+(``binomial_inversion``, ``binomial_responses``).  Draws that need numpy's
+rejection samplers or a permutation (gaussian, poisson and negative
+binomial responses, covariates, and the permutation that orders a
+``balanced`` cohort, whose per-arm counts ``balanced_counts`` computes for
+a whole block) are not emulated: ``rekey`` restarts a single generator at
+each stream's key in turn.  Every path gives ``substream``'s draws exactly.
 """
 
 from __future__ import annotations
@@ -87,23 +87,14 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def _entropy_words(seed) -> list[int]:
-    """The 32-bit words of a seed, least significant first, as SeedSequence
-    splits its entropy."""
-    seed = int(seed)
-    if seed < 0:
-        raise DataGenError(f"seeds must be non-negative, got {seed}")
-    words = [seed & _MASK]
-    while seed > _MASK:
-        seed >>= 32
-        words.append(seed & _MASK)
-    return words
-
-
-def _seed_pool(entropy: np.ndarray) -> list[np.ndarray]:
-    """SeedSequence's pool words after mixing in seed entropy, for a
-    (words, seeds) uint32 array of at least ``_POOL`` words per seed."""
-    consts = _hash_consts(_INIT_A, _MULT_A, _POOL * len(entropy))
+def _seed_pool(seeds: np.ndarray) -> list[np.ndarray]:
+    """SeedSequence's pool words after mixing in the entropy of uint64
+    seeds: each seed's 32-bit words ``[low, high, 0, 0]`` fill the pool."""
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL * _POOL)
+    # with a spawn key, SeedSequence pads the entropy to the pool size;
+    # without one, its mixing reads missing pool words as 0 all the same
+    entropy = np.zeros((_POOL, len(seeds)), dtype=np.uint32)
+    entropy[0], entropy[1] = seeds & _MASK, seeds >> 32
     pool = [_hashmix(entropy[d], consts, d) for d in range(_POOL)]
     call = _POOL
     for src in range(_POOL):
@@ -111,24 +102,19 @@ def _seed_pool(entropy: np.ndarray) -> list[np.ndarray]:
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts, call))
                 call += 1
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], _hashmix(word, consts, call))
-            call += 1
     return pool
 
 
 @functools.lru_cache(maxsize=None)
-def _spawn_hashes(label_reprs: tuple[str, ...], start: int) -> tuple[int, ...]:
-    """Hashes of a label path's words at entropy positions ``start`` onwards,
-    four per word (one per pool word), in the order SeedSequence mixes them.
+def _spawn_hashes(label_reprs: tuple[str, ...]) -> tuple[int, ...]:
+    """Hashes of a label path's words, four per word (one per pool word), in
+    the order SeedSequence mixes them.
 
     They depend on the labels and their positions only, so they are cached
     on the labels' ``repr``, as ``_label_int`` is.
     """
-    # calls so far: one per pool word, the pool's cross-mix, then one per
-    # pool word for each entropy word past the pool
-    first = _POOL * _POOL + _POOL * (start - _POOL)
+    # calls so far: one per pool word, then the pool's cross-mix
+    first = _POOL * _POOL
     consts = _hash_consts(_INIT_A, _MULT_A, first + _POOL * len(label_reprs))
     return tuple(
         _hashmix(_label_int(r), consts, first + _POOL * l + d)
@@ -139,7 +125,8 @@ def _spawn_hashes(label_reprs: tuple[str, ...], start: int) -> tuple[int, ...]:
 
 def stream_keys(seeds, paths) -> np.ndarray:
     """Philox keys of every (seed, label path) pair, as a
-    (len(seeds), len(paths), 2) uint64 array.
+    (len(seeds), len(paths), 2) uint64 array, for seeds in [0, 2**64), the
+    seeds a run accepts.
 
     ``keys[i, p]`` is ``SeedSequence(entropy=seeds[i], spawn_key=<the
     label ints of paths[p]>).generate_state(2, np.uint64)``, the key of
@@ -147,36 +134,31 @@ def stream_keys(seeds, paths) -> np.ndarray:
     uint32 array arithmetic: each seed's entropy is mixed once, and a label
     path's words enter every seed's pool as precomputed hashes.
     """
-    words = [_entropy_words(s) for s in seeds]
+    for seed in seeds:
+        if seed < 0:
+            raise DataGenError(f"seeds must be non-negative, got {seed}")
+        if seed >= 2**64:
+            raise DataGenError(f"seeds must be below 2**64, got {seed}")
+    pool = _seed_pool(np.array(seeds, dtype=np.uint64))
     reprs = [tuple(repr(l) for l in path) for path in paths]
     depth = max(map(len, reprs), default=0)
-    keys = np.empty((len(words), len(reprs), 2), dtype=np.uint64)
-    by_size: dict[int, list[int]] = {}
-    for i, w in enumerate(words):
-        # with a spawn key, SeedSequence pads the entropy to the pool size;
-        # without one, its mixing reads missing pool words as 0 all the same
-        by_size.setdefault(max(len(w), _POOL), []).append(i)
-    for size, rows in by_size.items():
-        entropy = np.zeros((size, len(rows)), dtype=np.uint32)
-        for c, i in enumerate(rows):
-            entropy[: len(words[i]), c] = words[i]
-        pool = _seed_pool(entropy)
-        # spawn words, as (depth, pool word, path) hashes; shorter paths
-        # skip the positions past their end
-        hashes = np.zeros((len(reprs), depth * _POOL), dtype=np.uint32)
-        present = np.zeros((len(reprs), depth), dtype=bool)
-        for p, r in enumerate(reprs):
-            hashes[p, : len(r) * _POOL] = _spawn_hashes(r, size)
-            present[p, : len(r)] = True
-        hashes = hashes.reshape(len(reprs), depth, _POOL).transpose(1, 2, 0)
-        pool = [word[:, None] for word in pool]
-        for l in range(depth):
-            for d in range(_POOL):
-                pool[d] = np.where(present[:, l], _mix(pool[d], hashes[l, d]), pool[d])
-        out = _hash_consts(_INIT_B, _MULT_B, _POOL)
-        state = [_hashmix(pool[d], out, d).astype(np.uint64) for d in range(_POOL)]
-        keys[rows, :, 0] = state[0] | state[1] << np.uint64(32)
-        keys[rows, :, 1] = state[2] | state[3] << np.uint64(32)
+    # spawn words, as (depth, pool word, path) hashes; shorter paths skip
+    # the positions past their end
+    hashes = np.zeros((len(reprs), depth * _POOL), dtype=np.uint32)
+    present = np.zeros((len(reprs), depth), dtype=bool)
+    for p, r in enumerate(reprs):
+        hashes[p, : len(r) * _POOL] = _spawn_hashes(r)
+        present[p, : len(r)] = True
+    hashes = hashes.reshape(len(reprs), depth, _POOL).transpose(1, 2, 0)
+    pool = [word[:, None] for word in pool]
+    for l in range(depth):
+        for d in range(_POOL):
+            pool[d] = np.where(present[:, l], _mix(pool[d], hashes[l, d]), pool[d])
+    out = _hash_consts(_INIT_B, _MULT_B, _POOL)
+    state = [_hashmix(pool[d], out, d).astype(np.uint64) for d in range(_POOL)]
+    keys = np.empty((len(seeds), len(reprs), 2), dtype=np.uint64)
+    keys[..., 0] = state[0] | state[1] << np.uint64(32)
+    keys[..., 1] = state[2] | state[3] << np.uint64(32)
     return keys
 
 

@@ -87,6 +87,19 @@ def test_extended_flag_overrides_document(spec_path, tmp_path, capsys):
     assert "extended" in capsys.readouterr().err
 
 
+def test_extended_flag_replaces_an_invalid_document_depth(tmp_path, capsys):
+    # the flag replaces the field before the one validation, so the
+    # document's own depth is never checked
+    design = tmp_path / "deep.json"
+    design.write_text(json.dumps(gaussian_two_stage_design(replicates=2, extended=7)))
+    shard = tmp_path / "e1.shard"
+    assert main([
+        "run", str(design), "--workers", "1", "--extended", "1", "--out", str(shard),
+    ]) == 0
+    assert "2 replicates" in capsys.readouterr().out
+    assert montecarlo.load_shard(shard).extended == 1
+
+
 def test_run_default_output_path(spec_path, capsys):
     assert main(["run", str(spec_path), "--seeds", "1..2", "--workers", "1"]) == 0
     capsys.readouterr()

@@ -3,9 +3,11 @@ the same uniforms, allocations and binomial responses, as ``substream``'s
 generators give; and negative binomial responses drawn as numpy's
 ``gamma(shape, scale)`` mixture draws them."""
 
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mamsim import datagen, engine, glm, montecarlo, reference, rules
 from mamsim.datagen import DataGenError, substream
@@ -23,10 +25,10 @@ _labels = st.one_of(
 )
 
 
+# a run's seeds, [0, 2**64)
 _seeds = st.one_of(
     st.integers(0, 2**32 - 1),  # one entropy word
-    st.integers(2**32, 2**128 - 1),  # two to four
-    st.integers(2**128, 2**160 - 1),  # more than the pool
+    st.integers(2**32, 2**64 - 1),  # two
 )
 
 
@@ -36,6 +38,11 @@ class TestStreamKeys:
         seeds=st.lists(_seeds, min_size=1, max_size=6, unique=True),
         paths=st.lists(st.lists(_labels, max_size=4).map(tuple), min_size=1, max_size=5),
     )
+    # the ends of the seed domain and of one entropy word, with the empty
+    # path, a one-label path and an engine path; then a block with no
+    # spawn words at all
+    @example(seeds=[0, 2**32 - 1, 2**32, 2**64 - 1], paths=[(), ("look",), ("look", 3, "response")])
+    @example(seeds=[2**64 - 1], paths=[()])
     def test_block_keys_draw_as_substream(self, seeds, paths):
         keys = datagen.stream_keys(seeds, paths)
         assert keys.shape == (len(seeds), len(paths), 2) and keys.dtype == np.uint64
@@ -52,9 +59,15 @@ class TestStreamKeys:
         )[0]
         assert len({tuple(k) for k in keys.tolist()}) == 4
 
-    def test_negative_seed_rejected(self):
-        with pytest.raises(DataGenError, match="non-negative"):
-            datagen.stream_keys([3, -1], [("look", 0, "alloc")])
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(-1, "seeds must be non-negative, got -1"),
+         (2**64, f"seeds must be below 2**64, got {2**64}")],
+        ids=["-1", "2**64"],
+    )
+    def test_negative_seed_rejected(self, seed, message):
+        with pytest.raises(DataGenError, match=re.escape(message)):
+            datagen.stream_keys([3, seed], [("look", 0, "alloc")])
 
     def test_rekey_clears_generator_state(self):
         seeds, paths = [8, 9], [("look", 2, "response"), ("look", 3, "alloc")]
@@ -159,10 +172,10 @@ class TestBlockDraws:
 
     def test_every_uniform_count_up_to_70(self):
         # counts that are and are not multiples of the 4 words per counter
-        keys = datagen.stream_keys([3, 2**64 + 5], [("look", 1, "alloc")])
+        keys = datagen.stream_keys([3, 2**64 - 5], [("look", 1, "alloc")])
         for m in range(1, 71):
             draws = datagen.stream_uniforms(keys, [m])[0]
-            for i, seed in enumerate([3, 2**64 + 5]):
+            for i, seed in enumerate([3, 2**64 - 5]):
                 assert np.array_equal(draws[i], substream(seed, "look", 1, "alloc").random(m))
 
     def test_key_increments_wrap(self):
